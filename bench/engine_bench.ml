@@ -18,6 +18,7 @@
    workloads, parity + JSON round-trip assertions) and is wired into
    `dune runtest` so this harness cannot bitrot. *)
 
+module B = Pf_bench_support.Bench_support
 module Sweep = Pf_report.Sweep
 module Json = Pf_report.Json
 open Pf_uarch
@@ -52,25 +53,12 @@ let phase_policies =
     Pf_core.Policy.Rec_pred;
     Pf_core.Policy.Dmt ]
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
-
 type sim_row = {
   label : string;
   sim_s : float;
   metrics : Metrics.t;
-  (* GC word deltas across the simulation, from [Gc.quick_stat] *)
-  minor_words : float;
-  promoted_words : float;
-  major_words : float;
+  allocated_words : float; (* words the simulation freshly allocated *)
 }
-
-(* words freshly allocated: minor plus direct-to-major, with promotions
-   (already counted in minor_words) backed out of major_words *)
-let allocated_words (s : sim_row) =
-  s.minor_words +. s.major_words -. s.promoted_words
 
 type workload_row = {
   workload : string;
@@ -96,7 +84,7 @@ let measure_workload ~window_override (wl : Pf_workloads.Workload.t) =
     | None -> wl.Pf_workloads.Workload.window
   in
   let prep, prepare_s =
-    time (fun () ->
+    B.time (fun () ->
         Run.prepare wl.Pf_workloads.Workload.program
           ~setup:wl.Pf_workloads.Workload.setup
           ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window)
@@ -105,18 +93,13 @@ let measure_workload ~window_override (wl : Pf_workloads.Workload.t) =
      used to redo for every policy before the flat trace was hoisted
      into `Run.prepare` *)
   let _, flatten_s =
-    time (fun () -> Pf_trace.Flat_trace.of_trace prep.Run.trace)
+    B.time (fun () -> Pf_trace.Flat_trace.of_trace prep.Run.trace)
   in
   let measure_sim policy =
-    let g0 = Gc.quick_stat () in
-    let metrics, sim_s = time (fun () -> Run.simulate prep ~policy) in
-    let g1 = Gc.quick_stat () in
-    { label = Pf_core.Policy.name policy;
-      sim_s;
-      metrics;
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words }
+    let (metrics, sim_s), allocated_words =
+      B.alloc_words (fun () -> B.time (fun () -> Run.simulate prep ~policy))
+    in
+    { label = Pf_core.Policy.name policy; sim_s; metrics; allocated_words }
   in
   let sims = List.map measure_sim phase_policies in
   let adaptive_sim = measure_sim Pf_core.Policy.Adaptive in
@@ -154,21 +137,6 @@ type prepare_row = {
 
 let prepare_speedup p = p.p_cold_s /. p.p_warm_s
 
-let temp_store_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pf_bench_tstore_%d_%d" (Unix.getpid ()) !n)
-
-let rec rm_rf p =
-  if Sys.file_exists p then
-    if Sys.is_directory p then begin
-      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-      Sys.rmdir p
-    end
-    else Sys.remove p
-
 let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
   let window =
     match window_override with
@@ -183,12 +151,15 @@ let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
   let best = List.fold_left min infinity in
   (* one unmeasured round to warm the allocator, as measure_batch does *)
   ignore (prepare None);
-  let dirs = List.init prepare_rounds (fun _ -> temp_store_dir ()) in
+  let dirs =
+    List.init prepare_rounds (fun _ ->
+        B.temp_dir ~base:(Filename.get_temp_dir_name ()) "pf_bench_tstore")
+  in
   let colds =
     List.map
       (fun dir ->
         let store = Pf_trace.Trace_store.create ~dir () in
-        snd (time (fun () -> ignore (prepare (Some store)))))
+        snd (B.time (fun () -> ignore (prepare (Some store)))))
       dirs
   in
   (* warm hits go through the store of the last cold round *)
@@ -196,10 +167,10 @@ let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
   let prep = ref (prepare (Some warm_store)) in
   let warms =
     List.init prepare_rounds (fun _ ->
-        snd (time (fun () -> prep := prepare (Some warm_store))))
+        snd (B.time (fun () -> prep := prepare (Some warm_store))))
   in
   let instructions = Pf_trace.Tracer.length !prep.Run.trace in
-  List.iter rm_rf dirs;
+  List.iter B.rm_rf dirs;
   { p_workload = wl.Pf_workloads.Workload.name;
     p_window = window;
     p_instructions = instructions;
@@ -281,7 +252,7 @@ let measure_batch ~window_override (wl : Pf_workloads.Workload.t) =
   let solo_cold =
     Array.init max_batch_size (fun i ->
         let _, s =
-          time (fun () ->
+          B.time (fun () ->
               let prep = prepare () in
               ignore (Run.simulate prep ~policy:(batch_policy i)))
         in
@@ -292,7 +263,7 @@ let measure_batch ~window_override (wl : Pf_workloads.Workload.t) =
     List.map
       (fun size ->
         let prep, batched_cold_s =
-          time (fun () ->
+          B.time (fun () ->
               let prep = prepare () in
               ignore
                 (Run.simulate_batch prep
@@ -357,12 +328,10 @@ let sim_to_json (s : sim_row) =
       ("simulate_s", Json.Float s.sim_s);
       ("cycles", Json.Int s.metrics.Metrics.cycles);
       ("ipc", Json.Float (Metrics.ipc s.metrics));
-      ("minor_words", Json.Float s.minor_words);
-      ("major_words", Json.Float s.major_words);
-      ("allocated_words", Json.Float (allocated_words s)) ]
+      ("allocated_words", Json.Float s.allocated_words) ]
 
 let simulate_total w = List.fold_left (fun a s -> a +. s.sim_s) 0. w.sims
-let allocated_total w = List.fold_left (fun a s -> a +. allocated_words s) 0. w.sims
+let allocated_total w = List.fold_left (fun a s -> a +. s.allocated_words) 0. w.sims
 
 (* what an N-policy sweep of this window pays with flattening hoisted
    into prepare vs re-flattened per policy (the pre-rewrite pipeline) *)
@@ -495,55 +464,25 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
                 ("runs_per_s", Json.Float (float_of_int runs /. wall)) ] );
       ("totals", totals) ]
 
-let save path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n')
-
-(* Perf trajectory across PRs: every write appends one summary entry to
-   a `history` member carried over from the artifact it replaces, so the
-   file doubles as a machine-readable record of how the tracked numbers
-   moved. A missing or unreadable prior artifact just starts a fresh
-   history. *)
-let with_history path doc =
-  let prior =
-    if not (Sys.file_exists path) then []
-    else
-      try
-        let ic = open_in_bin path in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match Json.member_opt "history" (Json.of_string text) with
-        | Some (Json.List l) -> l
-        | _ -> []
-      with _ -> []
-  in
+(* Perf trajectory across commits: every write appends this summary to the
+   `history` carried over from the artifact it replaces. *)
+let history_entry doc =
   let sub a b = Json.member b (Json.member a doc) in
-  let entry =
-    Json.Obj
-      [ ("created_unix", sub "manifest" "created_unix");
-        ("git", sub "manifest" "git");
-        ("tool", sub "manifest" "tool");
-        ("timing_version", Json.String Engine.timing_version);
-        ("engine_minstr_per_s", sub "totals" "engine_minstr_per_s");
-        ("adaptive_minstr_per_s", sub "totals" "adaptive_minstr_per_s");
-        ("doacross_minstr_per_s", sub "totals" "doacross_minstr_per_s");
-        ("batched_minstr_per_s", sub "totals" "batched_minstr_per_s");
-        ("batch_speedup_4", sub "totals" "batch_speedup_4");
-        ("warm_prepare_speedup", sub "totals" "warm_prepare_speedup");
-        ("allocated_words_per_instr", sub "totals" "allocated_words_per_instr")
-      ]
-  in
-  match doc with
-  | Json.Obj fields ->
-      Json.Obj (fields @ [ ("history", Json.List (prior @ [ entry ])) ])
-  | j -> j
+  Json.Obj
+    [ ("created_unix", sub "manifest" "created_unix");
+      ("git", sub "manifest" "git");
+      ("tool", sub "manifest" "tool");
+      ("timing_version", Json.String Engine.timing_version);
+      ("engine_minstr_per_s", sub "totals" "engine_minstr_per_s");
+      ("adaptive_minstr_per_s", sub "totals" "adaptive_minstr_per_s");
+      ("doacross_minstr_per_s", sub "totals" "doacross_minstr_per_s");
+      ("batched_minstr_per_s", sub "totals" "batched_minstr_per_s");
+      ("batch_speedup_4", sub "totals" "batch_speedup_4");
+      ("warm_prepare_speedup", sub "totals" "warm_prepare_speedup");
+      ("allocated_words_per_instr", sub "totals" "allocated_words_per_instr") ]
+
+let save path doc =
+  B.save path (B.with_history path ~entries:[ history_entry doc ] doc)
 
 (* ---- smoke: fast self-check wired into dune runtest ---- *)
 
@@ -660,7 +599,7 @@ let run_smoke () =
      < 25.);
   (* CI consumes the smoke artifact (perf-smoke job), so write it even
      in smoke mode, history included *)
-  save !json_out (with_history !json_out doc);
+  save !json_out doc;
   Printf.printf "engine-bench smoke: %s\n"
     (if !failures = [] then "PASS" else "FAIL");
   exit (if !failures = [] then 0 else 1)
@@ -720,7 +659,7 @@ let run_full () =
       Printf.printf "Grid sweep: %d runs, %d jobs...\n%!" (List.length specs)
         !jobs;
       let (runs, _), wall =
-        time (fun () -> Sweep.execute ~jobs:!jobs specs)
+        B.time (fun () -> Sweep.execute ~jobs:!jobs specs)
       in
       Printf.printf "  grid wall %.1f s (%.1f runs/s)\n%!" wall
         (float_of_int (List.length runs) /. wall);
@@ -745,7 +684,7 @@ let run_full () =
       ~wall_s:(Unix.gettimeofday () -. t_start)
       ~rows ~prep_rows ~batched ~grid
   in
-  save !json_out (with_history !json_out doc);
+  save !json_out doc;
   Printf.printf "Wrote %s (schema %d)\n" !json_out
     Pf_report.Manifest.schema_version
 

@@ -26,6 +26,7 @@
    numbers go to the artifact, not stdout, so the output is
    byte-deterministic. *)
 
+module B = Pf_bench_support.Bench_support
 module Json = Pf_json.Json
 module Sweep = Pf_report.Sweep
 
@@ -95,16 +96,8 @@ let run_bytes r = Json.to_string (Json.member "run" r)
 (* ---- latency accounting ---- *)
 
 let timed_rpc c json =
-  let t0 = Unix.gettimeofday () in
-  let r = rpc c json in
-  (r, (Unix.gettimeofday () -. t0) *. 1e3)
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
+  let r, s = B.time (fun () -> rpc c json) in
+  (r, s *. 1e3)
 
 let lat_summary label lats =
   let a = Array.of_list lats in
@@ -114,8 +107,8 @@ let lat_summary label lats =
   ( label,
     Json.Obj
       [ ("count", Json.Int n);
-        ("p50_ms", Json.Float (percentile a 50.));
-        ("p99_ms", Json.Float (percentile a 99.));
+        ("p50_ms", Json.Float (B.percentile a 50.));
+        ("p99_ms", Json.Float (B.percentile a 99.));
         ("mean_ms", Json.Float mean);
         ("max_ms", Json.Float (if n = 0 then 0. else a.(n - 1))) ] )
 
@@ -150,10 +143,11 @@ let warm_phase path =
     close c;
     results.(ci) <- List.rev !out
   in
-  let t0 = Unix.gettimeofday () in
-  let threads = List.init !clients (fun ci -> Thread.create worker ci) in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall =
+    B.time (fun () ->
+        List.init !clients (fun ci -> Thread.create worker ci)
+        |> List.iter Thread.join)
+  in
   (Array.to_list results |> List.concat, wall)
 
 (* ---- artifact ---- *)
@@ -181,44 +175,18 @@ let document ~tool ~wall_s ~cold ~warm ~warm_wall ~server_stats =
       ("server_stats", server_stats) ]
 
 (* history: same carry-over scheme as the other bench artifacts *)
-let with_history path doc =
-  let prior =
-    if not (Sys.file_exists path) then []
-    else
-      try
-        let ic = open_in_bin path in
-        let text =
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        match Json.member_opt "history" (Json.of_string text) with
-        | Some (Json.List l) -> l
-        | _ -> []
-      with _ -> []
-  in
+let history_entry doc =
   let sub a b = Json.member b (Json.member a doc) in
-  let entry =
-    Json.Obj
-      [ ("created_unix", sub "manifest" "created_unix");
-        ("git", sub "manifest" "git");
-        ("tool", sub "manifest" "tool");
-        ("timing_version", Json.String Pf_uarch.Engine.timing_version);
-        ("warm_p50_ms", sub "warm" "p50_ms");
-        ("requests_per_s", sub "throughput" "requests_per_s") ]
-  in
-  match doc with
-  | Json.Obj fields ->
-      Json.Obj (fields @ [ ("history", Json.List (prior @ [ entry ])) ])
-  | j -> j
+  Json.Obj
+    [ ("created_unix", sub "manifest" "created_unix");
+      ("git", sub "manifest" "git");
+      ("tool", sub "manifest" "tool");
+      ("timing_version", Json.String Pf_uarch.Engine.timing_version);
+      ("warm_p50_ms", sub "warm" "p50_ms");
+      ("requests_per_s", sub "throughput" "requests_per_s") ]
 
-let save path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty json);
-      output_char oc '\n')
+let save path doc =
+  B.save path (B.with_history path ~entries:[ history_entry doc ] doc)
 
 (* ---- in-process daemon (when --socket is not given) ---- *)
 
@@ -230,11 +198,11 @@ let boot_in_process ?dir ?(cache_sub = "cache") () =
     match dir with
     | Some d -> d
     | None ->
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "pf_serve_bench_%d" (Unix.getpid ()))
+        (* private: the daemon's socket lives here *)
+        let d = B.temp_dir ~base:(Filename.get_temp_dir_name ()) "pf_serve_bench" in
+        Unix.chmod d 0o700;
+        d
   in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let cfg =
     { (Pf_serve.Server.default_config ~socket_path:(Filename.concat dir "s.sock"))
       with
@@ -245,17 +213,6 @@ let boot_in_process ?dir ?(cache_sub = "cache") () =
       prewarm_windows = [ !window ] }
   in
   (Pf_serve.Server.start cfg, cfg, dir)
-
-let rm_rf dir =
-  let rec go p =
-    match Unix.lstat p with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-        Array.iter (fun e -> go (Filename.concat p e)) (Sys.readdir p);
-        Unix.rmdir p
-    | _ -> Unix.unlink p
-    | exception Unix.Unix_error _ -> ()
-  in
-  go dir
 
 (* ---- HTTP shim client (smoke only) ---- *)
 
@@ -552,7 +509,7 @@ let run_smoke () =
     (Json.to_int (Json.member "schema_version" reparsed)
      = Pf_report.Manifest.schema_version
     && Json.to_int (Json.member "count" (Json.member "warm" reparsed)) = 100);
-  save !json_out (with_history !json_out doc);
+  save !json_out doc;
 
   (* graceful shutdown over the socket *)
   let bye = rpc c (Json.Obj [ ("op", Json.String "shutdown") ]) in
@@ -593,7 +550,7 @@ let run_smoke () =
   close c2;
   Pf_serve.Server.run server2;
 
-  rm_rf dir;
+  B.rm_rf dir;
   Printf.printf "serve-bench smoke: %s\n"
     (if !failures = [] then "PASS" else "FAIL");
   exit (if !failures = [] then 0 else 1)
@@ -623,13 +580,13 @@ let run_full () =
   (match booted with
   | Some (server, _, dir) ->
       Pf_serve.Server.stop server;
-      rm_rf dir
+      B.rm_rf dir
   | None -> ());
   let pr label l =
     let a = Array.of_list (List.map (fun (_, _, ms) -> ms) l) in
     Array.sort compare a;
     Printf.printf "  %-5s %4d reqs  p50 %7.2f ms  p99 %7.2f ms  max %7.2f ms\n"
-      label (Array.length a) (percentile a 50.) (percentile a 99.)
+      label (Array.length a) (B.percentile a 50.) (B.percentile a 99.)
       (if a = [||] then 0. else a.(Array.length a - 1))
   in
   pr "cold" cold;
@@ -642,7 +599,7 @@ let run_full () =
       ~wall_s:(Unix.gettimeofday () -. t_start)
       ~cold ~warm ~warm_wall ~server_stats:stats
   in
-  save !json_out (with_history !json_out doc);
+  save !json_out doc;
   Printf.printf "Wrote %s (schema %d)\n" !json_out
     Pf_report.Manifest.schema_version
 

@@ -1204,6 +1204,11 @@ let simulate_core ~yield ~stripe input =
           t.last_line <- line;
           let latency = Pf_cache.Hierarchy.fetch_latency hier pc.(i) in
           if latency > 0 then begin
+            (* a miss stalls this task but leaves the cycle live: when
+               [fetch_tasks_per_cycle] chose only tasks that miss, an
+               unchosen task is still fetchable next cycle, a gate
+               [next_event] does not track *)
+            progress := true;
             t.stall_until <- !now + latency;
             t.stall_reason <- Sink.r_icache;
             continue_ := false

@@ -1,13 +1,21 @@
 (** A benchmark: a compiled program plus its data initialisation and
     simulation parameters. One workload per SPEC2000 integer benchmark
     the paper evaluates (Section 3.2), each built to exhibit the
-    control-flow and memory behaviour the paper attributes to it. *)
+    control-flow and memory behaviour the paper attributes to it.
+
+    A registered workload is built once at start-up ({!Suite}) and one
+    value serves every domain and thread at once, so a [t] must stay
+    immutable after construction: [setup] must be deterministic (the
+    same writes on every call, from its own [Rng]) and must touch only
+    the machine it is given. *)
 
 type t = {
   name : string;
   description : string;
   program : Pf_isa.Program.t;
-  setup : Pf_isa.Machine.t -> unit; (** data initialisation before running *)
+  setup : Pf_isa.Machine.t -> unit;
+      (** data initialisation before running; deterministic, and writes
+          only to the machine passed in *)
   fast_forward : int;               (** instructions to skip (program init) *)
   window : int;                     (** default simulation window *)
   result_addr : int;                (** address of the program's 8-byte result

@@ -16,6 +16,18 @@ let find name = List.find (fun w -> w.Workload.name = name) all
 
 let test_names_unique () =
   let names = List.map (fun w -> w.Workload.name) all in
+  Alcotest.(check (list string))
+    "12 kernels in figure order, then the loop-nest members"
+    [ "bzip2"; "crafty"; "gap"; "gcc"; "gzip"; "mcf"; "parser"; "perlbmk";
+      "twolf"; "vortex"; "vpr.place"; "vpr.route"; "loopnest.d0.unit.n1";
+      "loopnest.d1.unit.n1"; "loopnest.d2.unit.n1"; "loopnest.d4.unit.n1";
+      "loopnest.d8.unit.n1"; "loopnest.d2.strided.n1"; "loopnest.d2.ind.n1";
+      "loopnest.d2.unit.n2"; "loopnest.d2.unit.n3" ]
+    Suite.names;
+  Alcotest.(check (list string)) "names agree with all ()" Suite.names names;
+  Alcotest.(check (list string))
+    "spec_names are the first twelve" (List.filteri (fun i _ -> i < 12) names)
+    Suite.spec_names;
   (* 12 SPEC-shaped kernels + 9 registered loop-nest family members *)
   Alcotest.(check int) "twenty-one workloads" 21 (List.length names);
   Alcotest.(check int) "unique names" 21
@@ -434,6 +446,63 @@ let test_fill_permutation_is_cycle () =
   Alcotest.(check int) "cycle covers all slots" 64 (Hashtbl.length seen);
   Alcotest.(check bool) "back at a visited slot" true (Hashtbl.mem seen !node)
 
+(* ------------------------------------------------------------------ *)
+(* The registry: one value per workload, shared by every caller        *)
+
+let test_find_is_shared () =
+  List.iter
+    (fun n ->
+      let w = Option.get (Suite.find n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: find returns one physical value" n)
+        true
+        (w == Option.get (Suite.find n));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: find returns the element of all ()" n)
+        true
+        (List.exists (fun w' -> w' == w) (Suite.all ())))
+    Suite.names;
+  Alcotest.(check bool) "unknown name" true (Suite.find "vortex2" = None)
+
+(* Sweep workers and daemon threads prepare the one shared value at
+   once; each must see exactly what a solo preparation produces. *)
+let test_shared_value_concurrent_prepare () =
+  let w = Option.get (Suite.find "vortex") in
+  let prepare ?store () =
+    Pf_uarch.Run.prepare ?store w.Workload.program ~setup:w.Workload.setup
+      ~fast_forward:w.Workload.fast_forward ~window:4_000
+  in
+  let postdoms prep = Pf_uarch.Run.simulate prep ~policy:Pf_core.Policy.Postdoms in
+  let solo = prepare () in
+  let solo_metrics = postdoms solo in
+  let dir = Filename.temp_dir "pf_registry" "" in
+  let store = Pf_trace.Trace_store.create ~dir () in
+  let results =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            let prep = prepare ~store () in
+            (prep.Pf_uarch.Run.flat, postdoms prep)))
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun k (flat, metrics) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d: flat trace equals a solo prepare" k)
+        true
+        (flat = solo.Pf_uarch.Run.flat);
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d: postdoms metrics equal a solo run" k)
+        true (metrics = solo_metrics))
+    results;
+  let rec rm_rf p =
+    if Sys.is_directory p then begin
+      Array.iter (fun e -> rm_rf (Filename.concat p e)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+  in
+  rm_rf dir
+
 let suite =
   [ ( "workloads.suite",
       [ case "names unique" test_names_unique;
@@ -456,6 +525,10 @@ let suite =
           test_loopnest_programs_distinct;
         case "bad parameters rejected" test_loopnest_rejects_bad_parameters;
         case "distance sweep registered" test_loopnest_sweep_registered ] );
+    ( "workloads.registry",
+      [ case "find returns the shared value" test_find_is_shared;
+        case "concurrent prepares of one shared value"
+          test_shared_value_concurrent_prepare ] );
     ( "workloads.rng",
       [ case "deterministic" test_rng_determinism;
         case "int bounds" test_rng_int_bounds;
