@@ -200,10 +200,10 @@ let prepare_totals prep_rows =
 
 (* ---- batched vs sequential cold sweeps ----
 
-   The batched engine answers N same-window policy runs with one
-   prepare and one lockstep trace pass (Run.simulate_batch); a cold
-   sequential sweep of the same N runs pays N fresh prepares and N
-   full trace passes. Both sides are measured: `seq_cold_s` for size B
+   A batch answers N same-window policy runs with one prepare and N
+   simulations of the shared prepared window (Run.simulate_batch); a
+   cold sequential sweep of the same N runs pays N fresh prepares as
+   well. Both sides are measured: `seq_cold_s` for size B
    is the sum of B independently-timed (fresh prepare + solo simulate)
    pairs, `batched_cold_s` is one timed (prepare + simulate_batch of B
    members). Policies cycle through the phase classes so every batch
@@ -529,8 +529,8 @@ let run_smoke () =
   in
   check "deterministic re-simulation"
     (fingerprint a = fingerprint (List.hd rows));
-  (* batched lockstep simulation: same members, same window — one
-     trace pass must reproduce the solo runs bit for bit *)
+  (* a same-window batch: same members, same window — the batch must
+     reproduce the solo runs bit for bit *)
   let batch_wl = Option.get (Pf_workloads.Suite.find "gzip") in
   let batch_prep =
     Run.prepare batch_wl.Pf_workloads.Workload.program
@@ -548,8 +548,8 @@ let run_smoke () =
          metrics_bytes m
          = metrics_bytes (Run.simulate batch_prep ~policy))
        batch_members batch_metrics);
-  (* the cold-sweep speedup the batch engine exists for: B=4 runs from
-     one prepare + one lockstep pass vs 4 fresh prepare+simulate pairs *)
+  (* the cold-sweep speedup of sharing one prepared window: B=4 runs
+     from one prepare vs 4 fresh prepare+simulate pairs *)
   let batch_gzip = measure_batch ~window_override:(Some 4_000) batch_wl in
   let size4 = List.find (fun r -> r.size = 4) batch_gzip.b_sizes in
   check "batched cold speedup >= 2x at B=4" (batch_speedup size4 >= 2.0);

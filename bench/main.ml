@@ -960,7 +960,8 @@ let run_full () =
   in
   let sweep_wall = Unix.gettimeofday () -. t_start in
   (* additive "extras" member: how the sweep was executed (cache hits
-     vs simulations, and how many simulations rode lockstep batches) *)
+     vs simulations, and how many simulations shared a same-window
+     batch) *)
   let extras =
     match !stats with
     | None -> []
@@ -976,8 +977,8 @@ let run_full () =
   (match !stats with
   | Some s when !verbose ->
       Printf.printf
-        "  execution: %d cached, %d simulated (%d of those in %d lockstep \
-         batches), %.1f ms preparing windows\n%!"
+        "  execution: %d cached, %d simulated (%d of those in %d \
+         same-window batches), %.1f ms preparing windows\n%!"
         s.Sweep.cached_runs s.Sweep.simulated_runs s.Sweep.batched_runs
         s.Sweep.batch_count s.Sweep.prepare_ms
   | _ -> ());

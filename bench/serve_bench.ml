@@ -398,11 +398,12 @@ let run_smoke () =
     && Json.to_int (Json.member "stores" ts_stats) > 0
     && Json.to_int (Json.member "entries" ts_stats) > 0);
 
-  (* ---- the batched lockstep path ----
+  (* ---- the same-window batch path ----
      Hold the single worker on a long blocker request; three same-window
      cache-miss requests then pile up in the queue and the worker drains
-     them as one lockstep batch (Scheduler max_batch). Their replies
-     must be byte-identical to solo simulations of the same specs. *)
+     them as one batch (Scheduler max_batch), simulated one after
+     another on the shared prepared window. Their replies must be
+     byte-identical to solo simulations of the same specs. *)
   let blocker_reply = ref Json.Null in
   let blocker =
     Thread.create

@@ -72,13 +72,7 @@ let run_cmd workload_name policy_str all_policies window trace_store_dir
         name instructions static_spawns prepare_s;
       let records = ref [] in
       let run_one ?base ?(record_trace = false) policy =
-        let config =
-          match policy with
-          | Pf_core.Policy.No_spawn -> Pf_uarch.Config.superscalar
-          | Pf_core.Policy.Adaptive -> Pf_uarch.Config.adaptive
-          | Pf_core.Policy.Doacross -> Pf_uarch.Config.doacross
-          | _ -> Pf_uarch.Config.polyflow
-        in
+        let config = Pf_uarch.Config.for_policy policy in
         (* observability: attach only the sinks asked for, so a plain
            run still goes through the engine's null-sink fast path *)
         let counters = Pf_obs.Counters.create () in

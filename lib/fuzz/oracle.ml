@@ -3,6 +3,7 @@ module Tracer = Pf_trace.Tracer
 module Policy = Pf_core.Policy
 module Spawn_point = Pf_core.Spawn_point
 module Run = Pf_uarch.Run
+module Config = Pf_uarch.Config
 module Metrics = Pf_uarch.Metrics
 module Sink = Pf_obs.Sink
 module Cpi_stack = Pf_obs.Cpi_stack
@@ -113,9 +114,9 @@ let check_one_policy prep ~n ~policy =
     (counter_fields m);
   (* memory-tracker oracles. The safety filter belongs to [Adaptive]
      alone: its level counters must be zero for every other policy. The
-     tracker runs for both [Adaptive] and [Doacross] (whose default
-     config turns it on for far iteration carries); any policy using
-     neither must keep [mem_violations] at zero too. For the tracker
+     tracker runs wherever the policy's default machine turns it on
+     ([Adaptive], and [Doacross] for far iteration carries); every other
+     policy must keep [mem_violations] at zero too. For the tracker
      policies the CPI stack must still sum exactly to run cycles with
      the [mem_violation] row included (the obs-cpi-sum check above
      already walked every row), every violation must have produced a
@@ -123,9 +124,7 @@ let check_one_policy prep ~n ~policy =
      while the engine self-check validates the CAM's live counts and
      that freed task slots hold no stale entries after each squash. *)
   let counter name = Option.value ~default:0 (Counters.find counters name) in
-  let uses_tracker =
-    Policy.uses_safety_filter policy || Policy.uses_doacross_sync policy
-  in
+  let uses_tracker = (Config.for_policy policy).Config.mem_tracker in
   let zero_counters =
     (if uses_tracker then [] else [ "mem_violations" ])
     @

@@ -138,12 +138,7 @@ let run_of_json j =
 (* ---- sweep execution ---- *)
 
 let resolve_config (s : spec) =
-  match (s.config, s.policy) with
-  | Some c, _ -> c
-  | None, Pf_core.Policy.No_spawn -> Config.superscalar
-  | None, Pf_core.Policy.Adaptive -> Config.adaptive
-  | None, Pf_core.Policy.Doacross -> Config.doacross
-  | None, _ -> Config.polyflow
+  match s.config with Some c -> c | None -> Config.for_policy s.policy
 
 type exec_stats = {
   cached_runs : int;
@@ -211,8 +206,8 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      included, so a fully-hit sweep reproduces its document byte for
      byte); the misses left over are what gets simulated. Probing up
      front — instead of inside the worker items — is what lets the
-     misses be grouped into lockstep batches below; the probe itself is
-     cheap (one small JSON file per spec). *)
+     misses be grouped by window below; the probe itself is cheap (one
+     small JSON file per spec). *)
   let nspec = Array.length resolved in
   let results : run option array = Array.make nspec None in
   let digest_of = Array.make nspec "" in
@@ -253,8 +248,8 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      Cache-miss specs that share a (workload, window) — and therefore a
      prepared window and its fast-forward — are grouped in first-use
      order and chunked to at most [batch] members; each group becomes
-     one work item simulated by a single lockstep pass over the shared
-     trace (Run.simulate_batch). Isolated misses stay solo items. *)
+     one work item that simulates its members one after another on the
+     shared prepared window. *)
   let batch = max 1 batch in
   let groups : (string * int, int list ref) Hashtbl.t = Hashtbl.create 16 in
   let group_order = ref [] in
@@ -307,50 +302,36 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
   Array.iter
     (fun pw -> Hashtbl.replace prep_index (pw.pw_workload, pw.pw_window) pw.prep)
     prepared;
-  (* one work item per batch: simulate the members in lockstep against
-     the shared prepared window, then store each member's record.
-     [wall_s] of a batch member is its equal share of the batch wall
-     (the per-run cost actually paid); a solo item keeps its own wall. *)
+  (* one work item per batch: simulate each member in turn against the
+     shared prepared window, timing it alone, and store its record *)
   let exec_batch idxs =
     let (s0 : spec), _, window0 = resolved.(idxs.(0)) in
     let prep = Hashtbl.find prep_index (s0.workload, window0) in
-    let nb = Array.length idxs in
-    let regs = Array.map (fun _ -> Pf_obs.Counters.create ()) idxs in
-    let t0 = Unix.gettimeofday () in
-    let metrics =
-      if nb = 1 then
-        let (s : spec), _, _ = resolved.(idxs.(0)) in
-        [ Run.simulate ~counters:regs.(0) ~config:(resolve_config s) prep
-            ~policy:s.policy ]
-      else
-        Run.simulate_batch prep
-          (List.init nb (fun k ->
-               let (s : spec), _, _ = resolved.(idxs.(k)) in
-               Run.batch_run ~counters:regs.(k) ~config:(resolve_config s)
-                 s.policy))
-    in
-    let wall = (Unix.gettimeofday () -. t0) /. float_of_int nb in
-    List.mapi
-      (fun k m ->
-        let i = idxs.(k) in
+    List.map
+      (fun i ->
         let (s : spec), _, window = resolved.(i) in
+        let config = resolve_config s in
+        let reg = Pf_obs.Counters.create () in
+        let t0 = Unix.gettimeofday () in
+        let metrics = Run.simulate ~counters:reg ~config prep ~policy:s.policy in
+        let wall_s = Unix.gettimeofday () -. t0 in
         let r =
           { workload = s.workload;
             label = s.label;
             policy = Pf_core.Policy.name s.policy;
-            config = resolve_config s;
+            config;
             window;
             instructions = Pf_trace.Tracer.length prep.Run.trace;
             static_spawns = List.length prep.Run.all_spawns;
-            wall_s = wall;
-            metrics = m;
-            counters = Pf_obs.Counters.to_alist regs.(k) }
+            wall_s;
+            metrics;
+            counters = Pf_obs.Counters.to_alist reg }
         in
         (match cache with
         | Some c -> Run_cache.store c ~digest:digest_of.(i) (run_to_json r)
         | None -> ());
         (i, r))
-      metrics
+      (Array.to_list idxs)
   in
   let out =
     map_pool ?progress ~jobs ~offset:(Array.length keys) ~total exec_batch

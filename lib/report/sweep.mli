@@ -21,8 +21,8 @@ type spec = {
       (** unique key of the run within its workload; defaults to the
           policy name, config variants add a suffix ("postdoms\@tasks=4") *)
   config : Pf_uarch.Config.t option;
-      (** [None]: the policy's default machine ({!Pf_uarch.Config.superscalar}
-          for [No_spawn], {!Pf_uarch.Config.polyflow} otherwise) *)
+      (** [None]: the policy's default machine
+          ({!Pf_uarch.Config.for_policy}) *)
   window : int option; (** [None]: the workload's default window *)
 }
 
@@ -54,10 +54,10 @@ type run = {
 }
 
 (** The effective configuration of a spec: its explicit [config] if any,
-    otherwise the policy default ({!Pf_uarch.Config.superscalar} for
-    [No_spawn], {!Pf_uarch.Config.polyflow} for everything else). This is
-    the value {!execute} simulates with and digests for the cache; it is
-    exposed so other schedulers (polyflow_serve) resolve identically. *)
+    otherwise the policy default ({!Pf_uarch.Config.for_policy}). This
+    is the value {!execute} simulates with and digests for the cache; it
+    is exposed so other schedulers (polyflow_serve) resolve
+    identically. *)
 val resolve_config : spec -> Pf_uarch.Config.t
 
 (** The run record's canonical JSON encoding — the ["runs"] array
@@ -81,9 +81,9 @@ type prepared_window = {
 
 (** What {!execute} actually did, reported through [?on_stats]:
     how many runs replayed from the cache, how many were simulated, and
-    of those how many went through lockstep batches (groups of two or
-    more same-window runs driven by one {!Pf_uarch.Run.simulate_batch}
-    trace pass) versus solo simulations. *)
+    of those how many shared a work item with other runs of the same
+    prepared window (a batch of two or more, simulated one after
+    another by one worker) versus ran as a batch of one. *)
 type exec_stats = {
   cached_runs : int;     (** replayed verbatim from the {!Run_cache} *)
   simulated_runs : int;  (** actually simulated (batched + solo) *)
@@ -114,15 +114,13 @@ type exec_stats = {
     with and without it.
 
     Cache misses sharing a (workload, window) are grouped, in first-use
-    order, into lockstep batches of at most [batch] members (default 8;
-    values [<= 1] disable batching) and each batch is simulated by one
-    pass over the shared flat trace ({!Pf_uarch.Run.simulate_batch}).
-    Batching never changes results — a batch member's metrics and
-    counters are byte-identical to a solo simulation — only [wall_s],
-    which becomes the member's equal share of the batch wall (the
-    per-run cost actually paid). [on_stats] receives the
-    cached/simulated/batched breakdown once, from the calling domain,
-    before [execute] returns.
+    order, into batches of at most [batch] members (default 8; values
+    [<= 1] disable batching). A batch is one work item: a worker
+    simulates its members one after another on the shared prepared
+    window, so batching decides only which domain runs which spec and
+    never changes a result. Each run's [wall_s] is its own simulation
+    time. [on_stats] receives the cached/simulated/batched breakdown
+    once, from the calling domain, before [execute] returns.
     @raise Invalid_argument on an unknown workload name or duplicate
     (workload, label) pairs. *)
 val execute :

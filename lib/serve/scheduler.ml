@@ -186,9 +186,16 @@ let cache_find t (r : resolved) =
   | Some c when not r.r_no_cache -> Run_cache.find c ~digest:r.r_digest
   | _ -> None
 
-(* build the run record from a finished simulation, count it, store it,
-   and return its JSON — common tail of the solo and batched paths *)
-let finish_run t (r : resolved) prep ~wall ~metrics ~reg =
+(* simulate one job on its prepared window, build its run record,
+   count it, store it, and return its JSON *)
+let simulate_job t (r : resolved) prep =
+  let reg = Counters.create () in
+  let t0 = Unix.gettimeofday () in
+  let metrics =
+    Pf_uarch.Run.simulate ~counters:reg ~config:r.r_config prep
+      ~policy:r.r_policy
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
   let run =
     { Sweep.workload = r.r_wname;
       label = r.r_label;
@@ -197,7 +204,7 @@ let finish_run t (r : resolved) prep ~wall ~metrics ~reg =
       window = r.r_window;
       instructions = Pf_trace.Tracer.length prep.Pf_uarch.Run.trace;
       static_spawns = List.length prep.Pf_uarch.Run.all_spawns;
-      wall_s = wall;
+      wall_s;
       metrics;
       counters = Counters.to_alist reg }
   in
@@ -214,31 +221,14 @@ let publish t job outcome =
   Hashtbl.remove t.pending job.j_digest;
   Mutex.unlock t.mutex
 
-let execute_job t (r : resolved) =
-  (* an identical request may have stored its result while this job sat
-     in the queue; serving it preserves byte-identity and skips work *)
-  match cache_find t r with
-  | Some run_json -> (run_json, true)
-  | None ->
-      let prep = acquire_prep t r in
-      let reg = Counters.create () in
-      let t0 = Unix.gettimeofday () in
-      let metrics =
-        Pf_uarch.Run.simulate ~counters:reg ~config:r.r_config prep
-          ~policy:r.r_policy
-      in
-      let wall = Unix.gettimeofday () -. t0 in
-      (finish_run t r prep ~wall ~metrics ~reg, false)
-
-(* ---- batched execution ----
+(* ---- same-window groups ----
 
    A worker drains every queued job that shares the popped job's
-   (workload, window) — up to [max_batch] — and answers them with one
-   lockstep pass over the shared prepared window
-   ([Run.simulate_batch]), instead of one trace pass per job. Results
-   are byte-identical to solo simulation (the Engine batch contract),
-   so replies and cache entries are unchanged except [wall_s], which
-   becomes the member's equal share of the batch wall. *)
+   (workload, window) — up to [max_batch] — and answers them one after
+   another on the one shared prepared window. Each member is a plain
+   solo simulation, so replies and cache entries are exactly what a
+   lone request would get, and a member whose simulation fails answers
+   only its own job with the error. *)
 
 let max_batch = 8
 
@@ -265,8 +255,9 @@ let pop_batch t =
   first :: List.rev !mates
 
 let execute_batch t jobs =
-  (* per-job cache re-check, as in [execute_job]: any member stored by
-     an identical earlier request is answered without simulating *)
+  (* an identical request may have stored a member's result while it
+     sat in the queue; serving it preserves byte-identity and skips
+     work *)
   let misses =
     List.filter
       (fun job ->
@@ -277,45 +268,22 @@ let execute_batch t jobs =
         | None -> true)
       jobs
   in
+  let internal e = Error (Protocol.Internal, Printexc.to_string e) in
   match misses with
   | [] -> ()
-  | [ job ] ->
-      (* a singleton takes the plain solo path *)
-      let outcome =
-        try Ok (execute_job t job.j_resolved)
-        with e -> Error (Protocol.Internal, Printexc.to_string e)
-      in
-      publish t job outcome
-  | _ -> (
-      let nb = List.length misses in
-      match
-        let prep = acquire_prep t (List.hd misses).j_resolved in
-        let regs = List.map (fun _ -> Counters.create ()) misses in
-        let t0 = Unix.gettimeofday () in
-        let metrics =
-          Pf_uarch.Run.simulate_batch prep
-            (List.map2
-               (fun job reg ->
-                 Pf_uarch.Run.batch_run ~counters:reg
-                   ~config:job.j_resolved.r_config job.j_resolved.r_policy)
-               misses regs)
-        in
-        let wall = (Unix.gettimeofday () -. t0) /. float_of_int nb in
-        (prep, regs, metrics, wall)
-      with
-      | prep, regs, metrics, wall ->
+  | first :: _ -> (
+      match acquire_prep t first.j_resolved with
+      | exception e -> List.iter (fun job -> publish t job (internal e)) misses
+      | prep ->
+          let grouped = List.compare_length_with misses 1 > 0 in
           List.iter
-            (fun ((job, reg), m) ->
-              Counters.incr t.c_batched;
+            (fun job ->
               publish t job
-                (Ok (finish_run t job.j_resolved prep ~wall ~metrics:m ~reg, false)))
-            (List.combine (List.combine misses regs) metrics)
-      | exception e ->
-          (* one member failing fails the whole batch (Engine contract);
-             every still-unanswered member learns the same error *)
-          let message = Printexc.to_string e in
-          List.iter
-            (fun job -> publish t job (Error (Protocol.Internal, message)))
+                (match simulate_job t job.j_resolved prep with
+                | run_json ->
+                    if grouped then Counters.incr t.c_batched;
+                    Ok (run_json, false)
+                | exception e -> internal e))
             misses)
 
 let worker_loop t prewarm_windows () =

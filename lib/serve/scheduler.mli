@@ -26,12 +26,11 @@
     either way).
 
     A worker popping a job also drains every other queued job for the
-    same (workload, window) — up to 8 — and answers them with one
-    lockstep pass over the shared window
-    ({!Pf_uarch.Run.simulate_batch}) instead of one trace pass each.
-    Batching is invisible in the replies (results are byte-identical
-    to solo simulation; only [wall_s] becomes the member's share of
-    the batch wall) and is counted by the [batched_runs] counter.
+    same (workload, window) — up to 8 — and simulates them one after
+    another on the one shared prepared window. Each member is a solo
+    simulation: its reply is what a lone request would get, a member
+    whose simulation fails answers only its own request with the
+    error, and the group is counted by the [batched_runs] counter.
 
     A scheduler is safe to call from any number of threads and domains
     concurrently; [polyflow_serve] calls {!run} from one systhread per
@@ -44,8 +43,8 @@ type t
     [prewarm_windows] pre-allocates each worker's scratch pool for
     those window sizes ({!Pf_uarch.Engine.prewarm_scratch}). The
     registry [counters] receives [run_requests],
-    [coalesced_requests], [simulations], [batched_runs] (simulations
-    answered as members of a multi-member lockstep batch),
+    [coalesced_requests], [simulations], [batched_runs] (successful
+    simulations that ran in a same-window group of two or more),
     [prep_builds], [prep_reuses]
     and [request_timeouts] (plus the cache's and trace store's
     counters if they were created with the same registry); register

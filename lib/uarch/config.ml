@@ -71,6 +71,12 @@ let polyflow = { superscalar with fetch_tasks_per_cycle = 2; max_tasks = 8 }
 let adaptive = { polyflow with mem_tracker = true }
 let doacross = { polyflow with mem_tracker = true }
 
+let for_policy : Pf_core.Policy.t -> t = function
+  | No_spawn -> superscalar
+  | Adaptive -> adaptive
+  | Doacross -> doacross
+  | Categories _ | Postdoms | Postdoms_minus _ | Rec_pred | Dmt -> polyflow
+
 let l1i_line_mask =
   lnot (Pf_cache.Hierarchy.default_params.Pf_cache.Hierarchy.l1i_line - 1)
 

@@ -102,6 +102,11 @@ val adaptive : t
     it) and the default one-task near-carry sync window. *)
 val doacross : t
 
+(** The machine a policy runs on when no config is given: {!superscalar}
+    for [No_spawn], {!adaptive} for [Adaptive], {!doacross} for
+    [Doacross] and {!polyflow} for every other policy. *)
+val for_policy : Pf_core.Policy.t -> t
+
 (** Address mask selecting the L1 I-cache line of a PC, derived once
     from {!Pf_cache.Hierarchy.default_params} (the fetch stage applies
     it to every instruction). *)

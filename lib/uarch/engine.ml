@@ -30,7 +30,6 @@ let s_issued = 4
 let s_retired = 5
 
 (* instruction kind codes (precomputed in the shared flat trace) *)
-let k_plain = Pf_trace.Flat_trace.k_plain
 let k_load = Pf_trace.Flat_trace.k_load
 let k_store = Pf_trace.Flat_trace.k_store
 let k_branch = Pf_trace.Flat_trace.k_branch
@@ -155,10 +154,11 @@ module Scratch = struct
     Array.fill s.drain_blocker 0 s.n (-1);
     Array.fill s.owner_slot 0 s.n 0
 
-  (* The pool holds up to [max_pooled] scratches so the members of a
-     lockstep batch (which all hold a scratch at once) can each check
-     one back in and find it again on the next batch; the cap bounds a
-     domain's idle footprint after an unusually wide batch. *)
+  (* The pool holds up to [max_pooled] scratches so a domain that
+     alternates window sizes (a window-sensitivity sweep, a daemon
+     prewarmed for several sizes) keeps one per size instead of
+     re-allocating on every switch; the cap bounds a domain's idle
+     footprint after an unusually varied run. *)
   let max_pooled = 16
 
   let pool : t list ref Domain.DLS.key =
@@ -185,22 +185,8 @@ let prewarm_scratch ~window =
   if window <= 0 then invalid_arg "Engine.prewarm_scratch: window <= 0";
   Scratch.checkin (Scratch.checkout window)
 
-(* Sentinel for "not batched": [simulate_core] compares its yield hook
-   against this physically (the same trick as [Sink.is_null]) so a solo
-   simulation pays one dead boolean test per cycle-loop iteration and
-   never calls the hook. *)
-let no_yield : int -> unit = fun _ -> ()
-
-let simulate_core ~yield ~stripe input =
+let simulate input =
   let cfg = input.config in
-  (* Lockstep batching ([simulate_batch] below). When driven as a batch
-     member, the run hands control back to the batch driver every
-     [stripe] cycles — and immediately after an event-skip jump — by
-     calling [yield] with the current cycle. The hook must never feed
-     back into timing; parity is structural (every mutable below is
-     created per call) and proven by test/test_batch.ml. *)
-  let lockstep = yield != no_yield in
-  let next_yield = ref stripe in
   (* Observability. [observe] is computed once; every hook site below is
      guarded by it, so with the null sink a simulation pays one boolean
      test per site and never enters the per-slot accounting pass. The
@@ -258,7 +244,7 @@ let simulate_core ~yield ~stripe input =
   let src2_sp = flat.Pf_trace.Flat_trace.src2_sp in
   let memsrc = flat.Pf_trace.Flat_trace.memsrc in
   let backward = flat.Pf_trace.Flat_trace.backward in
-  (* Effective per-run register sources. The spawn hint cache carries
+  (* Per-run effective register sources. The spawn hint cache carries
      register-dependence information (Section 3.1); the stack pointer at
      a control-equivalent spawn target equals its value at the spawn
      point (call depth balances along every path), so a cross-task sp
@@ -1304,13 +1290,15 @@ let simulate_core ~yield ~stripe input =
     then
       failwith
         (Printf.sprintf
-           "Engine self-check failed at cycle %d: rob %d/%d sched %d/%d             divert %d/%d"
+           "Engine self-check failed at cycle %d: rob %d/%d sched %d/%d \
+           divert %d/%d"
            !now !rob !rob_count !sched !sched_count !divert !divert_count);
     for i = 0 to !retire_ptr - 1 do
       if get_state i <> s_retired then
         failwith
           (Printf.sprintf
-             "Engine self-check failed: unretired instruction %d below the               retire pointer %d"
+             "Engine self-check failed: unretired instruction %d below the \
+              retire pointer %d"
              i !retire_ptr)
     done;
     if !live < 0 || !live > cap then
@@ -1444,43 +1432,21 @@ let simulate_core ~yield ~stripe input =
     if !found then !c else !best
   in
   (* ---- main loop ---- *)
-  let debug = Sys.getenv_opt "PF_DEBUG" <> None in
-  let stall_by_state = Array.make 8 0 in
-  let stall_issued_kind = Array.make 16 0 in
-  let acc_rob = ref 0 and acc_sched = ref 0 and acc_oldest_rob = ref 0 in
-  let acc_oldest_sched_head = ref 0 in
   let skip_reason = Array.make cfg.Config.max_tasks Sink.r_idle in
   let watchdog = cfg.Config.max_cycles_per_instr * n in
   if observe then
     sink.Sink.on_task_start ~cycle:0 ~slot:initial_task.slot
       ~task:initial_task.id ~parent_slot:(-1) ~at_pc:(-1);
   while !retire_ptr < n do
-    (if !retire_ptr < n then
-       let i = !retire_ptr in
-       if not (completed i) then begin
-         let st = get_state i in
-         if st = s_divert then cinc m_stall_divert
-         else if st = s_sched then cinc m_stall_sched
-         else if st = s_issued then cinc m_stall_exec
-         else cinc m_stall_frontend;
-         if debug then begin
-           stall_by_state.(st) <- stall_by_state.(st) + 1;
-           if st = s_issued then
-             stall_issued_kind.(kind.(i)) <- stall_issued_kind.(kind.(i)) + 1
-         end
-       end);
-    if observe then emit_slot_cycles ();
-    (if debug then begin
-       acc_rob := !acc_rob + !rob_count;
-       acc_sched := !acc_sched + !sched_count;
-       if !live > 0 then begin
-         let t = ring_at 0 in
-         acc_oldest_rob := !acc_oldest_rob + t.rob_used;
-         acc_oldest_sched_head :=
-           !acc_oldest_sched_head
-           + (t.dispatch_ptr - max t.start_idx !retire_ptr)
-       end
+    (let i = !retire_ptr in
+     if not (completed i) then begin
+       let st = get_state i in
+       if st = s_divert then cinc m_stall_divert
+       else if st = s_sched then cinc m_stall_sched
+       else if st = s_issued then cinc m_stall_exec
+       else cinc m_stall_frontend
      end);
+    if observe then emit_slot_cycles ();
     progress := false;
     retire ();
     issue ();
@@ -1510,21 +1476,6 @@ let simulate_core ~yield ~stripe input =
            else if st = s_issued then m_stall_exec
            else m_stall_frontend)
           k;
-        if debug then begin
-          stall_by_state.(st) <- stall_by_state.(st) + k;
-          if st = s_issued then
-            stall_issued_kind.(kind.(!retire_ptr)) <-
-              stall_issued_kind.(kind.(!retire_ptr)) + k;
-          acc_rob := !acc_rob + (!rob_count * k);
-          acc_sched := !acc_sched + (!sched_count * k);
-          if !live > 0 then begin
-            let t = ring_at 0 in
-            acc_oldest_rob := !acc_oldest_rob + (t.rob_used * k);
-            acc_oldest_sched_head :=
-              !acc_oldest_sched_head
-              + ((t.dispatch_ptr - max t.start_idx !retire_ptr) * k)
-          end
-        end;
         if observe then begin
           (* classification is constant across the skipped range (no
              completion, unblock or stall edge lies strictly inside it),
@@ -1549,13 +1500,6 @@ let simulate_core ~yield ~stripe input =
             (Printf.sprintf "Engine: watchdog at cycle %d (retired %d of %d)"
                !now !retire_ptr n)
       end
-    end;
-    (* park this run on the batch driver's wheel at every stripe
-       boundary; a skip that jumped far ahead parks immediately, so the
-       batch-mates catch up before this run steps again *)
-    if lockstep && !now >= !next_yield then begin
-      next_yield := !now + stripe;
-      yield !now
     end
   done;
   (* Metrics.spawns is golden-locked to the fold order of the old
@@ -1566,6 +1510,7 @@ let simulate_core ~yield ~stripe input =
     let c = cat_seen.(k) in
     Hashtbl.replace spawn_counts (cat_of_code c) cat_count.(c)
   done;
+  Scratch.checkin scratch;
   { Metrics.instructions = n;
     cycles = !now;
     branch_mispredicts = cv m_branch_mp;
@@ -1584,165 +1529,3 @@ let simulate_core ~yield ~stripe input =
     stall_divert = cv m_stall_divert;
     stall_sched = cv m_stall_sched;
     stall_exec = cv m_stall_exec }
-  |> fun metrics ->
-  if debug then
-    Printf.eprintf
-      "PF_DEBUG retire-stall cycles by head state: none=%d fetched=%d \
-       divert=%d sched=%d issued=%d\n"
-      stall_by_state.(s_none) stall_by_state.(s_fetched)
-      stall_by_state.(s_divert) stall_by_state.(s_sched)
-      stall_by_state.(s_issued);
-  if debug then
-    Printf.eprintf
-      "PF_DEBUG issued-stall by kind: plain=%d load=%d store=%d branch=%d call=%d ret=%d ind=%d\n"
-      stall_issued_kind.(k_plain) stall_issued_kind.(k_load)
-      stall_issued_kind.(k_store) stall_issued_kind.(k_branch)
-      stall_issued_kind.(k_call) stall_issued_kind.(k_return)
-      (stall_issued_kind.(k_ind_jump) + stall_issued_kind.(k_ind_call));
-  if debug then
-    for sid = 0 to n_sp - 1 do
-      if
-        sp_spawned.(sid) <> 0 || sp_work.(sid) <> 0 || sp_work_early.(sid) <> 0
-        || sp_squashed.(sid) <> 0 || sp_suppressed.(sid) <> 0
-      then
-        Printf.eprintf
-          "PF_DEBUG spawn point %04x: spawned=%d work=%d early=%d frac=%.2f squashed=%d suppressed=%d\n"
-          (sid * bpi) sp_spawned.(sid) sp_work.(sid) sp_work_early.(sid)
-          (if sp_work.(sid) > 0 then
-             float_of_int sp_work_early.(sid) /. float_of_int sp_work.(sid)
-           else Float.nan)
-          sp_squashed.(sid) sp_suppressed.(sid)
-    done;
-  if debug && !now > 0 then
-    Printf.eprintf
-      "PF_DEBUG avg occupancy: rob=%.1f sched=%.1f oldest_rob=%.1f oldest_window=%.1f\n"
-      (float_of_int !acc_rob /. float_of_int !now)
-      (float_of_int !acc_sched /. float_of_int !now)
-      (float_of_int !acc_oldest_rob /. float_of_int !now)
-      (float_of_int !acc_oldest_sched_head /. float_of_int !now);
-  Scratch.checkin scratch;
-  metrics
-
-let simulate input = simulate_core ~yield:no_yield ~stripe:max_int input
-
-(* ---- lockstep batch driver ----
-
-   [simulate_batch] advances N independent runs of one flattened window
-   in bounded-skew lockstep, so a single pass over the shared trace
-   serves N engines. Each run is the unmodified [simulate_core] running
-   as a fiber under an effect handler: at stripe boundaries (and right
-   after an event-skip jump) the run performs [Yield now] and is
-   parked; the driver always resumes the parked run with the lowest
-   wake cycle (ties to the lowest run index). A run whose next event is
-   far in the future therefore waits on this batch-level wheel while
-   the others catch up, which keeps the batch walking the same region
-   of the window together — the shared read-only arrays stay resident
-   while every member reads them.
-
-   Parity with sequential [simulate] is structural, not incidental:
-   every mutable a run touches (scratch arrays, predictors, cache
-   model, counters, sinks) is created inside its own [simulate_core]
-   call, and the only values shared across members are the read-only
-   flat-trace / occurrence / hint structures, so no interleaving can
-   change any member's timing. test/test_batch.ml proves metrics,
-   retire streams, CPI rows and counters byte-identical to solo runs
-   for shuffled mixed-policy batches at arbitrary stripes. *)
-
-type _ Effect.t += Yield : int -> unit Effect.t
-
-exception Batch_aborted
-
-let default_stripe = 1024
-
-let simulate_batch ?(stripe = default_stripe) inputs =
-  if stripe <= 0 then invalid_arg "Engine.simulate_batch: stripe <= 0";
-  let nb = Array.length inputs in
-  if nb = 0 then [||]
-  else if nb = 1 then [| simulate inputs.(0) |]
-  else begin
-    (* members must really share one window: physical equality is the
-       sharing contract (docs/ENGINE.md), not structural sameness *)
-    let flat0 = inputs.(0).flat in
-    Array.iteri
-      (fun r inp ->
-        if inp.flat != flat0 then
-          invalid_arg
-            (Printf.sprintf
-               "Engine.simulate_batch: input %d does not share the batch's \
-                flat trace (members must come from one prepared window)"
-               r))
-      inputs;
-    let results = Array.make nb None in
-    let parked : (unit, unit) Effect.Deep.continuation option array =
-      Array.make nb None
-    in
-    let wake = Array.make nb 0 in
-    let yield c = Effect.perform (Yield c) in
-    (* run member [r] until its first yield (or to completion) *)
-    let start r =
-      Effect.Deep.match_with
-        (fun () ->
-          results.(r) <- Some (simulate_core ~yield ~stripe inputs.(r)))
-        ()
-        { Effect.Deep.retc = (fun () -> ());
-          exnc = raise;
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Yield c ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      parked.(r) <- Some k;
-                      wake.(r) <- c)
-              | _ -> None) }
-    in
-    (* resume order: lowest wake cycle, ties to the lowest member index.
-       A linear scan — batches are small (Run/Sweep cap them). *)
-    let pick () =
-      let best = ref (-1) in
-      for r = 0 to nb - 1 do
-        match parked.(r) with
-        | Some _ -> if !best < 0 || wake.(r) < wake.(!best) then best := r
-        | None -> ()
-      done;
-      !best
-    in
-    let drive () =
-      let running = ref true in
-      while !running do
-        let r = pick () in
-        if r < 0 then running := false
-        else begin
-          let k =
-            match parked.(r) with Some k -> k | None -> assert false
-          in
-          parked.(r) <- None;
-          Effect.Deep.continue k ()
-        end
-      done
-    in
-    (try
-       for r = 0 to nb - 1 do
-         start r
-       done;
-       drive ()
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       (* unwind the still-parked members so the batch fails as a unit;
-          their own (secondary) exceptions are dropped in favour of the
-          first failure *)
-       for r = 0 to nb - 1 do
-         match parked.(r) with
-         | Some k ->
-             parked.(r) <- None;
-             (try Effect.Deep.discontinue k Batch_aborted
-              with _ -> ())
-         | None -> ()
-       done;
-       Printexc.raise_with_backtrace e bt);
-    Array.map
-      (function
-        | Some m -> m
-        | None -> failwith "Engine.simulate_batch: member did not complete")
-      results
-  end

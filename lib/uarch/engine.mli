@@ -92,28 +92,3 @@ type input = {
     not a workload property).
     @raise Invalid_argument if [flat] was not built from [trace]. *)
 val simulate : input -> Metrics.t
-
-(** Simulate N policy/config instances of the {e same} window in
-    bounded-skew lockstep: one pass over the shared flat trace drives
-    every member, on the calling domain. All inputs must share one
-    [flat] (physical equality — the {!Run.prepare} sharing contract;
-    per-member [config], [hints], [sink] and [counters] are free to
-    differ). Members advance together in waves of [stripe] cycles
-    (default 1024): a member is parked on a batch-level wheel at each
-    stripe boundary and immediately after an event-skip jump, and the
-    driver always steps the member with the lowest pending cycle, so
-    the batch walks the same region of the trace at the same time and
-    amortizes its traversal.
-
-    Results are returned in input order and are byte-identical to
-    sequential {!simulate} of each input — every run-mutable structure
-    is private to its member, so the interleaving cannot feed back into
-    timing (proved by test/test_batch.ml for every policy class, and
-    for arbitrary [stripe] values). Batches of size 0 and 1 degenerate
-    to nothing / a plain solo call.
-
-    A failing member ([Failure], [Invalid_argument]) aborts the whole
-    batch with that exception.
-    @raise Invalid_argument if [stripe <= 0], or if an input's [flat]
-    is not physically the first input's. *)
-val simulate_batch : ?stripe:int -> input array -> Metrics.t array

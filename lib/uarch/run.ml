@@ -32,17 +32,10 @@ let prepare ?store program ~setup ~fast_forward ~window =
   let all_spawns = Pf_core.Classify.spawn_points program in
   { program; trace; flat; occurrence; all_spawns }
 
-(* build one engine input against the shared prepared window; [simulate]
-   and [simulate_batch] go through the same resolution so a batch member
-   is indistinguishable from a solo run *)
+(* build one engine input against the shared prepared window *)
 let to_input ~sink ~counters ~config prepared ~policy =
   let config =
-    match (config, policy) with
-    | Some c, _ -> c
-    | None, Pf_core.Policy.No_spawn -> Config.superscalar
-    | None, Pf_core.Policy.Adaptive -> Config.adaptive
-    | None, Pf_core.Policy.Doacross -> Config.doacross
-    | None, _ -> Config.polyflow
+    match config with Some c -> c | None -> Config.for_policy policy
   in
   let selected = Pf_core.Policy.select policy prepared.all_spawns in
   let safety =
@@ -82,13 +75,12 @@ let batch_run ?(sink = Pf_obs.Sink.null) ?counters ?config policy =
     br_sink = sink;
     br_counters = counters }
 
-let simulate_batch ?stripe prepared runs =
-  runs
-  |> List.map (fun b ->
-         to_input ~sink:b.br_sink ~counters:b.br_counters ~config:b.br_config
-           prepared ~policy:b.br_policy)
-  |> Array.of_list
-  |> Engine.simulate_batch ?stripe
-  |> Array.to_list
+let simulate_batch prepared runs =
+  List.map
+    (fun b ->
+      Engine.simulate
+        (to_input ~sink:b.br_sink ~counters:b.br_counters ~config:b.br_config
+           prepared ~policy:b.br_policy))
+    runs
 
 let baseline prepared = simulate prepared ~policy:Pf_core.Policy.No_spawn

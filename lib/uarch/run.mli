@@ -35,12 +35,10 @@ val prepare :
   window:int ->
   prepared
 
-(** Simulate one policy. [config] defaults to {!Config.polyflow} except
-    for [Policy.No_spawn], which defaults to {!Config.superscalar}, and
-    [Policy.Adaptive], which defaults to {!Config.adaptive} (the memory
-    tracker on). For [Policy.Adaptive] the spawn points are additionally
-    classified by a {!Pf_core.Safety_filter} built from the config's
-    safety thresholds.
+(** Simulate one policy. [config] defaults to the policy's machine,
+    {!Config.for_policy}. For [Policy.Adaptive] the spawn points are
+    additionally classified by a {!Pf_core.Safety_filter} built from
+    the config's safety thresholds.
     [sink] (default {!Pf_obs.Sink.null}) attaches observability hooks
     and [counters] a registry for the engine's named event counts — see
     {!Engine.input} for both contracts. *)
@@ -52,7 +50,7 @@ val simulate :
   policy:Pf_core.Policy.t ->
   Metrics.t
 
-(** One member of a lockstep batch: a policy with the same optional
+(** One member of a same-window batch: a policy with the same optional
     overrides {!simulate} takes. Build with {!batch_run}. *)
 type batch_run = {
   br_policy : Pf_core.Policy.t;
@@ -71,15 +69,12 @@ val batch_run :
   Pf_core.Policy.t ->
   batch_run
 
-(** Simulate several policies against one prepared window in lockstep
-    — one pass over the shared flat trace drives every member
-    ({!Engine.simulate_batch}; [stripe] is the lockstep wave length in
-    cycles). Results come back in member order and are byte-identical
-    to calling {!simulate} once per member: metrics, sink event
-    streams and counter registries all match the sequential runs
-    exactly (test/test_batch.ml). *)
-val simulate_batch :
-  ?stripe:int -> prepared -> batch_run list -> Metrics.t list
+(** Simulate several policies against one prepared window, one after
+    another, in member order: each member is exactly a {!simulate} call
+    on the shared window, so its metrics, sink event stream and counter
+    registry match a solo run (test/test_batch.ml). A failing member
+    raises its exception and the later members do not run. *)
+val simulate_batch : prepared -> batch_run list -> Metrics.t list
 
 (** Superscalar baseline ([Policy.No_spawn] on {!Config.superscalar}). *)
 val baseline : prepared -> Metrics.t

@@ -1,6 +1,5 @@
-(* Batch parity: [Run.simulate_batch] drives N policy/config members of
-   the same prepared window through one lockstep pass over the shared
-   flat trace. Interleaving must be invisible — against per-member
+(* Batch parity: [Run.simulate_batch] runs N policy/config members of
+   the same prepared window one after another. Against per-member
    [Run.simulate] reference runs, the batch must produce bit-identical
 
      - metrics (every field, cycles included),
@@ -8,10 +7,10 @@
      - the CPI-stack rows (cycle accounting per slot and reason), and
      - the named counter registry,
 
-   for every policy class, in any member order, at any [stripe]
-   (including 1, the maximally-interleaved worst case). The property
-   runs over the pf_fuzz program generators (fresh control flow every
-   seed) and over a real workload window. *)
+   for every policy class, in any member order, with each member's own
+   sink and counters routed to it. The property runs over the pf_fuzz
+   program generators (fresh control flow every seed) and a real
+   workload window. *)
 
 open Pf_uarch
 module Policy = Pf_core.Policy
@@ -22,14 +21,6 @@ module Counters = Pf_obs.Counters
 let window = 2_500
 let max_instrs = 6_000_000
 let all_policies = Pf_fuzz.Oracle.all_policies
-
-(* [Run.simulate]'s per-policy default, made explicit so the solo
-   reference and the batch member share one base configuration. *)
-let base_config = function
-  | Policy.No_spawn -> Config.superscalar
-  | Policy.Adaptive -> Config.adaptive
-  | Policy.Doacross -> Config.doacross
-  | _ -> Config.polyflow
 
 type observed = {
   metrics : Metrics.t;
@@ -67,13 +58,11 @@ let observe_solo prep ~policy ~config =
   read (Run.simulate ~sink:br.Run.br_sink ~counters:(Option.get br.Run.br_counters)
           ~config prep ~policy)
 
-let observe_batch ?stripe prep members =
+let observe_batch prep members =
   let instrumented =
     List.map (fun (policy, config) -> instrument ~config policy) members
   in
-  let metrics =
-    Run.simulate_batch ?stripe prep (List.map fst instrumented)
-  in
+  let metrics = Run.simulate_batch prep (List.map fst instrumented) in
   List.map2 (fun (_, read) m -> read m) instrumented metrics
 
 (* Deterministic member shuffle — a tiny LCG keyed by [seed], so a
@@ -93,18 +82,17 @@ let shuffle seed l =
   done;
   Array.to_list a
 
-(* Every policy class plus a duplicated member (two Postdoms runs in one
-   batch must both match the solo run), shuffled by seed. *)
+(* Every policy class on its default machine plus a duplicated member
+   (two Postdoms runs in one batch must both match the solo run),
+   shuffled by seed. *)
 let members_for seed =
   shuffle seed
-    (List.map (fun p -> (p, base_config p)) (Policy.Postdoms :: all_policies))
+    (List.map
+       (fun p -> (p, Config.for_policy p))
+       (Policy.Postdoms :: all_policies))
 
-(* stripe=1 forces a park at every cycle; the others exercise mid-range
-   waves and the one-wave degenerate case. *)
-let stripe_for seed = [| 1; 7; 128; 1024; max_int |].(seed mod 5)
-
-let compare_members prep ~stripe ~members ~(fail : int -> string -> 'a) =
-  let batch = observe_batch ~stripe prep members in
+let compare_members prep ~members ~(fail : int -> string -> 'a) =
+  let batch = observe_batch prep members in
   List.iteri
     (fun i ((policy, config), b) ->
       let solo = observe_solo prep ~policy ~config in
@@ -135,120 +123,57 @@ let holds_for ~gen ~seed =
     | `Asm -> Pf_fuzz.Gen_asm.generate ~seed
   in
   let prep = prepare_program program in
-  let stripe = stripe_for seed in
   let members = members_for seed in
-  compare_members prep ~stripe ~members ~fail:(fun i what ->
+  compare_members prep ~members ~fail:(fun i what ->
       let policy, _ = List.nth members i in
       QCheck.Test.fail_reportf
-        "seed %d, stripe %d, member %d (%s): %s differ between \
-         simulate_batch and sequential simulate"
-        seed stripe i (Policy.name policy) what);
+        "%s seed %d, member %d (%s): %s differ between simulate_batch and \
+         sequential simulate"
+        (match gen with `Mini -> "mini" | `Asm -> "asm")
+        seed i (Policy.name policy) what);
   true
 
-let prop_mini =
-  QCheck.Test.make ~name:"lockstep batching is invisible on mini programs"
-    ~count:5
+(* each seed draws one program from each generator *)
+let prop_fuzz =
+  QCheck.Test.make ~name:"fuzz programs, shuffled" ~count:5
     QCheck.(int_range 1 100_000)
-    (fun seed -> holds_for ~gen:`Mini ~seed)
-
-let prop_asm =
-  QCheck.Test.make ~name:"lockstep batching is invisible on asm programs"
-    ~count:5
-    QCheck.(int_range 1 100_000)
-    (fun seed -> holds_for ~gen:`Asm ~seed)
+    (fun seed -> holds_for ~gen:`Mini ~seed && holds_for ~gen:`Asm ~seed)
 
 (* ------------------------------------------------------------------ *)
 (* A real workload window, every policy class in one batch             *)
 
-let test_workload name () =
+let prepare_workload name ~window =
   let wl = Option.get (Pf_workloads.Suite.find name) in
-  let prep =
-    Run.prepare wl.Pf_workloads.Workload.program
-      ~setup:wl.Pf_workloads.Workload.setup
-      ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window:4_000
-  in
-  List.iter
-    (fun stripe ->
-      let members = members_for (stripe + 1) in
-      compare_members prep ~stripe ~members ~fail:(fun i what ->
-          let policy, _ = List.nth members i in
-          Alcotest.failf
-            "%s, stripe %d, member %d (%s): %s differ between \
-             simulate_batch and sequential simulate"
-            name stripe i (Policy.name policy) what))
-    [ 1; 1024 ]
+  Run.prepare wl.Pf_workloads.Workload.program
+    ~setup:wl.Pf_workloads.Workload.setup
+    ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
+
+let test_workload name () =
+  let prep = prepare_workload name ~window:4_000 in
+  let members = members_for 2 in
+  compare_members prep ~members ~fail:(fun i what ->
+      let policy, _ = List.nth members i in
+      Alcotest.failf
+        "%s, member %d (%s): %s differ between simulate_batch and \
+         sequential simulate"
+        name i (Policy.name policy) what)
 
 (* ------------------------------------------------------------------ *)
-(* API contract edges                                                  *)
+(* Degenerate batches                                                  *)
 
 let test_degenerate () =
-  let wl = Option.get (Pf_workloads.Suite.find "gzip") in
-  let prep =
-    Run.prepare wl.Pf_workloads.Workload.program
-      ~setup:wl.Pf_workloads.Workload.setup
-      ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window:2_000
-  in
-  (* the empty batch *)
+  let prep = prepare_workload "gzip" ~window:2_000 in
   Alcotest.(check int)
     "empty batch" 0
     (List.length (Run.simulate_batch prep []));
-  (* a singleton batch degenerates to the solo path *)
   let solo = Run.simulate prep ~policy:Policy.Postdoms in
-  (match Run.simulate_batch prep [ Run.batch_run Policy.Postdoms ] with
-  | [ m ] ->
-      if m <> solo then Alcotest.fail "singleton batch differs from solo"
-  | _ -> Alcotest.fail "singleton batch arity");
-  (* stripe must be positive *)
-  (match
-     Run.simulate_batch ~stripe:0 prep
-       [ Run.batch_run Policy.Postdoms; Run.batch_run Policy.No_spawn ]
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "stripe 0 accepted");
-  (* members must share one flat trace (the Run.prepare sharing
-     contract, enforced by physical equality) *)
-  let other =
-    Run.prepare wl.Pf_workloads.Workload.program
-      ~setup:wl.Pf_workloads.Workload.setup
-      ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window:2_000
-  in
-  match
-    Engine.simulate_batch
-      [| { Engine.config = Config.polyflow;
-           trace = prep.Run.trace;
-           flat = prep.Run.flat;
-           occurrence = prep.Run.occurrence;
-           hints =
-             Pf_core.Hint_cache.of_spawns
-               (Pf_core.Policy.select Policy.Postdoms prep.Run.all_spawns);
-           use_rec_pred = false;
-           use_dmt = false;
-           use_doacross = false;
-           safety = None;
-           sink = Sink.null;
-           counters = None };
-         { Engine.config = Config.polyflow;
-           trace = other.Run.trace;
-           flat = other.Run.flat;
-           occurrence = other.Run.occurrence;
-           hints =
-             Pf_core.Hint_cache.of_spawns
-               (Pf_core.Policy.select Policy.Postdoms other.Run.all_spawns);
-           use_rec_pred = false;
-           use_dmt = false;
-           use_doacross = false;
-           safety = None;
-           sink = Sink.null;
-           counters = None } |]
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mixed flat traces accepted"
+  match Run.simulate_batch prep [ Run.batch_run Policy.Postdoms ] with
+  | [ m ] -> if m <> solo then Alcotest.fail "singleton batch differs from solo"
+  | _ -> Alcotest.fail "singleton batch arity"
 
 let suite =
   [ ( "batch-parity",
-      [ Prop.to_alcotest prop_mini;
-        Prop.to_alcotest prop_asm;
+      [ Prop.to_alcotest prop_fuzz;
         Alcotest.test_case "gzip window, all policy classes" `Quick
           (test_workload "gzip");
-        Alcotest.test_case "degenerate batches and contract errors" `Quick
-          test_degenerate ] ) ]
+        Alcotest.test_case "degenerate batches" `Quick test_degenerate ] ) ]

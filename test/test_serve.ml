@@ -7,6 +7,7 @@
 open Pf_serve
 module Json = Pf_json.Json
 module Run_cache = Pf_report.Run_cache
+module Sweep = Pf_report.Sweep
 module Counters = Pf_obs.Counters
 
 let case name f = Alcotest.test_case name `Quick f
@@ -243,6 +244,22 @@ let with_scheduler ?cache ?(jobs = 1) f =
 
 let counter counters name = List.assoc name (Counters.to_alist counters)
 
+(* poll the scheduler's integer gauges until [ready] holds (~5 s cap) *)
+let wait_gauges sched ready =
+  let gauge name =
+    match List.assoc name (Scheduler.stats_fields sched) with
+    | Json.Int i -> i
+    | _ -> 0
+  in
+  let rec go n =
+    if (not (ready gauge)) && n > 0 then begin
+      Thread.yield ();
+      Unix.sleepf 0.001;
+      go (n - 1)
+    end
+  in
+  go 5_000
+
 let test_scheduler_resolution_errors () =
   with_scheduler (fun sched _ ->
       (match Scheduler.run sched (run_request "no-such" "postdoms") with
@@ -356,19 +373,7 @@ let test_scheduler_timeout () =
         Thread.create (fun () -> slow_reply := Some (Scheduler.run sched slow)) ()
       in
       (* wait until the slow job is actually in flight *)
-      let rec wait_inflight n =
-        let inflight =
-          match List.assoc "inflight" (Scheduler.stats_fields sched) with
-          | Json.Int i -> i
-          | _ -> 0
-        in
-        if inflight = 0 && n > 0 then begin
-          Thread.yield ();
-          Unix.sleepf 0.001;
-          wait_inflight (n - 1)
-        end
-      in
-      wait_inflight 5_000;
+      wait_gauges sched (fun gauge -> gauge "inflight" > 0);
       (match
          Scheduler.run sched
            (run_request ~window:2_000 ~timeout_ms:5 "mcf" "postdoms")
@@ -381,6 +386,81 @@ let test_scheduler_timeout () =
       match !slow_reply with
       | Some (Protocol.Run_reply _) -> ()
       | _ -> Alcotest.fail "slow request did not complete")
+
+let test_scheduler_group_failure_isolated () =
+  (* one worker, held by a slow blocker, so two fresh requests for one
+     (workload, window) queue behind it and are drained as one group.
+     One carries a config whose watchdog trips on the first cycle; its
+     failure must answer only its own request. *)
+  with_scheduler ~jobs:1 (fun sched counters ->
+      let blocker = run_request ~window:200_000 "gzip" "superscalar" in
+      let blocker_reply = ref None in
+      let th =
+        Thread.create
+          (fun () -> blocker_reply := Some (Scheduler.run sched blocker))
+          ()
+      in
+      (* wait until the worker has popped the blocker: in flight but no
+         longer queued *)
+      wait_gauges sched (fun gauge ->
+          gauge "inflight" >= 1 && gauge "queued" = 0);
+      let watchdog_config =
+        { Pf_uarch.Config.polyflow with Pf_uarch.Config.max_cycles_per_instr = 0 }
+      in
+      let bad =
+        { (run_request ~window:2_000 ~label:"postdoms@watchdog" "gzip"
+             "postdoms")
+          with
+          Protocol.config =
+            Some (Pf_report.Codec.config_to_json watchdog_config) }
+      in
+      let good = run_request ~window:2_000 "gzip" "postdoms" in
+      let replies = [| None; None |] in
+      let threads =
+        List.mapi
+          (fun i req ->
+            Thread.create
+              (fun () -> replies.(i) <- Some (Scheduler.run sched req))
+              ())
+          [ bad; good ]
+      in
+      List.iter Thread.join threads;
+      Thread.join th;
+      (match !blocker_reply with
+      | Some (Protocol.Run_reply _) -> ()
+      | _ -> Alcotest.fail "blocker request did not complete");
+      (match replies.(0) with
+      | Some
+          (Protocol.Error_reply { code = Protocol.Internal; message; _ })
+        when Test_cfg.contains ~needle:"watchdog" message ->
+          ()
+      | _ -> Alcotest.fail "watchdog request did not get an internal error");
+      let direct =
+        match
+          Sweep.execute ~jobs:1 ~batch:1
+            [ Sweep.spec ~window:2_000 "gzip" Pf_core.Policy.Postdoms ]
+        with
+        | [ run ], _ -> Sweep.run_to_json run
+        | _ -> Alcotest.fail "direct sweep arity"
+      in
+      (match replies.(1) with
+      | Some (Protocol.Run_reply r) ->
+          Alcotest.(check bool) "group-mate fresh" false r.Protocol.cached;
+          List.iter
+            (fun field ->
+              Alcotest.(check string)
+                (field ^ " equal a solo sweep")
+                (Json.to_string (Json.member field direct))
+                (Json.to_string (Json.member field r.Protocol.run)))
+            [ "metrics"; "counters" ]
+      | _ -> Alcotest.fail "group-mate of the failing request failed");
+      Alcotest.(check int) "group-mate counted as batched" 1
+        (counter counters "batched_runs");
+      Alcotest.(check int) "blocker and group-mate simulated" 2
+        (counter counters "simulations");
+      match Scheduler.run sched (run_request ~window:2_000 "gzip" "superscalar") with
+      | Protocol.Run_reply _ -> ()
+      | _ -> Alcotest.fail "later request not answered")
 
 (* ---- server integration over a real socket ---- *)
 
@@ -467,7 +547,9 @@ let suite =
         case "hit, miss and prep sharing" test_scheduler_hit_miss_and_prep_sharing;
         case "no_cache bypasses the cache" test_scheduler_no_cache;
         case "concurrent identical requests coalesce" test_scheduler_coalescing;
-        case "queued request times out" test_scheduler_timeout ] );
+        case "queued request times out" test_scheduler_timeout;
+        case "a failing group member hurts only itself"
+          test_scheduler_group_failure_isolated ] );
     ( "serve.server",
       [ case "socket round trip" test_server_socket_roundtrip;
         case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled ] ) ]

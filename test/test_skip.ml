@@ -25,14 +25,6 @@ let max_instrs = 6_000_000
 (* One class per policy constructor, as the fuzz oracle uses. *)
 let all_policies = Pf_fuzz.Oracle.all_policies
 
-(* [Run.simulate]'s per-policy default, made explicit so both runs of a
-   pair share the same base configuration. *)
-let base_config = function
-  | Policy.No_spawn -> Config.superscalar
-  | Policy.Adaptive -> Config.adaptive
-  | Policy.Doacross -> Config.doacross
-  | _ -> Config.polyflow
-
 type observed = {
   metrics : Metrics.t;
   retires : string;  (* "cycle:slot:index;" per retirement, in order *)
@@ -61,7 +53,9 @@ let observe prep ~policy ~config =
 (* Compare skipping-on vs the [no_event_skip] reference for one policy;
    [fail] receives a component name and the two runs' cycle counts. *)
 let compare_policy prep ~policy ~(fail : string -> int -> int -> 'a) =
-  let base = base_config policy in
+  (* [Run.simulate]'s per-policy default, made explicit so both runs of
+     the pair share the same base configuration *)
+  let base = Config.for_policy policy in
   let skip = observe prep ~policy ~config:base in
   let ref_ =
     observe prep ~policy ~config:{ base with Config.no_event_skip = true }
