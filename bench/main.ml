@@ -177,6 +177,32 @@ let avg ctx label =
 
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
+(* The prepared window a run was measured on, for the sections that
+   re-read windows (limit study, CPI stacks, micro-benchmarks): the
+   sweep's own window when it simulated there, else one prepared on
+   first request — the sweep prepares no window whose runs all came
+   from the cache — and kept for the next section that asks. *)
+let window_of ?trace_store (prepared : Sweep.prepared_window list) =
+  let memo = Hashtbl.create 16 in
+  List.iter
+    (fun (p : Sweep.prepared_window) ->
+      Hashtbl.replace memo (p.Sweep.pw_workload, p.Sweep.pw_window) p.Sweep.prep)
+    prepared;
+  fun (r : Sweep.run) ->
+    let key = (r.Sweep.workload, r.Sweep.window) in
+    match Hashtbl.find_opt memo key with
+    | Some prep -> prep
+    | None ->
+        let wl = Option.get (Pf_workloads.Suite.find r.Sweep.workload) in
+        let prep =
+          Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
+            ~setup:wl.Pf_workloads.Workload.setup
+            ~fast_forward:wl.Pf_workloads.Workload.fast_forward
+            ~window:r.Sweep.window
+        in
+        Hashtbl.add memo key prep;
+        prep
+
 let hr () = print_endline (String.make 98 '-')
 
 let section title =
@@ -331,7 +357,7 @@ let related_work ctx =
 
 (* Limit study in the style of Lam and Wilson (Section 5): the ILP that a
    single flow of control can reach vs a control-independence oracle. *)
-let limit_study ctx (prepared : Sweep.prepared_window list) =
+let limit_study ctx window_of =
   section
     "Limit study (Lam & Wilson): single-flow vs control-independence-oracle IPC";
   Printf.printf "%-10s %14s %14s %10s %14s\n" "benchmark" "single-flow"
@@ -339,21 +365,16 @@ let limit_study ctx (prepared : Sweep.prepared_window list) =
   hr ();
   List.iter
     (fun w ->
-      let window = (run_exn ctx w "postdoms").Sweep.window in
-      let pw =
-        List.find
-          (fun (p : Sweep.prepared_window) ->
-            p.Sweep.pw_workload = w && p.Sweep.pw_window = window)
-          prepared
-      in
-      let trace = pw.Sweep.prep.Run.trace in
+      let trace = (window_of (run_exn ctx w "postdoms")).Run.trace in
       let sf = Pf_trace.Limits.single_flow_ipc trace in
       let df = Pf_trace.Limits.dataflow_ipc trace in
       Printf.printf "%-10s %14.3f %14.3f %9.1fx %14.3f\n" w sf df (df /. sf)
         (Metrics.ipc (metrics ctx w "postdoms")))
     ctx.names;
   Printf.printf
-    "\nExploiting control independence exposes far more ILP than any single      flow of control\ncan reach — the insight control-equivalent spawning      builds on.\n"
+    "\nExploiting control independence exposes far more ILP than any single \
+     flow of control\ncan reach — the insight control-equivalent spawning \
+     builds on.\n"
 
 (* Where the speedup comes from: retirement-stall attribution for the
    baseline vs postdoms (Section 2.2 says different task types attack
@@ -385,20 +406,21 @@ let stall_sources ctx =
      latency with younger tasks' work.\n"
 
 (* CPI stacks: the cycle-accounting sink re-simulates a few contrasting
-   workloads on their already-prepared windows and attributes every
+   workloads on the windows the sweep measured and attributes every
    task-slot cycle to one loss source. This is the paper's Section 3
    argument in numbers — the superscalar burns its one slot on
    branch-mispredict repair where PolyFlow keeps control-equivalent
    slots doing base work — and Section 4.4's: the reconvergence
    predictor's gap vs compiler postdominators shows up as idle and
    spawn-overhead cycles. Re-simulating with the sink attached also
-   asserts sink parity against the sweep's metrics. *)
+   asserts sink parity against the sweep's metrics, which on a cached
+   run checks a window prepared on demand against the stored result. *)
 let cpi_workloads = [ "crafty"; "mcf"; "twolf" ]
 
 let cpi_policies =
   [ Pf_core.Policy.No_spawn; Pf_core.Policy.Postdoms; Pf_core.Policy.Rec_pred ]
 
-let cpi_stacks ctx (prepared : Sweep.prepared_window list) =
+let cpi_stacks ctx window_of =
   section
     "CPI stacks: task-slot cycles by loss source (percent; Sections 3 and 4.4)";
   Printf.printf "%-10s %-12s" "benchmark" "policy";
@@ -413,17 +435,11 @@ let cpi_stacks ctx (prepared : Sweep.prepared_window list) =
         (fun policy ->
           let label = Pf_core.Policy.name policy in
           let run = run_exn ctx w label in
-          let pw =
-            List.find
-              (fun (p : Sweep.prepared_window) ->
-                p.Sweep.pw_workload = w && p.Sweep.pw_window = run.Sweep.window)
-              prepared
-          in
           let stack = Pf_obs.Cpi_stack.create () in
           let m =
             Run.simulate
               ~sink:(Pf_obs.Cpi_stack.sink stack)
-              ~config:run.Sweep.config pw.Sweep.prep ~policy
+              ~config:run.Sweep.config (window_of run) ~policy
           in
           if m <> run.Sweep.metrics then
             failwith
@@ -526,18 +542,11 @@ let window_sensitivity ctx =
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the underlying machinery.              *)
 
-let microbenches ctx (prepared : Sweep.prepared_window list) =
+let microbenches ctx window_of =
   section "Micro-benchmarks (bechamel): analysis passes and simulator speed";
   let open Bechamel in
   let twolf = Option.get (Pf_workloads.Suite.find "twolf") in
-  let twolf_window = (run_exn ctx "twolf" "postdoms").Sweep.window in
-  let twolf_prep =
-    (List.find
-       (fun (p : Sweep.prepared_window) ->
-         p.Sweep.pw_workload = "twolf" && p.Sweep.pw_window = twolf_window)
-       prepared)
-      .Sweep.prep
-  in
+  let twolf_prep = window_of (run_exn ctx "twolf" "postdoms") in
   let program = twolf.Pf_workloads.Workload.program in
   let pcfgs = Pf_isa.Cfg_build.build_all program in
   let big =
@@ -990,6 +999,7 @@ let run_full () =
       ~jobs:!jobs ~wall_s:sweep_wall runs
   in
   let ctx = ctx_of doc in
+  let window_of = window_of ?trace_store prepared in
   Printf.printf "Sweep done in %.1f s:\n" sweep_wall;
   List.iter
     (fun w ->
@@ -1006,10 +1016,10 @@ let run_full () =
   figure11 ctx;
   figure12 ctx;
   related_work ctx;
-  limit_study ctx prepared;
+  limit_study ctx window_of;
   task_scaling ctx;
   stall_sources ctx;
-  cpi_stacks ctx prepared;
+  cpi_stacks ctx window_of;
   ablations ctx;
   future_work ctx;
   if window_override = None then window_sensitivity ctx;
@@ -1020,7 +1030,7 @@ let run_full () =
       (List.length doc.Sweep.runs) !json_out Pf_report.Manifest.schema_version
       !json_out
   end;
-  if not !no_micro then microbenches ctx prepared;
+  if not !no_micro then microbenches ctx window_of;
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t_start)
 
 let () =

@@ -4,8 +4,9 @@
     and window overrides) — fanned out over a [Domain]-based worker
     pool. Preparation (architectural execution, window capture,
     dependence analysis) runs once per distinct (workload, window) pair
-    and is shared read-only by every simulation of that window, exactly
-    the paper's same-dynamic-instructions methodology (Section 3.2).
+    that is simulated and is shared read-only by every simulation of
+    that window, exactly the paper's same-dynamic-instructions
+    methodology (Section 3.2).
 
     Results are deterministic in the job count: workload data is seeded
     per workload by [Pf_workloads.Rng] and the timing engine keeps no
@@ -69,9 +70,12 @@ val run_to_json : run -> Json.t
 (** @raise Json.Decode_error on schema violations. *)
 val run_of_json : Json.t -> run
 
-(** A prepared (workload, window) pair, exposed so callers can run
-    extra analyses (ILP limits, micro-benchmarks) on the same windows
-    the sweep measured. *)
+(** A (workload, window) pair that {!execute} prepared because at
+    least one cache miss simulated on it, exposed so callers can run
+    extra analyses (ILP limits, micro-benchmarks) on the same windows.
+    A window whose runs all replayed from the cache is not prepared;
+    {!Pf_uarch.Run.prepare} with the same inputs builds an identical
+    one. *)
 type prepared_window = {
   pw_workload : string;
   pw_window : int;
@@ -90,28 +94,35 @@ type exec_stats = {
   batched_runs : int;    (** simulated as members of a batch of >= 2 *)
   batch_count : int;     (** number of those multi-member batches *)
   prepare_ms : float;    (** total wall milliseconds spent preparing
-                             windows (summed across workers, so it can
-                             exceed the sweep's elapsed wall) *)
+                             the windows the misses simulate (summed
+                             across workers, so it can exceed the
+                             sweep's elapsed wall); 0 on a fully cached
+                             sweep *)
 }
 
 (** [execute ~jobs specs] runs every spec and returns the runs in spec
-    order together with the prepared windows (in first-use order).
+    order together with the windows it prepared: exactly those that at
+    least one cache miss simulated, in the misses' first-use order.
     [jobs <= 1] runs inline on the calling domain; higher values spawn
     that many worker domains. [progress] is called from the calling
-    domain only, at least once per completed item.
+    domain only, at least once per completed item; the items, and
+    [total], count only the prepared windows and the batches, so a
+    fully cached sweep never calls it.
 
     [cache] consults and fills a {!Run_cache}: a spec whose digest hits
     replays the stored run verbatim (its original [wall_s] included, so
-    a fully-hit sweep reproduces its document byte for byte) and skips
-    only the simulation — windows are still prepared, because the
-    returned [prepared_window]s feed follow-on analyses. Invalid
-    entries are reported on stderr and resimulated.
+    a fully-hit sweep reproduces its document byte for byte) and needs
+    neither a simulation nor a window, so a fully cached sweep prepares
+    nothing. Invalid entries are reported on stderr and resimulated.
 
     [trace_store] routes window preparation through the two-level
     {!Pf_trace.Trace_store}: repeat preparations load the captured
     window from disk (or restore an in-memory fast-forward checkpoint)
     instead of re-interpreting the prefix. Results are byte-identical
-    with and without it.
+    with and without it. Only windows that are prepared are looked up:
+    a fully cached sweep does not touch the store and so does not
+    refresh its entries' LRU recency, which a capped store may then
+    evict first.
 
     Cache misses sharing a (workload, window) are grouped, in first-use
     order, into batches of at most [batch] members (default 8; values

@@ -299,13 +299,57 @@ let gzip_postdoms_digest () =
 let test_cache_hit_round_trip () =
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
   let cold, _ = Sweep.execute ~cache ~jobs:1 small_specs in
-  let warm, prepared = Sweep.execute ~cache ~jobs:1 small_specs in
+  let stats = ref None in
+  let warm, prepared =
+    Sweep.execute ~cache ~on_stats:(fun s -> stats := Some s) ~jobs:1
+      small_specs
+  in
   Alcotest.(check bool) "hits replay the stored runs verbatim" true
     (cold = warm);
-  Alcotest.(check int) "windows still prepared on a full hit" 2
+  Alcotest.(check int) "a full hit prepares no window" 0
     (List.length prepared);
+  (match !stats with
+  | Some s ->
+      Alcotest.(check (float 0.)) "no prepare time on a full hit" 0.
+        s.Sweep.prepare_ms;
+      Alcotest.(check int) "every run replayed" 4 s.Sweep.cached_runs
+  | None -> Alcotest.fail "on_stats not called");
   Alcotest.(check bool) "the sweep's digest is reconstructible" true
     (Run_cache.find cache ~digest:(gzip_postdoms_digest ()) <> None)
+
+(* A cache holding only the mcf runs: the sweep prepares the gzip
+   window alone, through one trace-store lookup, and its mix of
+   replayed and simulated runs matches an uncached sweep. *)
+let test_cache_partial_hit () =
+  let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
+  ignore
+    (Sweep.execute ~cache ~jobs:1
+       (List.filter (fun (s : Sweep.spec) -> s.Sweep.workload = "mcf")
+          small_specs));
+  let store = Pf_trace.Trace_store.create ~dir:(temp_cache_dir ()) () in
+  let runs, prepared =
+    Sweep.execute ~cache ~trace_store:store ~jobs:2 small_specs
+  in
+  Alcotest.(check (list (pair string int))) "only the gzip window prepared"
+    [ ("gzip", 3_000) ]
+    (List.map
+       (fun (p : Sweep.prepared_window) -> (p.Sweep.pw_workload, p.Sweep.pw_window))
+       prepared);
+  let s = Pf_trace.Trace_store.stats store in
+  Alcotest.(check int) "one trace-store lookup" 1
+    (s.Pf_trace.Trace_store.hits + s.Pf_trace.Trace_store.misses);
+  let uncached, _ = Sweep.execute ~jobs:1 small_specs in
+  let bytes (r : Sweep.run) =
+    Json.to_string (Codec.metrics_to_json r.Sweep.metrics)
+    ^ Json.to_string (Codec.counters_to_json r.Sweep.counters)
+  in
+  List.iter2
+    (fun (a : Sweep.run) (b : Sweep.run) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s/%s matches the uncached run" a.Sweep.workload
+           a.Sweep.label)
+        (bytes a) (bytes b))
+    uncached runs
 
 let test_cache_digest_sensitivity () =
   let wl = Option.get (Pf_workloads.Suite.find "gzip") in
@@ -497,6 +541,8 @@ let suite =
         case "sweep: bad input rejected" test_sweep_rejects_bad_input;
         case "table: averages match direct computation" test_table_aggregates;
         case "cache: hits replay runs byte-identically" test_cache_hit_round_trip;
+        case "cache: a partial hit prepares only the windows it simulates"
+          test_cache_partial_hit;
         case "cache: digest keyed on every input" test_cache_digest_sensitivity;
         case "cache: no-cache bypasses, hits replay verbatim"
           test_cache_bypass_and_verbatim_replay;
