@@ -32,7 +32,8 @@ bench-engine:
 bench-batch:
 	dune exec bench/engine_bench.exe -- --batch-only $(ARGS)
 # Cold-vs-warm window preparation through the persistent trace store
-# (the O(prefix) -> O(window) claim), printed, no artifact.
+# (a hit skips machine set-up, fast-forward, capture and the
+# dependence pass), printed, no artifact.
 bench-prepare:
 	dune exec bench/engine_bench.exe -- --prepare-only $(ARGS)
 # Simulation-as-a-service (docs/SERVING.md). `serve` boots the daemon on

@@ -553,9 +553,10 @@ let run_smoke () =
   let batch_gzip = measure_batch ~window_override:(Some 4_000) batch_wl in
   let size4 = List.find (fun r -> r.size = 4) batch_gzip.b_sizes in
   check "batched cold speedup >= 2x at B=4" (batch_speedup size4 >= 2.0);
-  (* the O(prefix) -> O(window) claim of the trace store: a warm
-     preparation (store hit) must beat a cold one by 3x or more even on
-     the smoke grid, where the window is tiny and the prefix short *)
+  (* the trace store's claim: a warm preparation (store hit, which
+     skips machine set-up, fast-forward, capture and the dependence
+     pass) must beat a cold one by 3x or more even on the smoke grid,
+     where the window is tiny and the prefix short *)
   let prep_rows =
     List.map
       (fun name ->

@@ -5,8 +5,9 @@
    LRU run cache and schedules misses on a persistent domain pool with
    warm engine scratch. Window preparation goes through the persistent
    trace store (--trace-store), so a daemon restarted over a populated
-   store skips re-interpreting fast-forward prefixes. An optional HTTP/1.1 shim on 127.0.0.1 carries
-   the same requests for curl and health checks.
+   store loads its windows from disk instead of preparing them again.
+   An optional HTTP/1.1 shim on 127.0.0.1 carries the same requests for
+   curl and health checks.
 
    Examples:
      polyflow_serve --socket /tmp/polyflow.sock
@@ -128,7 +129,10 @@ let trace_store_dir_t =
     & opt string "_tstore"
     & info [ "trace-store" ] ~docv:"DIR"
         ~doc:
-          "Persistent trace-store directory for the two-level window            preparation cache (created on demand). Point successive boots            at the same directory and cold windows load from disk instead            of re-interpreting the fast-forward prefix; replies are            byte-identical either way.")
+          "Persistent trace-store directory for the window preparation \
+           cache (created on demand). Point successive boots at the same \
+           directory and cold windows load from disk instead of being \
+           prepared again; replies are byte-identical either way.")
 
 let no_trace_store_t =
   Arg.(

@@ -169,8 +169,6 @@ let stats t =
   Mutex.unlock t.mutex;
   s
 
-let entries t = (stats t).entries
-
 let store_serial = Atomic.make 0
 
 (* mark [digest] most recently used, adopting entries written by other

@@ -65,9 +65,6 @@ val dir : t -> string
 val cap : t -> int
 val stats : t -> stats
 
-(** Current entry count (shorthand for [(stats t).entries]). *)
-val entries : t -> int
-
 (** Is this a well-formed 32-character lowercase hex digest? *)
 val is_hex_digest : string -> bool
 

@@ -180,40 +180,6 @@ let run m ~max_instrs ~on_event =
 
 let skip m n = run m ~max_instrs:n ~on_event:ignore
 
-(* --- checkpointing --------------------------------------------------- *)
-
-type checkpoint = {
-  ck_regs : int64 array;
-  ck_mem : Bytes.t;
-  ck_pc : int;
-  ck_halted : bool;
-  ck_icount : int;
-  ck_wlo : int;
-  ck_whi : int;
-}
-
-let checkpoint m =
-  { ck_regs = Array.copy m.regs;
-    ck_mem = Bytes.copy m.mem;
-    ck_pc = m.pc;
-    ck_halted = m.halted;
-    ck_icount = m.icount;
-    ck_wlo = m.wlo;
-    ck_whi = m.whi }
-
-let checkpoint_icount ck = ck.ck_icount
-
-let restore m ck =
-  if Bytes.length m.mem <> Bytes.length ck.ck_mem then
-    invalid_arg "Machine.restore: memory size mismatch";
-  Array.blit ck.ck_regs 0 m.regs 0 (Array.length m.regs);
-  Bytes.blit ck.ck_mem 0 m.mem 0 (Bytes.length m.mem);
-  m.pc <- ck.ck_pc;
-  m.halted <- ck.ck_halted;
-  m.icount <- ck.ck_icount;
-  m.wlo <- ck.ck_wlo;
-  m.whi <- ck.ck_whi
-
 let state_digest m =
   (* Bytes outside [wlo, whi) were never written and are still zero, so
      hashing the touched span plus the watermarks covers the full image

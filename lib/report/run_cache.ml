@@ -27,7 +27,6 @@ let create ?cap ?counters ~dir () =
 let dir = Cache_store.dir
 let cap = Cache_store.cap
 let stats = Cache_store.stats
-let entries = Cache_store.entries
 let path = Cache_store.path
 
 let digest ~workload ~window ~fast_forward ~policy ~label ~config =

@@ -58,9 +58,6 @@ val dir : t -> string
 val cap : t -> int
 val stats : t -> stats
 
-(** Current entry count (shorthand for [(stats t).entries]). *)
-val entries : t -> int
-
 (** The content digest of one run's inputs, in hex. *)
 val digest :
   workload:string ->

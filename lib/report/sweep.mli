@@ -115,14 +115,14 @@ type exec_stats = {
     neither a simulation nor a window, so a fully cached sweep prepares
     nothing. Invalid entries are reported on stderr and resimulated.
 
-    [trace_store] routes window preparation through the two-level
+    [trace_store] routes window preparation through the persistent
     {!Pf_trace.Trace_store}: repeat preparations load the captured
-    window from disk (or restore an in-memory fast-forward checkpoint)
-    instead of re-interpreting the prefix. Results are byte-identical
-    with and without it. Only windows that are prepared are looked up:
-    a fully cached sweep does not touch the store and so does not
-    refresh its entries' LRU recency, which a capped store may then
-    evict first.
+    window from disk instead of interpreting the fast-forward prefix,
+    capturing the window and running the dependence pass again.
+    Results are byte-identical with and without it. Only windows that
+    are prepared are looked up: a fully cached sweep does not touch the
+    store and so does not refresh its entries' LRU recency, which a
+    capped store may then evict first.
 
     Cache misses sharing a (workload, window) are grouped, in first-use
     order, into batches of at most [batch] members (default 8; values

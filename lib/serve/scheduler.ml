@@ -172,7 +172,7 @@ let rec acquire_prep t (r : resolved) =
           Mutex.unlock t.mutex;
           prep
       | exception e ->
-          (* drop the slot so a pollling worker can retry (and fail the
+          (* drop the slot so a polling worker can retry (and fail the
              same way if the failure is deterministic) *)
           Mutex.lock t.mutex;
           Hashtbl.remove t.preps key;
@@ -466,10 +466,7 @@ let stats_fields t =
               ("misses", Json.Int s.Trace_store.misses);
               ("stores", Json.Int s.Trace_store.stores);
               ("evictions", Json.Int s.Trace_store.evictions);
-              ("bytes", Json.Int s.Trace_store.bytes);
-              ( "checkpoint_restores",
-                Json.Int s.Trace_store.checkpoint_restores );
-              ("checkpoints", Json.Int s.Trace_store.checkpoints) ] );
+              ("bytes", Json.Int s.Trace_store.bytes) ] );
     ("counters", Counters.to_json t.counters) ]
 
 let shutdown t =

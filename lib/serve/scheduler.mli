@@ -20,10 +20,9 @@
     publishes its {!Pf_uarch.Run.prepare} result for every later
     request of that window — concurrent first requests build it once.
     With [trace_store], those builds go through the persistent
-    two-level {!Pf_trace.Trace_store}, so a daemon restarted over a
-    populated store loads its windows from disk instead of
-    re-interpreting the fast-forward prefix (byte-identical replies
-    either way).
+    {!Pf_trace.Trace_store}, so a daemon restarted over a populated
+    store loads its windows from disk instead of re-preparing them
+    (byte-identical replies either way).
 
     A worker popping a job also drains every other queued job for the
     same (workload, window) — up to 8 — and simulates them one after

@@ -22,11 +22,11 @@ type config = {
           simulates). Created on demand, parents included. *)
   cache_cap : int;  (** LRU entry cap; [0] = unbounded. *)
   trace_store_dir : string option;
-      (** Persistent trace-store directory for the two-level
+      (** Persistent trace-store directory for the window
           preparation cache ([None] prepares every window from
           scratch). Point successive daemon boots at the same
-          directory to skip re-interpreting fast-forward prefixes —
-          replies are byte-identical either way. *)
+          directory to load prepared windows from disk — replies are
+          byte-identical either way. *)
   trace_store_cap : int;  (** Trace-store LRU entry cap; [0] = unbounded. *)
   default_timeout_ms : int;
       (** Deadline for requests that do not carry [timeout_ms];

@@ -1,15 +1,12 @@
-(* Two-level preparation cache. See trace_store.mli for the contract;
+(* Persistent preparation cache. See trace_store.mli for the contract;
    the notes here are about the codec, the key, and locking.
 
-   Level 1 is one Pf_cache_store.Cache_store of binary trace entries
-   ([dir/ab/<digest>.trace]): the captured window's Dyn records with
-   producer indices already filled, so a hit skips the fast-forward
-   interpretation, the window capture AND the dependence pass. Level 2
-   is an in-memory checkpoint ladder per (program, setup): full
-   architectural snapshots dropped every [checkpoint_stride]
-   instructions while fast-forwarding (plus one at the window start), so
-   a miss at a nearby fast-forward point restores the closest snapshot
-   and interprets only the delta.
+   One Pf_cache_store.Cache_store of binary trace entries
+   ([dir/ab/<digest>.trace]) holds the captured window's Dyn records
+   with producer indices already filled, so a hit skips the machine
+   set-up, the fast-forward interpretation, the window capture AND the
+   dependence pass. A miss does exactly what Run.prepare does without a
+   store, then publishes.
 
    The key is an MD5 over (format version, program content digest,
    post-setup machine state digest, fast_forward, window). The setup
@@ -30,11 +27,8 @@
    truncation, unmapped pc or foreign format version downgrades to a
    miss (Cache_store re-publishes the fresh result over the bad entry).
 
-   The fingerprint memo and the checkpoint ladders live under one
-   mutex; machine execution, file IO and codec work happen outside it.
-   Checkpoints are immutable once taken (restore copies out of them),
-   so handing one to a concurrent restorer while another thread evicts
-   it from the ladder is safe. *)
+   The mutex guards only the fingerprint memo; machine execution, file
+   IO and codec work happen outside it. *)
 
 module Cache_store = Pf_cache_store.Cache_store
 
@@ -51,49 +45,32 @@ type stats = {
   evictions : int;
   entries : int;
   bytes : int;
-  checkpoint_restores : int;
-  checkpoints : int;
 }
 
 type t = {
   store : Cache_store.t;
-  checkpoint_stride : int;
-  max_checkpoints : int;
   mutex : Mutex.t;
   (* physical (program, setup) -> (program digest, post-setup state
      fingerprint); newest first, capped *)
   mutable memo :
     (Pf_isa.Program.t * (Pf_isa.Machine.t -> unit) * string * string) list;
-  (* base key (program digest + fingerprint) -> checkpoints, descending
-     by icount *)
-  ladders : (string, Pf_isa.Machine.checkpoint list ref) Hashtbl.t;
-  ck_order : (string * int) Queue.t; (* insertion order, for eviction *)
-  mutable ck_count : int;
   c_bytes : Pf_obs.Counters.counter;
-  c_ck_restores : Pf_obs.Counters.counter;
 }
 
 let warn ~path ~reason =
   Printf.eprintf "Trace_store: ignoring %s (%s); will re-prepare\n%!" path
     reason
 
-let create ?cap ?(checkpoint_stride = 50_000) ?(max_checkpoints = 8)
-    ?counters ~dir () =
+let create ?cap ?counters ~dir () =
   let reg =
     match counters with Some r -> r | None -> Pf_obs.Counters.create ()
   in
   { store =
       Cache_store.create ?cap ~counters:reg ~ext:".trace" ~on_invalid:warn
         ~counter_prefix:"trace_store" ~dir ();
-    checkpoint_stride;
-    max_checkpoints;
     mutex = Mutex.create ();
     memo = [];
-    ladders = Hashtbl.create 16;
-    ck_order = Queue.create ();
-    ck_count = 0;
-    c_bytes = Pf_obs.Counters.make reg "trace_store_bytes";
-    c_ck_restores = Pf_obs.Counters.make reg "checkpoint_restores" }
+    c_bytes = Pf_obs.Counters.make reg "trace_store_bytes" }
 
 let dir t = Cache_store.dir t.store
 let cap t = Cache_store.cap t.store
@@ -101,19 +78,12 @@ let path t ~digest = Cache_store.path t.store ~digest
 
 let stats t =
   let s = Cache_store.stats t.store in
-  Mutex.lock t.mutex;
-  let checkpoints = t.ck_count in
-  Mutex.unlock t.mutex;
   { hits = s.Cache_store.hits;
     misses = s.Cache_store.misses;
     stores = s.Cache_store.stores;
     evictions = s.Cache_store.evictions;
     entries = s.Cache_store.entries;
-    bytes = Pf_obs.Counters.value t.c_bytes;
-    checkpoint_restores = Pf_obs.Counters.value t.c_ck_restores;
-    checkpoints }
-
-let entries t = (stats t).entries
+    bytes = Pf_obs.Counters.value t.c_bytes }
 
 (* --- keying ----------------------------------------------------------- *)
 
@@ -260,94 +230,6 @@ let decode program text =
     Ok { Tracer.dyns; fast_forwarded }
   with Corrupt reason -> Error reason
 
-(* --- checkpoint ladder ------------------------------------------------ *)
-
-let ladder_key ~program_digest:pd ~fingerprint:fp = pd ^ ":" ^ fp
-
-let best_checkpoint t ~base ~at =
-  Mutex.lock t.mutex;
-  let found =
-    match Hashtbl.find_opt t.ladders base with
-    | None -> None
-    | Some l ->
-        (* descending by icount: first one at or below [at] is best *)
-        List.find_opt
-          (fun ck -> Pf_isa.Machine.checkpoint_icount ck <= at)
-          !l
-  in
-  Mutex.unlock t.mutex;
-  found
-
-let insert_checkpoint t ~base ck =
-  if t.max_checkpoints > 0 then begin
-    let icount = Pf_isa.Machine.checkpoint_icount ck in
-    Mutex.lock t.mutex;
-    let l =
-      match Hashtbl.find_opt t.ladders base with
-      | Some l -> l
-      | None ->
-          let l = ref [] in
-          Hashtbl.replace t.ladders base l;
-          l
-    in
-    if not
-         (List.exists
-            (fun c -> Pf_isa.Machine.checkpoint_icount c = icount)
-            !l)
-    then begin
-      let rec ins = function
-        | c :: rest when Pf_isa.Machine.checkpoint_icount c > icount ->
-            c :: ins rest
-        | rest -> ck :: rest
-      in
-      l := ins !l;
-      Queue.push (base, icount) t.ck_order;
-      t.ck_count <- t.ck_count + 1;
-      while t.ck_count > t.max_checkpoints do
-        let vbase, vicount = Queue.pop t.ck_order in
-        (match Hashtbl.find_opt t.ladders vbase with
-        | None -> ()
-        | Some vl ->
-            vl :=
-              List.filter
-                (fun c -> Pf_isa.Machine.checkpoint_icount c <> vicount)
-                !vl);
-        t.ck_count <- t.ck_count - 1
-      done
-    end;
-    Mutex.unlock t.mutex
-  end
-
-(* Walk the machine forward to [fast_forward], restoring the nearest
-   ladder checkpoint first and dropping new checkpoints at stride
-   marks and at the window start. *)
-let position t ~base machine ~fast_forward =
-  (match best_checkpoint t ~base ~at:fast_forward with
-  | Some ck
-    when Pf_isa.Machine.checkpoint_icount ck > Pf_isa.Machine.icount machine
-    ->
-      Pf_isa.Machine.restore machine ck;
-      Pf_obs.Counters.incr t.c_ck_restores
-  | _ -> ());
-  let continue = ref true in
-  while !continue do
-    let ic = Pf_isa.Machine.icount machine in
-    if ic >= fast_forward || Pf_isa.Machine.halted machine then
-      continue := false
-    else begin
-      let next_mark =
-        if t.checkpoint_stride > 0 then
-          min fast_forward ((ic / t.checkpoint_stride + 1) * t.checkpoint_stride)
-        else fast_forward
-      in
-      let stepped = Pf_isa.Machine.skip machine (next_mark - ic) in
-      if stepped = next_mark - ic && next_mark < fast_forward then
-        insert_checkpoint t ~base (Pf_isa.Machine.checkpoint machine)
-    end
-  done;
-  if Pf_isa.Machine.icount machine = fast_forward && fast_forward > 0 then
-    insert_checkpoint t ~base (Pf_isa.Machine.checkpoint machine)
-
 (* --- prepare ----------------------------------------------------------- *)
 
 let prepare t program ~setup ~fast_forward ~window =
@@ -368,12 +250,7 @@ let prepare t program ~setup ~fast_forward ~window =
             setup m;
             m
       in
-      let base = ladder_key ~program_digest:pd ~fingerprint:fp in
-      position t ~base machine ~fast_forward;
-      let trace =
-        Tracer.capture_window machine ~window
-          ~fast_forwarded:(Pf_isa.Machine.icount machine)
-      in
+      let trace = Tracer.capture machine ~fast_forward ~window in
       if Tracer.length trace > 0 then begin
         Depinfo.compute trace;
         let payload = encode trace in

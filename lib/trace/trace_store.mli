@@ -1,37 +1,27 @@
-(** Two-level preparation cache: a persistent, content-addressed store
-    of captured windows plus an in-memory fast-forward checkpoint
-    ladder. Makes a repeat {!prepare} cost O(restore + window) instead
-    of O(fast_forward + window).
+(** Persistent preparation cache: a content-addressed store of
+    captured windows. A repeat {!prepare} loads the window from disk
+    instead of creating and setting up a machine, interpreting the
+    fast-forward prefix, capturing the window and running the
+    dependence pass.
 
-    {b Level 1 — trace store.} A captured window (the [Dyn.t] records
-    with producer indices already filled by {!Depinfo.compute}, plus
-    the fast-forward count) is serialized in a compact versioned binary
-    codec and published through {!Pf_cache_store.Cache_store}
-    ([dir/ab/<digest>.trace]; digest-prefix sharding, atomic publish,
-    optional LRU cap). The key digests everything that determines the
-    captured records: the trace-format version, the program content
-    (instructions, entry, procedure table, indirect-target profile),
-    the {e effect} of the setup function — its closure cannot be
-    hashed, so it is run on a fresh machine and the resulting
-    architectural state fingerprinted via
-    {!Pf_isa.Machine.state_digest} — and the fast-forward and window
-    counts. Entries survive the process: a cold sweep, a daemon
+    A captured window (the [Dyn.t] records with producer indices
+    already filled by {!Depinfo.compute}, plus the fast-forward count)
+    is serialized in a compact versioned binary codec and published
+    through {!Pf_cache_store.Cache_store} ([dir/ab/<digest>.trace];
+    digest-prefix sharding, atomic publish, optional LRU cap). The key
+    digests everything that determines the captured records: the
+    trace-format version, the program content (instructions, entry,
+    procedure table, indirect-target profile), the {e effect} of the
+    setup function — its closure cannot be hashed, so it is run on a
+    fresh machine and the resulting architectural state fingerprinted
+    via {!Pf_isa.Machine.state_digest} — and the fast-forward and
+    window counts. Entries survive the process: a cold sweep, a daemon
     restart or a policy-only study re-loads the window from disk
-    instead of re-interpreting the prefix. A hit is byte-identical to
-    from-scratch preparation (the parity suite in
-    test/test_trace_store.ml holds Dyn streams, flat traces and full
-    run records equal), so downstream goldens and run-cache digests
-    never notice which path produced the window.
-
-    {b Level 2 — checkpoint ladder.} While fast-forwarding on a miss,
-    full architectural snapshots ({!Pf_isa.Machine.checkpoint}) are
-    dropped every [checkpoint_stride] instructions plus one at the
-    window start, keyed by (program digest, setup fingerprint). A later
-    miss for the same workload at any fast-forward point N restores
-    the nearest checkpoint at or below N and interprets only the delta
-    — the window-sweep and limit-study pattern. The ladder is
-    in-memory only ([max_checkpoints] full memory images, FIFO
-    eviction); the persistent level is the trace store above.
+    instead of re-preparing it. A hit is byte-identical to from-scratch
+    preparation (the parity suite in test/test_trace_store.ml holds Dyn
+    streams, flat traces and full run records equal), so downstream
+    goldens and run-cache digests never notice which path produced the
+    window.
 
     {b Invalidation.} Any change to the program content, the setup's
     observable effect, the fast-forward or window count, or
@@ -57,9 +47,7 @@ type t
     [misses], [stores], [evictions] mirror the
     [trace_store_{hits,misses,stores,evictions}] counters registered in
     the registry passed to {!create}; [bytes] ([trace_store_bytes])
-    counts payload bytes read on hits plus written on stores;
-    [checkpoint_restores] counts level-2 restores; [checkpoints] is the
-    number of snapshots currently held. *)
+    counts payload bytes read on hits plus written on stores. *)
 type stats = {
   hits : int;
   misses : int;
@@ -67,8 +55,6 @@ type stats = {
   evictions : int;
   entries : int;
   bytes : int;
-  checkpoint_restores : int;
-  checkpoints : int;
 }
 
 (** Bump on any change to the entry codec or to what a stored record
@@ -76,18 +62,11 @@ type stats = {
 val format_version : int
 
 (** [create ~dir ()] opens the store ([mkdir -p] as needed). [cap]
-    bounds the on-disk entry count (0 = unlimited, the default);
-    [checkpoint_stride] is the instruction spacing of ladder snapshots
-    during fast-forward (default 50_000; 0 disables mid-prefix
-    snapshots, the window-start one is still taken);
-    [max_checkpoints] bounds the in-memory ladder across all workloads
-    (default 8 — each snapshot holds a full memory image; 0 disables
-    the ladder). [counters] registers the stats counters in the
-    caller's registry. *)
+    bounds the on-disk entry count (0 = unlimited, the default).
+    [counters] registers the stats counters in the caller's
+    registry. *)
 val create :
   ?cap:int ->
-  ?checkpoint_stride:int ->
-  ?max_checkpoints:int ->
   ?counters:Pf_obs.Counters.t ->
   dir:string ->
   unit ->
@@ -96,13 +75,6 @@ val create :
 val dir : t -> string
 val cap : t -> int
 val stats : t -> stats
-
-(** Current on-disk entry count (shorthand for [(stats t).entries]). *)
-val entries : t -> int
-
-(** Content digest of a program (instructions, entry pc, base,
-    procedure table, indirect-target profile), in hex. *)
-val program_digest : Pf_isa.Program.t -> string
 
 (** The store key for one preparation, in hex. Runs [setup] on a fresh
     machine to fingerprint it unless the (program, setup) pair is
@@ -121,11 +93,10 @@ val path : t -> digest:string -> string
 (** [prepare t program ~setup ~fast_forward ~window] returns the
     captured window, with producer indices already filled (callers
     must {e not} run {!Depinfo.compute} again): from the store on a
-    hit; otherwise by positioning a machine at [fast_forward] — via
-    the checkpoint ladder when it has a usable snapshot, interpreting
-    from scratch when not — capturing the window, computing the
-    dependence pass and publishing the result (non-empty windows
-    only). All paths return byte-identical traces. *)
+    hit; otherwise by creating and setting up a machine, capturing the
+    window with {!Tracer.capture}, computing the dependence pass and
+    publishing the result (non-empty windows only). Both paths return
+    byte-identical traces. *)
 val prepare :
   t ->
   Pf_isa.Program.t ->

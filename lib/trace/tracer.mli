@@ -17,7 +17,7 @@ val capture : Pf_isa.Machine.t -> fast_forward:int -> window:int -> t
     [window] instructions from the machine's {e current} state — no
     skipping — stamping the given fast-forward count on the result.
     This is the entry point for callers that position the machine
-    themselves (e.g. the trace store's checkpoint restore). *)
+    themselves. *)
 val capture_window :
   Pf_isa.Machine.t -> window:int -> fast_forwarded:int -> t
 

@@ -17,8 +17,8 @@ let prepare ?store program ~setup ~fast_forward ~window =
           Pf_trace.Depinfo.compute trace;
         trace
     | Some store ->
-        (* store hits, checkpoint restores and from-scratch misses all
-           return the window with producer indices already filled *)
+        (* store hits and misses both return the window with producer
+           indices already filled *)
         Pf_trace.Trace_store.prepare store program ~setup ~fast_forward
           ~window
   in

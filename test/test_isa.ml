@@ -253,80 +253,31 @@ let test_determinism =
       trace (build ()) = trace (build ()))
 
 (* ------------------------------------------------------------------ *)
-(* Checkpointing                                                       *)
+(* State digest                                                        *)
 
-let test_checkpoint_restore () =
+(* Machine.state_digest fingerprints workload setups, so it keys every
+   trace-store entry: equal histories must digest equal, and any
+   architectural difference must change the digest. *)
+let test_state_digest () =
   let p = countdown_program () in
-  let m = Machine.create p in
-  ignore (Machine.skip m 5);
-  Machine.write_i64 m 0x4000 77L;
-  let ck = Machine.checkpoint m in
-  Alcotest.(check int) "checkpoint icount" 5 (Machine.checkpoint_icount ck);
-  let d0 = Machine.state_digest m in
-  (* diverge: run to completion, clobber the checkpointed memory *)
-  ignore (Machine.run m ~max_instrs:1000 ~on_event:ignore);
-  Machine.write_i64 m 0x4000 0L;
-  Alcotest.(check bool) "diverged digest" false (Machine.state_digest m = d0);
-  Machine.restore m ck;
-  Alcotest.(check int) "icount restored" 5 (Machine.icount m);
-  Alcotest.(check bool) "halted restored" false (Machine.halted m);
-  Alcotest.(check int64) "memory restored" 77L (Machine.read_i64 m 0x4000);
-  Alcotest.(check string) "digest restored" d0 (Machine.state_digest m);
-  (* the restored machine finishes exactly like the original run *)
-  ignore (Machine.run m ~max_instrs:1000 ~on_event:ignore);
-  Alcotest.(check bool) "halts again" true (Machine.halted m);
-  Alcotest.(check int64) "same sum" 15L (Machine.reg m Reg.t1)
-
-let test_restore_size_mismatch () =
-  let p = countdown_program () in
-  let small = Machine.create ~mem_size:65_536 p in
-  let ck = Machine.checkpoint small in
-  let big = Machine.create p in
-  match Machine.restore big ck with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "mem-size mismatch accepted"
-
-(* Restore-equality: from any checkpoint, the continuation replays the
-   exact event stream and final state of the uninterrupted run — the
-   property the trace store's fast-forward ladder relies on. *)
-let test_checkpoint_equivalence =
-  QCheck.Test.make
-    ~name:"restored machines replay the uninterrupted event stream"
-    ~count:20
-    QCheck.(pair (int_range 1 100_000) (int_range 0 2_000))
-    (fun (seed, at) ->
-      let program = Pf_fuzz.Gen_asm.generate ~seed in
-      let events m budget =
-        let evs = ref [] in
-        ignore (Machine.run m ~max_instrs:budget ~on_event:(fun e -> evs := e :: !evs));
-        !evs
-      in
-      (* reference: one uninterrupted run, split at [at] *)
-      let reference = Machine.create program in
-      ignore (Machine.skip reference at);
-      let ck = Machine.checkpoint reference in
-      let digest_at_ck = Machine.state_digest reference in
-      let tail_ref = events reference 5_000 in
-      let digest_ref = Machine.state_digest reference in
-      (* restored: a second machine, driven elsewhere, then restored *)
-      let other = Machine.create program in
-      ignore (Machine.skip other (at / 2));
-      Machine.write_i64 other 0x4000 (Int64.of_int seed);
-      Machine.restore other ck;
-      if Machine.state_digest other <> digest_at_ck then
-        QCheck.Test.fail_reportf
-          "seed %d at %d: restored state digest differs from the checkpoint"
-          seed at;
-      let tail_other = events other 5_000 in
-      if tail_other <> tail_ref then
-        QCheck.Test.fail_reportf
-          "seed %d at %d: restored continuation diverges from reference" seed
-          at;
-      if Machine.state_digest other <> digest_ref then
-        QCheck.Test.fail_reportf
-          "seed %d at %d: final state digests differ after identical streams"
-          seed at;
-      true)
+  let after_setup () =
+    let m = Machine.create p in
+    ignore (Machine.skip m 5);
+    Machine.write_i64 m 0x4000 77L;
+    m
+  in
+  let d0 = Machine.state_digest (after_setup ()) in
+  Alcotest.(check string) "same history, same digest" d0
+    (Machine.state_digest (after_setup ()));
+  let changes what f =
+    let m = after_setup () in
+    f m;
+    Alcotest.(check bool) what false (Machine.state_digest m = d0)
+  in
+  changes "register write" (fun m -> Machine.set_reg m Reg.t2 1L);
+  changes "memory write of a new value" (fun m ->
+      Machine.write_i64 m 0x4000 78L);
+  changes "one more instruction" (fun m -> ignore (Machine.skip m 1))
 
 (* ------------------------------------------------------------------ *)
 (* Cfg_build                                                           *)
@@ -644,11 +595,8 @@ let suite =
         case "div by zero defined" test_div_by_zero_defined;
         case "zero register immutable" test_zero_register_immutable;
         case "instruction budget" test_max_instrs_budget;
+        case "state digest" test_state_digest;
         Prop.to_alcotest test_determinism ] );
-    ( "isa.checkpoint",
-      [ case "checkpoint and restore" test_checkpoint_restore;
-        case "restore rejects mem-size mismatch" test_restore_size_mismatch;
-        Prop.to_alcotest test_checkpoint_equivalence ] );
     ( "isa.call_graph",
       [ case "direct edges" test_call_graph_direct;
         case "self recursion" test_call_graph_self_recursion;

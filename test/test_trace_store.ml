@@ -1,6 +1,6 @@
-(* Tests for the two-level preparation cache (Pf_trace.Trace_store):
-   store-hit and checkpoint-restore preparation must be byte-identical
-   to from-scratch preparation — Dyn streams, flat traces and full run
+(* Tests for the persistent preparation cache (Pf_trace.Trace_store):
+   store-miss and store-hit preparation must be byte-identical to
+   from-scratch preparation — Dyn streams, flat traces and full run
    records — plus key sensitivity, corruption handling and the LRU
    cap. *)
 
@@ -33,9 +33,7 @@ let temp_store_dir =
     rm_rf dir;
     dir
 
-let make_store ?cap ?checkpoint_stride ?max_checkpoints () =
-  Trace_store.create ?cap ?checkpoint_stride ?max_checkpoints
-    ~dir:(temp_store_dir ()) ()
+let make_store ?cap () = Trace_store.create ?cap ~dir:(temp_store_dir ()) ()
 
 (* From-scratch reference: exactly what Run.prepare does without a
    store. *)
@@ -93,31 +91,6 @@ let test_store_hit_round_trip () =
   (* flat traces built from both paths are structurally identical *)
   Alcotest.(check bool) "flat traces equal" true
     (Flat_trace.of_trace reference = Flat_trace.of_trace warm)
-
-(* ---- checkpoint ladder ---- *)
-
-let test_checkpoint_restore_parity () =
-  let wl = gzip () in
-  let ts = make_store ~checkpoint_stride:500 () in
-  (* first miss populates the ladder while fast-forwarding to 2000 *)
-  let _ =
-    Trace_store.prepare ts wl.Workload.program ~setup:wl.Workload.setup
-      ~fast_forward:2_000 ~window:1_000
-  in
-  Alcotest.(check bool) "ladder populated" true
-    ((Trace_store.stats ts).Trace_store.checkpoints > 0);
-  (* a different fast-forward point misses the store but restores the
-     nearest snapshot instead of re-interpreting the prefix *)
-  let shifted =
-    Trace_store.prepare ts wl.Workload.program ~setup:wl.Workload.setup
-      ~fast_forward:2_400 ~window:1_000
-  in
-  Alcotest.(check bool) "restored from a checkpoint" true
-    ((Trace_store.stats ts).Trace_store.checkpoint_restores > 0);
-  check_traces_equal "checkpoint-restore path"
-    (reference_trace wl.Workload.program ~setup:wl.Workload.setup
-       ~fast_forward:2_400 ~window:1_000)
-    shifted
 
 (* ---- key sensitivity ---- *)
 
@@ -235,7 +208,7 @@ let parity_holds ~gen ~seed =
   let fast_forward = seed mod 300 in
   let window = 1 + (seed mod 2_000) in
   let reference = reference_trace program ~setup ~fast_forward ~window in
-  let ts = make_store ~checkpoint_stride:100 () in
+  let ts = make_store () in
   let prep () = Trace_store.prepare ts program ~setup ~fast_forward ~window in
   let fail what =
     QCheck.Test.fail_reportf
@@ -248,8 +221,9 @@ let parity_holds ~gen ~seed =
   in
   if not (eq reference (prep ())) then fail "store miss";
   if not (eq reference (prep ())) then fail "store hit";
-  (* a shifted fast-forward takes the checkpoint-restore path when the
-     ladder has a usable snapshot *)
+  (* a second miss of the same program at a later fast-forward point:
+     the fingerprint memo hits, so this miss builds and sets up its own
+     machine instead of reusing the fingerprinting one *)
   let shifted = fast_forward + 50 in
   let ref_shifted =
     reference_trace program ~setup ~fast_forward:shifted ~window
@@ -257,7 +231,7 @@ let parity_holds ~gen ~seed =
   let got =
     Trace_store.prepare ts program ~setup ~fast_forward:shifted ~window
   in
-  if not (eq ref_shifted got) then fail "checkpoint-restore miss";
+  if not (eq ref_shifted got) then fail "shifted fast-forward miss";
   true
 
 let prop_parity_mini =
@@ -344,7 +318,6 @@ let test_sweep_parity () =
 let suite =
   [ ( "trace_store",
       [ case "store hit round trip" test_store_hit_round_trip;
-        case "checkpoint restore parity" test_checkpoint_restore_parity;
         case "digest sensitivity" test_digest_sensitivity;
         case "corrupt entries downgrade to misses" test_corrupt_entry_is_a_miss;
         case "LRU cap" test_lru_cap;

@@ -340,12 +340,24 @@ let test_split_spawning () =
     (split.Metrics.tasks_spawned >= std.Metrics.tasks_spawned)
 
 let test_prepare_rejects_empty_window () =
-  (* a program that halts during fast-forward leaves nothing to simulate *)
+  (* a program that halts during fast-forward leaves nothing to
+     simulate, with or without a trace store; the store's miss path
+     publishes nothing for it *)
   let program, setup = hammock_workload ~iters:1 in
-  try
-    ignore (Run.prepare program ~setup ~fast_forward:1_000_000 ~window:100);
-    Alcotest.fail "expected rejection"
-  with Invalid_argument _ -> ()
+  let store =
+    Pf_trace.Trace_store.create ~dir:(Filename.temp_dir "pf_empty_window" "") ()
+  in
+  List.iter
+    (fun (what, store) ->
+      match
+        Run.prepare ?store program ~setup ~fast_forward:1_000_000 ~window:100
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: expected rejection" what)
+    [ ("no store", None); ("trace store", Some store) ];
+  let s = Pf_trace.Trace_store.stats store in
+  Alcotest.(check int) "nothing stored" 0 s.Pf_trace.Trace_store.stores;
+  Alcotest.(check int) "no entries" 0 s.Pf_trace.Trace_store.entries
 
 let test_metrics_helpers () =
   let m =
