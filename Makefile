@@ -22,29 +22,18 @@ bench-loopnest:
 # asserts the DOACROSS-vs-superscalar trend, not just that it runs.
 loopnest-smoke:
 	dune exec bench/main.exe -- --loopnest --smoke $(ARGS)
-# Engine microbenchmark: prepare-vs-simulate phase timings plus a timed
-# full-grid sweep, written to BENCH_engine.json (see docs/ENGINE.md).
-# Extra flags pass through ARGS, e.g. `make bench-engine ARGS=--smoke`.
+# Engine microbenchmark: prepare-vs-simulate phase timings, cold-vs-warm
+# trace-store preparation and shared-prepare cold sweeps, written to
+# BENCH_engine.json (see docs/ENGINE.md); end-to-end timings are
+# pfbench's (`bash pfbench/run.sh`). Extra flags pass through ARGS,
+# e.g. `make bench-engine ARGS=--smoke`.
 bench-engine:
 	dune exec bench/engine_bench.exe -- $(ARGS)
-# Batched-vs-sequential cold-sweep comparison only (Run.simulate_batch
-# against N fresh prepare+simulate pairs), printed, no artifact.
-bench-batch:
-	dune exec bench/engine_bench.exe -- --batch-only $(ARGS)
-# Cold-vs-warm window preparation through the persistent trace store
-# (a hit skips machine set-up, fast-forward, capture and the
-# dependence pass), printed, no artifact.
-bench-prepare:
-	dune exec bench/engine_bench.exe -- --prepare-only $(ARGS)
-# Simulation-as-a-service (docs/SERVING.md). `serve` boots the daemon on
-# SOCKET (flags pass through ARGS, e.g. `make serve ARGS=--http-port\ 8080`);
-# `bench-serve` runs the load generator -> BENCH_serve.json, and its
-# `--smoke` mode is the self-checking variant dune runtest and CI use.
+# Simulation-as-a-service (docs/SERVING.md): boots the daemon on SOCKET
+# (flags pass through ARGS, e.g. `make serve ARGS=--http-port\ 8080`).
 SOCKET ?= polyflow.sock
 serve:
 	dune exec bin/polyflow_serve.exe -- --socket $(SOCKET) $(ARGS)
-bench-serve:
-	dune exec bench/serve_bench.exe -- $(ARGS)
 # Differential fuzzing (docs/FUZZING.md). `fuzz-smoke` is the fixed-seed
 # batch CI runs; `fuzz` is an open-ended randomized campaign — findings
 # are shrunk and written to _fuzz/corpus/ as replayable repro files.
@@ -67,12 +56,9 @@ help:
 	@echo "make bench-loopnest  dependence-distance figure -> JSON (ARGS)"
 	@echo "make loopnest-smoke  self-checking loop-nest sweep (~seconds)"
 	@echo "make bench-engine engine microbenchmark -> BENCH_engine.json"
-	@echo "make bench-batch  batched vs sequential cold sweeps (printed only)"
-	@echo "make bench-prepare  cold vs warm trace-store preparation (printed only)"
 	@echo "make serve        boot the polyflow_serve daemon (SOCKET, ARGS)"
-	@echo "make bench-serve  serving latency/throughput bench -> BENCH_serve.json"
 	@echo "make fuzz-smoke   fixed-seed differential-fuzz batch (~seconds)"
 	@echo "make fuzz         randomized fuzz campaign (FUZZ_SEED, FUZZ_COUNT)"
 	@echo "make doc          build the odoc API docs"
 	@echo "make clean        remove _build"
-.PHONY: all test ci bench bench-smoke bench-loopnest loopnest-smoke bench-engine bench-batch bench-prepare serve bench-serve fuzz fuzz-smoke doc clean help
+.PHONY: all test ci bench bench-smoke bench-loopnest loopnest-smoke bench-engine serve fuzz fuzz-smoke doc clean help

@@ -1,52 +1,44 @@
 (* Engine microbenchmark: per-phase timings of the simulation pipeline,
-   tracked as a schema-versioned BENCH_engine.json artifact.
+   tracked as a schema-versioned BENCH_engine.json artifact that CI's
+   perf-smoke job gates.
 
    The sweep's cost per workload splits into
      prepare  — architectural execution, window capture, dependence
                 analysis, SoA flattening, occurrence index (paid once
                 per (workload, window) pair and shared by every policy);
      simulate — the engine cycle loop (paid once per policy).
-   This harness measures both sides separately, re-times the flattening
-   pass in isolation (the per-cell work that sharing the immutable
-   Flat_trace removes from an N-policy sweep), and optionally times the
-   full workload×policy grid through the parallel sweep runner. The
-   derived `flatten_sharing_speedup` is shared-flattening wall over
-   flatten-per-policy wall for the same phase runs; `grid.wall_s` is the
-   number to track across PRs for end-to-end sweep speed.
+   This harness times both sides separately (`engine_minstr_per_s`, and
+   the words each simulation allocates), a cold against a warm
+   preparation through the persistent trace store
+   (`warm_prepare_speedup`), and what sharing one prepare across B
+   policy runs saves a cold sweep (`shared_prepare_minstr_per_s`,
+   `shared_prepare_speedup_4`). End-to-end sweep and serve times are
+   pfbench's (pfbench/README.md).
 
-   `--smoke` runs a seconds-scale self-check (tiny windows, two
-   workloads, parity + JSON round-trip assertions) and is wired into
-   `dune runtest` so this harness cannot bitrot. *)
+   PF_BENCH_WINDOW overrides every workload window. `--smoke` runs a
+   seconds-scale self-check (tiny windows, two workloads, the timing
+   gates and a JSON round-trip) and is wired into `dune runtest` so
+   this harness cannot bitrot. *)
 
 module B = Pf_bench_support.Bench_support
-module Sweep = Pf_report.Sweep
 module Json = Pf_report.Json
 open Pf_uarch
 
 (* ---- command line ---- *)
 
-let jobs = ref (min 8 (Domain.recommended_domain_count ()))
 let json_out = ref "BENCH_engine.json"
 let smoke = ref false
-let no_grid = ref false
-let batch_only = ref false
-let prepare_only = ref false
 let window_override =
-  ref (Option.map int_of_string (Sys.getenv_opt "PF_BENCH_WINDOW"))
+  Option.map int_of_string (Sys.getenv_opt "PF_BENCH_WINDOW")
 
 let () =
   Arg.parse
-    [ ("--jobs", Arg.Set_int jobs, "N  worker domains for the grid sweep (default: cores, max 8)");
-      ("--json", Arg.Set_string json_out, "FILE  output artifact (default: BENCH_engine.json)");
-      ("--window", Arg.Int (fun w -> window_override := Some w), "N  override every workload window");
-      ("--no-grid", Arg.Set no_grid, "  skip the full-grid sweep timing");
-      ("--batch-only", Arg.Set batch_only, "  print only the batched-vs-sequential section, no artifact");
-      ("--prepare-only", Arg.Set prepare_only, "  print only the cold-vs-warm trace-store prepare section, no artifact");
+    [ ("--json", Arg.Set_string json_out, "FILE  output artifact (default: BENCH_engine.json)");
       ("--smoke", Arg.Set smoke, "  fast self-checking run (used by dune runtest)") ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/engine_bench.exe [--jobs N] [--json FILE] [--window N] [--no-grid] [--batch-only] [--prepare-only] [--smoke]"
+    "bench/engine_bench.exe [--json FILE] [--smoke]"
 
-(* one policy per policy class; the grid section covers the rest *)
+(* one policy per policy class *)
 let phase_policies =
   [ Pf_core.Policy.No_spawn;
     Pf_core.Policy.Postdoms;
@@ -65,7 +57,6 @@ type workload_row = {
   window : int;
   instructions : int;
   prepare_s : float;
-  flatten_s : float;
   sims : sim_row list;
   (* the adaptive policy (memory tracker + safety filter) timed apart
      from [sims]: its throughput is recorded in the artifact but kept
@@ -77,23 +68,16 @@ type workload_row = {
   doacross_sim : sim_row;
 }
 
+let window_of ~window_override (wl : Pf_workloads.Workload.t) =
+  Option.value window_override ~default:wl.Pf_workloads.Workload.window
+
 let measure_workload ~window_override (wl : Pf_workloads.Workload.t) =
-  let window =
-    match window_override with
-    | Some w -> w
-    | None -> wl.Pf_workloads.Workload.window
-  in
+  let window = window_of ~window_override wl in
   let prep, prepare_s =
     B.time (fun () ->
         Run.prepare wl.Pf_workloads.Workload.program
           ~setup:wl.Pf_workloads.Workload.setup
           ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window)
-  in
-  (* re-time the flattening pass alone: this is what `Engine.simulate`
-     used to redo for every policy before the flat trace was hoisted
-     into `Run.prepare` *)
-  let _, flatten_s =
-    B.time (fun () -> Pf_trace.Flat_trace.of_trace prep.Run.trace)
   in
   let measure_sim policy =
     let (metrics, sim_s), allocated_words =
@@ -108,7 +92,6 @@ let measure_workload ~window_override (wl : Pf_workloads.Workload.t) =
     window;
     instructions = Pf_trace.Tracer.length prep.Run.trace;
     prepare_s;
-    flatten_s;
     sims;
     adaptive_sim;
     doacross_sim }
@@ -138,18 +121,14 @@ type prepare_row = {
 let prepare_speedup p = p.p_cold_s /. p.p_warm_s
 
 let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
-  let window =
-    match window_override with
-    | Some w -> w
-    | None -> wl.Pf_workloads.Workload.window
-  in
+  let window = window_of ~window_override wl in
   let prepare store =
     Run.prepare ?store wl.Pf_workloads.Workload.program
       ~setup:wl.Pf_workloads.Workload.setup
       ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
   in
   let best = List.fold_left min infinity in
-  (* one unmeasured round to warm the allocator, as measure_batch does *)
+  (* one unmeasured round to warm the allocator, as measure_shared does *)
   ignore (prepare None);
   let dirs =
     List.init prepare_rounds (fun _ ->
@@ -198,47 +177,42 @@ let prepare_totals prep_rows =
   let cold = sum (fun p -> p.p_cold_s) and warm = sum (fun p -> p.p_warm_s) in
   (cold, warm, if warm = 0. then 0. else cold /. warm)
 
-(* ---- batched vs sequential cold sweeps ----
+(* ---- shared prepare vs sequential cold sweeps ----
 
-   A batch answers N same-window policy runs with one prepare and N
-   simulations of the shared prepared window (Run.simulate_batch); a
-   cold sequential sweep of the same N runs pays N fresh prepares as
-   well. Both sides are measured: `seq_cold_s` for size B
-   is the sum of B independently-timed (fresh prepare + solo simulate)
-   pairs, `batched_cold_s` is one timed (prepare + simulate_batch of B
-   members). Policies cycle through the phase classes so every batch
-   is mixed-policy. *)
+   B same-window policy runs need one prepare and B simulations of the
+   shared prepared window; a cold sequential sweep of the same B runs
+   pays B fresh prepares as well. Both sides are measured:
+   `seq_cold_s` for size B is the sum of B independently-timed (fresh
+   prepare + solo simulate) pairs, `shared_cold_s` is one timed
+   (prepare + B solo simulations on it). Policies cycle through the
+   phase classes so every group is mixed-policy. *)
 
-let batch_sizes = [ 1; 2; 4; 8 ]
-let max_batch_size = 8
-let batch_policy i = List.nth phase_policies (i mod List.length phase_policies)
+let group_sizes = [ 1; 2; 4; 8 ]
+let max_group_size = 8
+let group_policy i = List.nth phase_policies (i mod List.length phase_policies)
 
-type batch_size_row = {
+type shared_size_row = {
   size : int;
   seq_cold_s : float;
-  batched_cold_s : float;
+  shared_cold_s : float;
 }
 
-type batch_row = {
-  b_workload : string;
-  b_window : int;
-  b_instructions : int;
-  b_sizes : batch_size_row list;
+type shared_row = {
+  s_workload : string;
+  s_window : int;
+  s_instructions : int;
+  s_sizes : shared_size_row list;
 }
 
-let batch_speedup (r : batch_size_row) = r.seq_cold_s /. r.batched_cold_s
+let shared_speedup (r : shared_size_row) = r.seq_cold_s /. r.shared_cold_s
 
-(* aggregate Minstr/s of the batch: B runs of n instructions each over
-   the one batched wall *)
-let batch_minstr_per_s (b : batch_row) (r : batch_size_row) =
-  float_of_int (r.size * b.b_instructions) /. r.batched_cold_s /. 1e6
+(* aggregate Minstr/s of the group: B runs of n instructions each over
+   the one shared wall *)
+let shared_minstr_per_s (s : shared_row) (r : shared_size_row) =
+  float_of_int (r.size * s.s_instructions) /. r.shared_cold_s /. 1e6
 
-let measure_batch ~window_override (wl : Pf_workloads.Workload.t) =
-  let window =
-    match window_override with
-    | Some w -> w
-    | None -> wl.Pf_workloads.Workload.window
-  in
+let measure_shared ~window_override (wl : Pf_workloads.Workload.t) =
+  let window = window_of ~window_override wl in
   let prepare () =
     Run.prepare wl.Pf_workloads.Workload.program
       ~setup:wl.Pf_workloads.Workload.setup
@@ -248,13 +222,13 @@ let measure_batch ~window_override (wl : Pf_workloads.Workload.t) =
      and scratch-pool state, or the side measured first eats the
      process warm-up and skews tiny windows *)
   (let prep = prepare () in
-   ignore (Run.simulate prep ~policy:(batch_policy 0)));
+   ignore (Run.simulate prep ~policy:(group_policy 0)));
   let solo_cold =
-    Array.init max_batch_size (fun i ->
+    Array.init max_group_size (fun i ->
         let _, s =
           B.time (fun () ->
               let prep = prepare () in
-              ignore (Run.simulate prep ~policy:(batch_policy i)))
+              ignore (Run.simulate prep ~policy:(group_policy i)))
         in
         s)
   in
@@ -262,63 +236,39 @@ let measure_batch ~window_override (wl : Pf_workloads.Workload.t) =
   let rows =
     List.map
       (fun size ->
-        let prep, batched_cold_s =
+        let prep, shared_cold_s =
           B.time (fun () ->
               let prep = prepare () in
-              ignore
-                (Run.simulate_batch prep
-                   (List.init size (fun i -> Run.batch_run (batch_policy i))));
+              for i = 0 to size - 1 do
+                ignore (Run.simulate prep ~policy:(group_policy i))
+              done;
               prep)
         in
         instructions := Pf_trace.Tracer.length prep.Run.trace;
         let seq_cold_s =
           Array.fold_left ( +. ) 0. (Array.sub solo_cold 0 size)
         in
-        { size; seq_cold_s; batched_cold_s })
-      batch_sizes
+        { size; seq_cold_s; shared_cold_s })
+      group_sizes
   in
-  { b_workload = wl.Pf_workloads.Workload.name;
-    b_window = window;
-    b_instructions = !instructions;
-    b_sizes = rows }
+  { s_workload = wl.Pf_workloads.Workload.name;
+    s_window = window;
+    s_instructions = !instructions;
+    s_sizes = rows }
 
-(* the full grid prepares 12 windows; the batch section pays ~12 fresh
-   prepares per workload, so full mode measures a 3-workload subset *)
-let batch_workloads = [ "gzip"; "mcf"; "twolf" ]
+(* each workload pays ~12 fresh prepares here, so full mode measures a
+   3-workload subset *)
+let shared_workloads = [ "gzip"; "mcf"; "twolf" ]
 
-let print_batch_row b =
+let print_shared_row s =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-10s window %7d  B=%d  seq-cold %6.3f s  batched %6.3f s  \
+        "  %-10s window %7d  B=%d  seq-cold %6.3f s  shared %6.3f s  \
          speedup %5.2fx  (%.2f Minstr/s)\n%!"
-        b.b_workload b.b_window r.size r.seq_cold_s r.batched_cold_s
-        (batch_speedup r) (batch_minstr_per_s b r))
-    b.b_sizes
-
-(* ---- grid: the full workload×policy sweep, timed end to end ---- *)
-
-let grid_specs ~window_override () =
-  let policies =
-    let all =
-      Pf_core.Policy.(
-        (No_spawn :: figure9_policies) @ figure10_policies @ figure11_policies
-        @ figure12_policies @ [ Dmt; Adaptive ])
-    in
-    let seen = Hashtbl.create 16 in
-    List.filter
-      (fun p ->
-        let name = Pf_core.Policy.name p in
-        if Hashtbl.mem seen name then false
-        else begin
-          Hashtbl.add seen name ();
-          true
-        end)
-      all
-  in
-  List.concat_map
-    (fun w -> List.map (fun p -> Sweep.spec ?window:window_override w p) policies)
-    Pf_workloads.Suite.spec_names
+        s.s_workload s.s_window r.size r.seq_cold_s r.shared_cold_s
+        (shared_speedup r) (shared_minstr_per_s s r))
+    s.s_sizes
 
 (* ---- JSON document ---- *)
 
@@ -333,32 +283,22 @@ let sim_to_json (s : sim_row) =
 let simulate_total w = List.fold_left (fun a s -> a +. s.sim_s) 0. w.sims
 let allocated_total w = List.fold_left (fun a s -> a +. s.allocated_words) 0. w.sims
 
-(* what an N-policy sweep of this window pays with flattening hoisted
-   into prepare vs re-flattened per policy (the pre-rewrite pipeline) *)
-let shared_wall w = w.flatten_s +. simulate_total w
-let unshared_wall w =
-  (float_of_int (List.length w.sims) *. w.flatten_s) +. simulate_total w
-
 let workload_to_json w =
   Json.Obj
     [ ("workload", Json.String w.workload);
       ("window", Json.Int w.window);
       ("instructions", Json.Int w.instructions);
       ("prepare_s", Json.Float w.prepare_s);
-      ("flatten_s", Json.Float w.flatten_s);
       ("simulate_s", Json.Float (simulate_total w));
-      ("shared_wall_s", Json.Float (shared_wall w));
-      ("unshared_wall_s", Json.Float (unshared_wall w));
-      ("flatten_sharing_speedup", Json.Float (unshared_wall w /. shared_wall w));
       ("simulate", Json.List (List.map sim_to_json w.sims));
       ("adaptive", sim_to_json w.adaptive_sim);
       ("doacross", sim_to_json w.doacross_sim) ]
 
-let batch_row_to_json b =
+let shared_row_to_json s =
   Json.Obj
-    [ ("workload", Json.String b.b_workload);
-      ("window", Json.Int b.b_window);
-      ("instructions", Json.Int b.b_instructions);
+    [ ("workload", Json.String s.s_workload);
+      ("window", Json.Int s.s_window);
+      ("instructions", Json.Int s.s_instructions);
       ( "sizes",
         Json.List
           (List.map
@@ -366,27 +306,27 @@ let batch_row_to_json b =
                Json.Obj
                  [ ("size", Json.Int r.size);
                    ("seq_cold_s", Json.Float r.seq_cold_s);
-                   ("batched_cold_s", Json.Float r.batched_cold_s);
-                   ("speedup", Json.Float (batch_speedup r));
-                   ( "batched_minstr_per_s",
-                     Json.Float (batch_minstr_per_s b r) ) ])
-             b.b_sizes) ) ]
+                   ("shared_cold_s", Json.Float r.shared_cold_s);
+                   ("speedup", Json.Float (shared_speedup r));
+                   ( "shared_prepare_minstr_per_s",
+                     Json.Float (shared_minstr_per_s s r) ) ])
+             s.s_sizes) ) ]
 
-(* aggregate across batch rows at one size: (Σ B·n) / Σ batched wall,
-   and Σ seq wall / Σ batched wall *)
-let batch_totals batched ~size =
-  let pick b = List.find_opt (fun r -> r.size = size) b.b_sizes in
+(* aggregate across shared rows at one size: (Σ B·n) / Σ shared wall,
+   and Σ seq wall / Σ shared wall *)
+let shared_totals shared ~size =
+  let pick s = List.find_opt (fun r -> r.size = size) s.s_sizes in
   let fold f =
     List.fold_left
-      (fun a b -> match pick b with Some r -> a +. f b r | None -> a)
-      0. batched
+      (fun a s -> match pick s with Some r -> a +. f s r | None -> a)
+      0. shared
   in
-  let instrs = fold (fun b r -> float_of_int (r.size * b.b_instructions)) in
+  let instrs = fold (fun s r -> float_of_int (r.size * s.s_instructions)) in
   let seq = fold (fun _ r -> r.seq_cold_s) in
-  let wall = fold (fun _ r -> r.batched_cold_s) in
+  let wall = fold (fun _ r -> r.shared_cold_s) in
   if wall = 0. then (0., 0.) else (instrs /. wall /. 1e6, seq /. wall)
 
-let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
+let document ~tool ~wall_s ~rows ~prep_rows ~shared =
   let sum f = List.fold_left (fun a w -> a +. f w) 0. rows in
   let prepare_cold_s, prepare_warm_s, warm_prepare_speedup =
     prepare_totals prep_rows
@@ -396,18 +336,14 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
       (fun a w -> a + (w.instructions * List.length w.sims))
       0 rows
   in
+  let window_instrs = List.fold_left (fun a w -> a + w.instructions) 0 rows in
   let sim_s = sum simulate_total in
-  let batched_minstr, _ = batch_totals batched ~size:max_batch_size in
-  let _, speedup_4 = batch_totals batched ~size:4 in
+  let shared_minstr, _ = shared_totals shared ~size:max_group_size in
+  let _, speedup_4 = shared_totals shared ~size:4 in
   let totals =
     Json.Obj
       [ ("prepare_s", Json.Float (sum (fun w -> w.prepare_s)));
-        ("flatten_s", Json.Float (sum (fun w -> w.flatten_s)));
         ("simulate_s", Json.Float sim_s);
-        ("shared_wall_s", Json.Float (sum shared_wall));
-        ("unshared_wall_s", Json.Float (sum unshared_wall));
-        ( "flatten_sharing_speedup",
-          Json.Float (sum unshared_wall /. sum shared_wall) );
         ( "engine_minstr_per_s",
           Json.Float (float_of_int instrs /. sim_s /. 1e6) );
         (* recorded but not gated: the adaptive policy's throughput,
@@ -415,22 +351,18 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
            without widening the perf gate *)
         ( "adaptive_minstr_per_s",
           Json.Float
-            (let instrs =
-               List.fold_left (fun a w -> a + w.instructions) 0 rows
-             in
-             let s = sum (fun w -> w.adaptive_sim.sim_s) in
-             float_of_int instrs /. s /. 1e6) );
+            (float_of_int window_instrs
+            /. sum (fun w -> w.adaptive_sim.sim_s)
+            /. 1e6) );
         (* likewise recorded, not gated: the doacross policy's
            throughput (back-edge spawning + the tracker's distance sync) *)
         ( "doacross_minstr_per_s",
           Json.Float
-            (let instrs =
-               List.fold_left (fun a w -> a + w.instructions) 0 rows
-             in
-             let s = sum (fun w -> w.doacross_sim.sim_s) in
-             float_of_int instrs /. s /. 1e6) );
-        ("batched_minstr_per_s", Json.Float batched_minstr);
-        ("batch_speedup_4", Json.Float speedup_4);
+            (float_of_int window_instrs
+            /. sum (fun w -> w.doacross_sim.sim_s)
+            /. 1e6) );
+        ("shared_prepare_minstr_per_s", Json.Float shared_minstr);
+        ("shared_prepare_speedup_4", Json.Float speedup_4);
         (* trace-store preparation: cold pays the full O(prefix+window)
            pipeline, warm replays the window from the persistent store;
            the ratio is gated in CI (perf-smoke) *)
@@ -440,7 +372,7 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
         ( "allocated_words_per_instr",
           Json.Float (sum allocated_total /. float_of_int instrs) ) ]
   in
-  let manifest = Pf_report.Manifest.create ~tool ~jobs:!jobs ~wall_s in
+  let manifest = Pf_report.Manifest.create ~tool ~jobs:1 ~wall_s in
   Json.Obj
     [ ("schema_version", Json.Int Pf_report.Manifest.schema_version);
       ("bench", Json.String "engine");
@@ -452,16 +384,7 @@ let document ~tool ~wall_s ~rows ~prep_rows ~batched ~grid =
             phase_policies));
       ("workloads", Json.List (List.map workload_to_json rows));
       ("prepare", Json.List (List.map prepare_row_to_json prep_rows));
-      ("batched", Json.List (List.map batch_row_to_json batched));
-      ( "grid",
-        match grid with
-        | None -> Json.Null
-        | Some (runs, wall) ->
-            Json.Obj
-              [ ("jobs", Json.Int !jobs);
-                ("runs", Json.Int runs);
-                ("wall_s", Json.Float wall);
-                ("runs_per_s", Json.Float (float_of_int runs /. wall)) ] );
+      ("shared_prepare", Json.List (List.map shared_row_to_json shared));
       ("totals", totals) ]
 
 (* Perf trajectory across commits: every write appends this summary to the
@@ -476,8 +399,8 @@ let history_entry doc =
       ("engine_minstr_per_s", sub "totals" "engine_minstr_per_s");
       ("adaptive_minstr_per_s", sub "totals" "adaptive_minstr_per_s");
       ("doacross_minstr_per_s", sub "totals" "doacross_minstr_per_s");
-      ("batched_minstr_per_s", sub "totals" "batched_minstr_per_s");
-      ("batch_speedup_4", sub "totals" "batch_speedup_4");
+      ("shared_prepare_minstr_per_s", sub "totals" "shared_prepare_minstr_per_s");
+      ("shared_prepare_speedup_4", sub "totals" "shared_prepare_speedup_4");
       ("warm_prepare_speedup", sub "totals" "warm_prepare_speedup");
       ("allocated_words_per_instr", sub "totals" "allocated_words_per_instr") ]
 
@@ -502,8 +425,7 @@ let run_smoke () =
   check "phase timings present"
     (List.for_all
        (fun w ->
-         w.prepare_s >= 0. && w.flatten_s >= 0.
-         && List.length w.sims = List.length phase_policies)
+         w.prepare_s >= 0. && List.length w.sims = List.length phase_policies)
        rows);
   check "windows captured" (List.for_all (fun w -> w.instructions = 2_000) rows);
   (* the adaptive policy (tracker + safety filter) must complete its
@@ -529,30 +451,11 @@ let run_smoke () =
   in
   check "deterministic re-simulation"
     (fingerprint a = fingerprint (List.hd rows));
-  (* a same-window batch: same members, same window — the batch must
-     reproduce the solo runs bit for bit *)
-  let batch_wl = Option.get (Pf_workloads.Suite.find "gzip") in
-  let batch_prep =
-    Run.prepare batch_wl.Pf_workloads.Workload.program
-      ~setup:batch_wl.Pf_workloads.Workload.setup
-      ~fast_forward:batch_wl.Pf_workloads.Workload.fast_forward ~window:4_000
-  in
-  let batch_members = List.init max_batch_size batch_policy in
-  let batch_metrics =
-    Run.simulate_batch batch_prep (List.map Run.batch_run batch_members)
-  in
-  let metrics_bytes m = Json.to_string (Pf_report.Codec.metrics_to_json m) in
-  check "batched parity"
-    (List.for_all2
-       (fun policy m ->
-         metrics_bytes m
-         = metrics_bytes (Run.simulate batch_prep ~policy))
-       batch_members batch_metrics);
   (* the cold-sweep speedup of sharing one prepared window: B=4 runs
      from one prepare vs 4 fresh prepare+simulate pairs *)
-  let batch_gzip = measure_batch ~window_override:(Some 4_000) batch_wl in
-  let size4 = List.find (fun r -> r.size = 4) batch_gzip.b_sizes in
-  check "batched cold speedup >= 2x at B=4" (batch_speedup size4 >= 2.0);
+  let shared_gzip = measure_shared ~window_override:(Some 4_000) wl in
+  let size4 = List.find (fun r -> r.size = 4) shared_gzip.s_sizes in
+  check "shared-prepare cold speedup >= 2x at B=4" (shared_speedup size4 >= 2.0);
   (* the trace store's claim: a warm preparation (store hit, which
      skips machine set-up, fast-forward, capture and the dependence
      pass) must beat a cold one by 3x or more even on the smoke grid,
@@ -569,31 +472,27 @@ let run_smoke () =
   (* the artifact round-trips through the JSON printer/parser *)
   let doc =
     document ~tool:"engine_bench --smoke" ~wall_s:0. ~rows ~prep_rows
-      ~batched:[ batch_gzip ] ~grid:None
+      ~shared:[ shared_gzip ]
   in
   let reparsed = Json.of_string (Json.to_string_pretty doc) in
+  let totals = Json.member "totals" reparsed in
   check "artifact round-trip"
     (Json.to_int (Json.member "schema_version" reparsed)
      = Pf_report.Manifest.schema_version
     && List.length (Json.to_list (Json.member "workloads" reparsed)) = 2
-    && List.length (Json.to_list (Json.member "batched" reparsed)) = 1
-    && Json.member_opt "adaptive_minstr_per_s" (Json.member "totals" reparsed)
-       <> None
-    && Json.member_opt "doacross_minstr_per_s" (Json.member "totals" reparsed)
-       <> None
+    && List.length (Json.to_list (Json.member "shared_prepare" reparsed)) = 1
     && List.length (Json.to_list (Json.member "prepare" reparsed)) = 2
-    && Json.member_opt "warm_prepare_speedup" (Json.member "totals" reparsed)
-       <> None);
+    && List.for_all
+         (fun key -> Json.member_opt key totals <> None)
+         [ "adaptive_minstr_per_s"; "doacross_minstr_per_s";
+           "shared_prepare_minstr_per_s"; "warm_prepare_speedup" ]);
   (* the steady-state loop must stay allocation-free.  Measured over a
      window long enough to amortize per-simulate setup (predictor
      tables, the O(n) prepared arrays): the budget below leaves ~10
      words/instr of headroom over the tracked level, while a per-cycle
      list or closure sneaking back into the engine costs tens of words
      per instruction and trips it immediately. *)
-  let gc_row =
-    measure_workload ~window_override:(Some 20_000)
-      (Option.get (Pf_workloads.Suite.find "gzip"))
-  in
+  let gc_row = measure_workload ~window_override:(Some 20_000) wl in
   check "near-zero allocation per instr"
     (allocated_total gc_row
      /. float_of_int (gc_row.instructions * List.length gc_row.sims)
@@ -610,130 +509,54 @@ let run_smoke () =
 let run_full () =
   let t_start = Unix.gettimeofday () in
   Printf.printf "Engine microbenchmark: prepare vs simulate per workload\n";
-  let rows =
+  let each names measure print =
     List.map
       (fun name ->
-        let wl = Option.get (Pf_workloads.Suite.find name) in
-        let row = measure_workload ~window_override:!window_override wl in
-        Printf.printf
-          "  %-10s window %7d  prepare %6.3f s (flatten %6.4f s)  simulate %6.3f s over %d policies\n%!"
-          row.workload row.window row.prepare_s row.flatten_s
-          (simulate_total row) (List.length row.sims);
+        let row =
+          measure ~window_override (Option.get (Pf_workloads.Suite.find name))
+        in
+        print row;
         row)
-      (* the phase grid stays on the 12 SPEC-shaped kernels so
-         engine_minstr_per_s keeps its meaning against the recorded
-         baseline; the loop-nest family has its own figure *)
-      Pf_workloads.Suite.spec_names
+      names
   in
+  (* the phase and prepare grids stay on the 12 SPEC-shaped kernels so
+     engine_minstr_per_s keeps its meaning against the recorded
+     baseline; the loop-nest family has its own figure *)
+  let rows =
+    each Pf_workloads.Suite.spec_names measure_workload (fun row ->
+        Printf.printf
+          "  %-10s window %7d  prepare %6.3f s  simulate %6.3f s over %d policies\n%!"
+          row.workload row.window row.prepare_s (simulate_total row)
+          (List.length row.sims))
+  in
+  Printf.printf
+    "Trace-store preparation, cold (fresh store) vs warm (store hit):\n%!";
   let prep_rows =
-    Printf.printf
-      "Trace-store preparation, cold (fresh store) vs warm (store hit):\n%!";
-    List.map
-      (fun name ->
-        let p =
-          measure_prepare ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_prepare_row p;
-        p)
-      Pf_workloads.Suite.spec_names
+    each Pf_workloads.Suite.spec_names measure_prepare print_prepare_row
   in
-  let batched =
-    Printf.printf
-      "Batched vs sequential cold sweeps (%s; policies cycle %s):\n%!"
-      (String.concat ", " batch_workloads)
-      (String.concat "/" (List.map Pf_core.Policy.name phase_policies));
-    List.map
-      (fun name ->
-        let b =
-          measure_batch ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_batch_row b;
-        b)
-      batch_workloads
-  in
-  let grid =
-    if !no_grid then None
-    else begin
-      let specs = grid_specs ~window_override:!window_override () in
-      Printf.printf "Grid sweep: %d runs, %d jobs...\n%!" (List.length specs)
-        !jobs;
-      let (runs, _), wall =
-        B.time (fun () -> Sweep.execute ~jobs:!jobs specs)
-      in
-      Printf.printf "  grid wall %.1f s (%.1f runs/s)\n%!" wall
-        (float_of_int (List.length runs) /. wall);
-      Some (List.length runs, wall)
-    end
-  in
+  Printf.printf
+    "Shared prepare vs sequential cold sweeps (%s; policies cycle %s):\n%!"
+    (String.concat ", " shared_workloads)
+    (String.concat "/" (List.map Pf_core.Policy.name phase_policies));
+  let shared = each shared_workloads measure_shared print_shared_row in
   let sum f = List.fold_left (fun a w -> a +. f w) 0. rows in
-  let batched_minstr, _ = batch_totals batched ~size:max_batch_size in
-  let _, speedup_4 = batch_totals batched ~size:4 in
+  let shared_minstr, _ = shared_totals shared ~size:max_group_size in
+  let _, speedup_4 = shared_totals shared ~size:4 in
   let _, _, warm_speedup = prepare_totals prep_rows in
   Printf.printf
-    "Totals: prepare %.2f s, simulate %.2f s; flatten-sharing speedup %.2fx \
-     on the phase grid; batched %.2f Minstr/s at B=%d, cold speedup %.2fx at \
-     B=4; warm prepare %.1fx cold\n"
+    "Totals: prepare %.2f s, simulate %.2f s; shared prepare %.2f Minstr/s \
+     at B=%d, cold speedup %.2fx at B=4; warm prepare %.1fx cold\n"
     (sum (fun w -> w.prepare_s))
     (sum simulate_total)
-    (sum unshared_wall /. sum shared_wall)
-    batched_minstr max_batch_size speedup_4 warm_speedup;
+    shared_minstr max_group_size speedup_4 warm_speedup;
   let doc =
     document
       ~tool:(String.concat " " (Array.to_list Sys.argv))
       ~wall_s:(Unix.gettimeofday () -. t_start)
-      ~rows ~prep_rows ~batched ~grid
+      ~rows ~prep_rows ~shared
   in
   save !json_out doc;
   Printf.printf "Wrote %s (schema %d)\n" !json_out
     Pf_report.Manifest.schema_version
 
-(* ---- batch-only: the batched section alone, no artifact ---- *)
-
-let run_batch_only () =
-  Printf.printf
-    "Batched vs sequential cold sweeps (policies cycle %s):\n%!"
-    (String.concat "/" (List.map Pf_core.Policy.name phase_policies));
-  let batched =
-    List.map
-      (fun name ->
-        let b =
-          measure_batch ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_batch_row b;
-        b)
-      batch_workloads
-  in
-  let batched_minstr, _ = batch_totals batched ~size:max_batch_size in
-  let _, speedup_4 = batch_totals batched ~size:4 in
-  Printf.printf
-    "Aggregate: %.2f Minstr/s at B=%d; cold speedup %.2fx at B=4\n"
-    batched_minstr max_batch_size speedup_4
-
-(* ---- prepare-only: the cold-vs-warm store section alone ---- *)
-
-let run_prepare_only () =
-  Printf.printf
-    "Trace-store preparation, cold (fresh store) vs warm (store hit):\n%!";
-  let prep_rows =
-    List.map
-      (fun name ->
-        let p =
-          measure_prepare ~window_override:!window_override
-            (Option.get (Pf_workloads.Suite.find name))
-        in
-        print_prepare_row p;
-        p)
-      Pf_workloads.Suite.spec_names
-  in
-  let cold, warm, speedup = prepare_totals prep_rows in
-  Printf.printf "Aggregate: cold %.1f ms, warm %.1f ms, speedup %.1fx\n"
-    (1000. *. cold) (1000. *. warm) speedup
-
-let () =
-  if !smoke then run_smoke ()
-  else if !batch_only then run_batch_only ()
-  else if !prepare_only then run_prepare_only ()
-  else run_full ()
+let () = if !smoke then run_smoke () else run_full ()

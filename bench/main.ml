@@ -1,6 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 4), then runs bechamel micro-benchmarks of the
-   analysis passes and the simulator itself.
+(* Figure harness: regenerates every table and figure of the paper's
+   evaluation (Section 4). It reports its own wall time and nothing
+   finer; the repository's benchmark is pfbench (pfbench/README.md).
 
    All simulations — the workload×policy grid of Figures 9-12 plus the
    config-variant studies (task scaling, ablations, split spawning,
@@ -18,7 +18,7 @@
      Figure 11 — loss when one postdominator category is excluded
      Figure 12 — reconvergence-predictor spawning vs compiler postdominators
    plus extension studies (task-count scaling, ablations, split
-   spawning, window sensitivity) and the micro-benchmarks.
+   spawning, window sensitivity).
 
    Set PF_BENCH_WINDOW to override the per-workload window (useful for a
    quick smoke run), or use --smoke for the self-checking mini-sweep. *)
@@ -36,7 +36,6 @@ let jobs = ref (min 8 (Domain.recommended_domain_count ()))
 let json_out = ref ""
 let smoke = ref false
 let loopnest = ref false
-let no_micro = ref false
 let no_cache = ref false
 let cache_dir = ref "_cache"
 let no_trace_store = ref false
@@ -51,7 +50,6 @@ let () =
       ("--loopnest", Arg.Set loopnest,
        "  sweep the loop-nest dependence-distance family instead of the paper \
         grid (with --smoke: self-checking DOACROSS trend assertions)");
-      ("--no-micro", Arg.Set no_micro, "  skip the bechamel micro-benchmarks");
       ("--no-cache", Arg.Set no_cache,
        "  bypass the sweep result cache and resimulate everything");
       ("--cache", Arg.Set_string cache_dir,
@@ -63,7 +61,7 @@ let () =
       ("-v", Arg.Set verbose,
        "  verbose: print the sweep's cache/batch execution summary") ]
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/main.exe [--jobs N] [--json FILE] [--smoke] [--loopnest] [--no-micro] [--no-cache] [--cache DIR] [--no-trace-store] [--trace-store DIR] [-v]"
+    "bench/main.exe [--jobs N] [--json FILE] [--smoke] [--loopnest] [--no-cache] [--cache DIR] [--no-trace-store] [--trace-store DIR] [-v]"
 
 (* ---- the sweep grid ---- *)
 
@@ -178,10 +176,10 @@ let avg ctx label =
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
 (* The prepared window a run was measured on, for the sections that
-   re-read windows (limit study, CPI stacks, micro-benchmarks): the
-   sweep's own window when it simulated there, else one prepared on
-   first request — the sweep prepares no window whose runs all came
-   from the cache — and kept for the next section that asks. *)
+   re-read windows (limit study, CPI stacks): the sweep's own window
+   when it simulated there, else one prepared on first request — the
+   sweep prepares no window whose runs all came from the cache — and
+   kept for the next section that asks. *)
 let window_of ?trace_store (prepared : Sweep.prepared_window list) =
   let memo = Hashtbl.create 16 in
   List.iter
@@ -538,93 +536,6 @@ let window_sensitivity ctx =
         sensitivity_windows;
       Printf.printf "\n")
     sensitivity_workloads
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the underlying machinery.              *)
-
-let microbenches ctx window_of =
-  section "Micro-benchmarks (bechamel): analysis passes and simulator speed";
-  let open Bechamel in
-  let twolf = Option.get (Pf_workloads.Suite.find "twolf") in
-  let twolf_prep = window_of (run_exn ctx "twolf" "postdoms") in
-  let program = twolf.Pf_workloads.Workload.program in
-  let pcfgs = Pf_isa.Cfg_build.build_all program in
-  let big =
-    List.fold_left
-      (fun best p ->
-        if Pf_cfg.Cfg.nblocks p.Pf_isa.Cfg_build.cfg
-           > Pf_cfg.Cfg.nblocks best.Pf_isa.Cfg_build.cfg
-        then p
-        else best)
-      (List.hd pcfgs) pcfgs
-  in
-  let gshare = Pf_predict.Gshare.create () in
-  (* one Test.make per figure: times regenerating a representative slice
-     of that figure (the full tables above are the reference output) *)
-  let small_prep =
-    Run.prepare program ~setup:twolf.Pf_workloads.Workload.setup
-      ~fast_forward:2_000 ~window:8_000
-  in
-  let figure_slice name policy =
-    Test.make ~name
-      (Staged.stage (fun () -> ignore (Run.simulate small_prep ~policy)))
-  in
-  let tests =
-    [ Test.make ~name:"figure 5 slice: static spawn distribution"
-        (Staged.stage (fun () ->
-             ignore
-               (Pf_core.Static_stats.of_spawns
-                  (Pf_core.Classify.spawn_points program))));
-      figure_slice "figure 9 slice: hammock policy (twolf, 8k window)"
-        (Pf_core.Policy.Categories [ Pf_core.Spawn_point.Hammock ]);
-      figure_slice "figure 10 slice: loop+loopFT+procFT (twolf, 8k window)"
-        (Pf_core.Policy.Categories
-           Pf_core.Spawn_point.[ Loop_iter; Loop_ft; Proc_ft ]);
-      figure_slice "figure 11 slice: postdoms-hammock (twolf, 8k window)"
-        (Pf_core.Policy.Postdoms_minus Pf_core.Spawn_point.Hammock);
-      figure_slice "figure 12 slice: rec_pred (twolf, 8k window)"
-        Pf_core.Policy.Rec_pred;
-      Test.make ~name:"postdominator tree (largest twolf procedure)"
-        (Staged.stage (fun () ->
-             ignore (Pf_cfg.Dominance.postdominators big.Pf_isa.Cfg_build.cfg)));
-      Test.make ~name:"spawn-point classification (whole twolf binary)"
-        (Staged.stage (fun () -> ignore (Pf_core.Classify.spawn_points program)));
-      Test.make ~name:"gshare predict+update"
-        (Staged.stage (fun () ->
-             ignore (Pf_predict.Gshare.predict gshare ~pc:0x1040);
-             Pf_predict.Gshare.update gshare ~pc:0x1040 ~taken:true));
-      Test.make ~name:"architectural interpreter (1k instructions)"
-        (Staged.stage (fun () ->
-             let m = Pf_isa.Machine.create program in
-             twolf.Pf_workloads.Workload.setup m;
-             ignore (Pf_isa.Machine.skip m 1000))) ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] test in
-      let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ ns ] ->
-              if ns > 1_000_000. then
-                Printf.printf "  %-50s %10.2f ms/run\n" name (ns /. 1e6)
-              else if ns > 1_000. then
-                Printf.printf "  %-50s %10.2f us/run\n" name (ns /. 1e3)
-              else Printf.printf "  %-50s %10.0f ns/run\n" name ns
-          | _ -> Printf.printf "  %-50s (no estimate)\n" name)
-        res)
-    tests;
-  (* end-to-end simulator throughput, measured directly *)
-  let t0 = Unix.gettimeofday () in
-  ignore (Run.simulate twolf_prep ~policy:Pf_core.Policy.Postdoms);
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "  %-50s %10.2f Minstr/s\n" "timing engine throughput (twolf, postdoms)"
-    (float_of_int (Pf_trace.Tracer.length twolf_prep.Run.trace) /. dt /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* Smoke mode: a tiny sweep that checks the report pipeline end to     *)
@@ -1030,7 +941,6 @@ let run_full () =
       (List.length doc.Sweep.runs) !json_out Pf_report.Manifest.schema_version
       !json_out
   end;
-  if not !no_micro then microbenches ctx window_of;
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t_start)
 
 let () =

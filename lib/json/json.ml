@@ -90,6 +90,11 @@ let to_string_pretty v = render ~indent:true v
 
 exception Parse_error of int * string
 
+(* Arrays and objects nest at most this deep. The parser recurses once
+   per level, so the bound keeps a hostile line from costing seconds of
+   stack growth; a sweep document nests 6 levels. *)
+let max_depth = 512
+
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
@@ -170,17 +175,18 @@ let of_string s =
           | 'u' ->
               let u = hex4 () in
               let u =
-                (* surrogate pair *)
-                if u >= 0xd800 && u <= 0xdbff
-                   && !pos + 6 <= n
-                   && s.[!pos] = '\\'
-                   && s.[!pos + 1] = 'u'
-                then begin
+                if u < 0xd800 || u > 0xdfff then u
+                else begin
+                  (* a surrogate must be a high one escaped right before
+                     a low one *)
+                  if u > 0xdbff || !pos + 6 > n
+                     || s.[!pos] <> '\\' || s.[!pos + 1] <> 'u'
+                  then fail "unpaired surrogate";
                   pos := !pos + 2;
                   let lo = hex4 () in
+                  if lo < 0xdc00 || lo > 0xdfff then fail "unpaired surrogate";
                   0x10000 + (((u - 0xd800) lsl 10) lor (lo - 0xdc00))
                 end
-                else u
               in
               utf8_of_code buf u;
               loop ()
@@ -215,7 +221,13 @@ let of_string s =
           | Some f -> Float f (* out of int range *)
           | None -> fail (Printf.sprintf "bad number %S" lit))
   in
-  let rec parse_value () =
+  let nest depth =
+    if depth = max_depth then
+      fail (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ();
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -224,7 +236,7 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '[' ->
-        advance ();
+        let depth = nest depth in
         skip_ws ();
         if peek () = Some ']' then begin
           advance ();
@@ -232,7 +244,7 @@ let of_string s =
         end
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value depth in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); items (v :: acc)
@@ -241,7 +253,7 @@ let of_string s =
           in
           List (items [])
     | Some '{' ->
-        advance ();
+        let depth = nest depth in
         skip_ws ();
         if peek () = Some '}' then begin
           advance ();
@@ -253,7 +265,7 @@ let of_string s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value depth in
             (k, v)
           in
           let rec fields acc =
@@ -268,7 +280,7 @@ let of_string s =
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage after value";
   v

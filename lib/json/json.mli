@@ -35,7 +35,12 @@ exception Parse_error of int * string
 
 (** Parse one JSON value (surrounding whitespace allowed).
     Numbers without [.], [e] or [E] become [Int]; the rest [Float].
-    @raise Parse_error on malformed input or trailing garbage. *)
+    A [\uXXXX] escape of a UTF-16 surrogate must be a high surrogate
+    escaped right before a low one, and the pair decodes to one
+    scalar value.
+    @raise Parse_error on malformed input, trailing garbage, an
+    unpaired surrogate escape, or arrays and objects nested more than
+    512 deep. *)
 val of_string : string -> t
 
 (** {1 Decoding helpers}

@@ -72,7 +72,7 @@ val run_of_json : Json.t -> run
 
 (** A (workload, window) pair that {!execute} prepared because at
     least one cache miss simulated on it, exposed so callers can run
-    extra analyses (ILP limits, micro-benchmarks) on the same windows.
+    extra analyses (ILP limits, CPI stacks) on the same windows.
     A window whose runs all replayed from the cache is not prepared;
     {!Pf_uarch.Run.prepare} with the same inputs builds an identical
     one. *)

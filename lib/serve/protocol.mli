@@ -4,7 +4,7 @@
     docs/SERVING.md for the normative field tables).
 
     Both directions are implemented here — the daemon decodes requests
-    and encodes responses; clients (bench/serve_bench.ml, tests) do the
+    and encodes responses; clients (the tests, pfbench) do the
     reverse — so the codec round-trips by construction and the test
     suite holds it to that. Request decoding never raises: malformed
     input becomes an [Error] the server answers with an error reply. *)

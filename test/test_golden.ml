@@ -6,8 +6,9 @@
    plus the config variants that exercise split spawning and the ROB
    share caps. The overhaul is a pure restructuring: any metric drift,
    in any counter, is a bug. Keep these lines verbatim; re-record them
-   only for a change that intentionally alters timing behaviour, and say
-   so in the commit. *)
+   only for a change that intentionally alters timing behaviour, bump
+   [Engine.timing_version] with them (see [golden_digests] below), and
+   say so in the commit. *)
 
 open Pf_uarch
 
@@ -123,6 +124,31 @@ let check_against ~cases ~golden workload () =
 let check_workload = check_against ~cases ~golden
 let check_loopnest = check_against ~cases:loopnest_cases ~golden:loopnest_golden
 
+(* The MD5 of [golden @ loopnest_golden], joined by newlines, for each
+   [Engine.timing_version] they were recorded under. Re-recording a
+   golden line is a timing change, and only a [timing_version] bump
+   stops the run cache from replaying results recorded under the old
+   timing: so a re-record adds a new version and a new entry here, and
+   never edits an old entry. The pin catches only what the gzip, mcf
+   and loop-nest goldens above see; a timing change they miss still
+   needs its bump by hand. *)
+let golden_digests = [ ("engine-3", "9b96370032d1131b19f16a428b405727") ]
+
+let test_goldens_pinned () =
+  let digest =
+    Digest.to_hex (Digest.string (String.concat "\n" (golden @ loopnest_golden)))
+  in
+  match List.assoc_opt Engine.timing_version golden_digests with
+  | None ->
+      Alcotest.failf
+        "timing_version %s has no golden digest; add (%S, %S) to \
+         golden_digests"
+        Engine.timing_version Engine.timing_version digest
+  | Some pinned ->
+      Alcotest.(check string)
+        ("golden lines recorded under " ^ Engine.timing_version)
+        pinned digest
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "gzip parity vs recorded goldens" `Quick
@@ -132,4 +158,6 @@ let suite =
         Alcotest.test_case "loopnest DOALL nest vs recorded goldens" `Quick
           (check_loopnest "loopnest.d0.unit.n1");
         Alcotest.test_case "loopnest far-carry nest vs recorded goldens" `Quick
-          (check_loopnest "loopnest.d4.unit.n1") ] ) ]
+          (check_loopnest "loopnest.d4.unit.n1");
+        Alcotest.test_case "goldens pinned to timing_version" `Quick
+          test_goldens_pinned ] ) ]

@@ -32,16 +32,19 @@ let test_json_whole_floats_stay_floats () =
   | _ -> Alcotest.fail "5.0 parsed back as a non-float"
 
 let test_json_escapes () =
+  let decode s =
+    match Json.of_string s with
+    | Json.String s -> s
+    | _ -> "not a string"
+  in
   Alcotest.(check string)
     "unicode escape decodes to UTF-8" "a\xc3\xa9b"
-    (match Json.of_string {|"aéb"|} with
-    | Json.String s -> s
-    | _ -> "not a string");
+    (decode "\"a\\u00e9b\"");
   Alcotest.(check string)
     "surrogate pair decodes" "\xf0\x9d\x84\x9e"
-    (match Json.of_string {|"𝄞"|} with
-    | Json.String s -> s
-    | _ -> "not a string")
+    (decode "\"\\ud834\\udd1e\"");
+  Alcotest.(check string)
+    "raw UTF-8 passes through" "\xf0\x9d\x84\x9e" (decode "\"\xf0\x9d\x84\x9e\"")
 
 let test_json_errors () =
   let fails s =
@@ -53,6 +56,21 @@ let test_json_errors () =
   Alcotest.(check bool) "unterminated string" true (fails "\"abc");
   Alcotest.(check bool) "bare word" true (fails "postdoms");
   Alcotest.(check bool) "missing colon" true (fails {|{"a" 1}|});
+  Alcotest.(check bool) "high surrogate before a plain escape" true
+    (fails "\"\\ud800\\u0041\"");
+  Alcotest.(check bool) "two high surrogates" true
+    (fails "\"\\ud800\\ud800\"");
+  Alcotest.(check bool) "lone low surrogate" true (fails "\"\\udc00\"");
+  Alcotest.(check bool) "high surrogate at the end" true
+    (fails "\"\\ud800\"");
+  (* nesting is bounded at 512: a deep line fails at the first bracket
+     past the bound instead of recursing to its end *)
+  Alcotest.(check bool) "deep nesting rejected early" true
+    (match Json.of_string (String.make 1_000_000 '[') with
+    | exception Json.Parse_error (offset, _) -> offset <= 513
+    | _ -> false);
+  Alcotest.(check bool) "nesting at the bound accepted" false
+    (fails (String.make 512 '[' ^ String.make 512 ']'));
   Alcotest.(check bool) "non-finite rejected on write" true
     (match Json.to_string (Json.Float Float.nan) with
     | exception Invalid_argument _ -> true

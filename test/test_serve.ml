@@ -2,7 +2,10 @@
    protocol codec round trips and error paths, cache cold-start /
    sharding / migration / eviction-order behaviour, scheduler
    coalescing, no_cache, prep sharing and the deterministic timeout
-   path, and a socket-level integration case against a live server. *)
+   path, and integration cases against a live server: the socket
+   protocol, concurrent clients checked byte for byte against a direct
+   sweep, the HTTP shim, and shutdown followed by a second boot over
+   the persisted trace store. *)
 
 open Pf_serve
 module Json = Pf_json.Json
@@ -475,21 +478,32 @@ let rpc (_, ic, oc) line =
   flush oc;
   Json.of_string (input_line ic)
 
-let test_server_socket_roundtrip () =
-  let dir = temp_dir () in
+(* A daemon over [dir] with its run cache in [dir/cache], its trace
+   store in [dir/tstore] and one worker. *)
+let boot ?(cache = "cache") ?(http = false) dir =
   let cfg =
     { (Server.default_config ~socket_path:(Filename.concat dir "s.sock")) with
       Server.jobs = 1;
-      cache_dir = Some (Filename.concat dir "cache") }
+      cache_dir = Some (Filename.concat dir cache);
+      trace_store_dir = Some (Filename.concat dir "tstore");
+      http_port = (if http then Some 0 else None) }
   in
-  let server = Server.start cfg in
+  (Server.start cfg, cfg)
+
+let close_conn (fd, _, _) = Unix.close fd
+
+let str k j = Json.to_str (Json.member k j)
+
+let test_server_socket_roundtrip () =
+  let server, cfg = boot (temp_dir ()) in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
       let c = connect cfg.Server.socket_path in
-      let str k j = Json.to_str (Json.member k j) in
       Alcotest.(check string) "ping" "ping"
         (str "op" (rpc c {|{"op":"ping"}|}));
+      Alcotest.(check bool) "ping echoes its id" true
+        (Json.member "id" (rpc c {|{"op":"ping","id":7}|}) = Json.Int 7);
       let fresh = rpc c {|{"workload":"gzip","window":2000,"id":1}|} in
       Alcotest.(check string) "run ok" "ok" (str "status" fresh);
       Alcotest.(check bool) "first fresh" false
@@ -506,8 +520,7 @@ let test_server_socket_roundtrip () =
         (str "code" (rpc c "]["));
       Alcotest.(check string) "stats op" "stats"
         (str "op" (rpc c {|{"op":"stats"}|}));
-      let (fd, _, _) = c in
-      Unix.close fd);
+      close_conn c);
   Alcotest.(check bool) "socket unlinked" false
     (Sys.file_exists cfg.Server.socket_path)
 
@@ -528,6 +541,218 @@ let test_server_refuses_shutdown_when_disabled () =
           Alcotest.(check bool) "not stopping" false
             (Server.stop_requested server)
       | _ -> Alcotest.fail "disabled shutdown was honoured")
+
+(* three workloads x three policy classes over one small window *)
+let mix_window = 2_000
+
+let mix =
+  [ ("gzip", "superscalar"); ("gzip", "postdoms"); ("gzip", "rec_pred");
+    ("mcf", "superscalar"); ("mcf", "postdoms"); ("mcf", "rec_pred");
+    ("twolf", "superscalar"); ("twolf", "postdoms"); ("twolf", "rec_pred") ]
+
+let run_line ?id (workload, policy) =
+  Json.to_string
+    (Json.Obj
+       ((match id with None -> [] | Some i -> [ ("id", Json.Int i) ])
+       @ [ ("workload", Json.String workload);
+           ("policy", Json.String policy);
+           ("window", Json.Int mix_window) ]))
+
+let is_cached r = Json.to_bool (Json.member "cached" r)
+let run_bytes r = Json.to_string (Json.member "run" r)
+
+(* every spec of [mix] once, in order, each a fresh simulation *)
+let cold_pass c =
+  List.map
+    (fun spec ->
+      let r = rpc c (run_line spec) in
+      Alcotest.(check string) "cold reply ok" "ok" (str "status" r);
+      Alcotest.(check bool) "cold reply fresh" false (is_cached r);
+      (spec, r))
+    mix
+
+let test_server_concurrent_clients () =
+  let dir = temp_dir () in
+  let server, cfg = boot dir in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let c = connect cfg.Server.socket_path in
+      let cold = cold_pass c in
+      let cold_bytes spec = run_bytes (List.assoc spec cold) in
+      (* four clients, each on its own connection, each asking for every
+         spec once from its own starting point *)
+      let clients = 4 and n = List.length mix in
+      let replies = Array.make clients [] in
+      let client ci =
+        let c = connect cfg.Server.socket_path in
+        replies.(ci) <-
+          List.init n (fun j ->
+              let spec = List.nth mix ((ci + j) mod n) in
+              let id = (ci * 1000) + j in
+              (spec, id, rpc c (run_line ~id spec)));
+        close_conn c
+      in
+      List.init clients (Thread.create client) |> List.iter Thread.join;
+      let warm = List.concat (Array.to_list replies) in
+      List.iter
+        (fun (spec, id, r) ->
+          Alcotest.(check string) "warm reply ok" "ok" (str "status" r);
+          Alcotest.(check bool) "warm reply cached" true (is_cached r);
+          Alcotest.(check bool) "warm reply echoes its id" true
+            (Json.member "id" r = Json.Int id);
+          Alcotest.(check string) "warm reply equals the cold reply"
+            (cold_bytes spec) (run_bytes r))
+        warm;
+      Alcotest.(check string) "malformed line" "parse_error"
+        (str "code" (rpc c "this is not json"));
+      Alcotest.(check string) "unknown op" "bad_request"
+        (str "code" (rpc c {|{"op":"explode"}|}));
+      (* each spec simulated and stored once; every later request hit *)
+      let stats = Json.member "stats" (rpc c {|{"op":"stats"}|}) in
+      close_conn c;
+      let int_at path =
+        Json.to_int (List.fold_left (fun j k -> Json.member k j) stats path)
+      in
+      let counter name = int_at [ "counters"; name ] in
+      Alcotest.(check int) "cache entries" n (int_at [ "cache"; "entries" ]);
+      Alcotest.(check int) "simulations" n (counter "simulations");
+      Alcotest.(check int) "run_cache_stores" n (counter "run_cache_stores");
+      Alcotest.(check int) "run_cache_evictions" 0
+        (counter "run_cache_evictions");
+      Alcotest.(check int) "run_cache_hits" (List.length warm)
+        (counter "run_cache_hits");
+      Alcotest.(check int) "run_requests" (n + List.length warm)
+        (counter "run_requests");
+      Alcotest.(check int) "malformed_requests" 2 (counter "malformed_requests");
+      (* window preparation went through the trace store: one entry per
+         workload, and the prepare-time gauge is exposed *)
+      Alcotest.(check int) "trace-store stores" 3
+        (int_at [ "trace_store"; "stores" ]);
+      Alcotest.(check int) "trace-store entries" 3
+        (int_at [ "trace_store"; "entries" ]);
+      Alcotest.(check bool) "prepare_ms gauge" true
+        (Json.to_float (Json.member "prepare_ms" stats) >= 0.);
+      (* the daemon's replies are the runs a direct sweep reads from the
+         same cache directory *)
+      let policy name =
+        match Pf_core.Policy.of_string name with
+        | Ok p -> p
+        | Error m -> Alcotest.fail m
+      in
+      let direct, _ =
+        Sweep.execute
+          ~cache:(Run_cache.create ~dir:(Option.get cfg.Server.cache_dir) ())
+          ~jobs:1
+          (List.map (fun (w, p) -> Sweep.spec ~window:mix_window w (policy p)) mix)
+      in
+      List.iter2
+        (fun spec run ->
+          Alcotest.(check string) "reply equals a direct sweep"
+            (cold_bytes spec)
+            (Json.to_string (Sweep.run_to_json run)))
+        mix direct)
+
+(* one request to the HTTP shim on 127.0.0.1: the status code and the
+   JSON body (the shim closes every connection after its reply) *)
+let http port request =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let ic = Unix.in_channel_of_descr fd in
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc request;
+      flush oc;
+      let code = Scanf.sscanf (input_line ic) "HTTP/1.1 %d" Fun.id in
+      let rec body () =
+        if String.trim (input_line ic) = "" then In_channel.input_all ic
+        else body ()
+      in
+      (code, Json.of_string (body ())))
+
+let http_get port path =
+  http port (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path)
+
+let http_post port path body =
+  http port
+    (Printf.sprintf
+       "POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
+       path (String.length body) body)
+
+let test_server_http_shim () =
+  let dir = temp_dir () in
+  let server, cfg = boot ~http:true dir in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let spec = List.hd mix in
+      let c = connect cfg.Server.socket_path in
+      let fresh = rpc c (run_line spec) in
+      close_conn c;
+      let port = Option.get (Server.http_port server) in
+      let code, health = http_get port "/healthz" in
+      Alcotest.(check int) "healthz status" 200 code;
+      Alcotest.(check string) "healthz body" "ok" (str "status" health);
+      let code, hit = http_post port "/run" (run_line spec) in
+      Alcotest.(check int) "run status" 200 code;
+      Alcotest.(check bool) "run served from the cache" true (is_cached hit);
+      Alcotest.(check string) "run byte-identical to the socket reply"
+        (run_bytes fresh) (run_bytes hit);
+      let code, bad = http_post port "/run" "{]" in
+      Alcotest.(check int) "malformed body status" 400 code;
+      Alcotest.(check string) "malformed body code" "parse_error"
+        (str "code" bad);
+      let code, stats = http_get port "/stats" in
+      Alcotest.(check int) "stats status" 200 code;
+      Alcotest.(check string) "stats body" "ok" (str "status" stats);
+      let code, _ = http_get port "/nope" in
+      Alcotest.(check int) "unknown path status" 404 code)
+
+let test_server_shutdown_and_second_boot () =
+  let dir = temp_dir () in
+  (* [shutdown] over the socket ends [Server.run]; [finally] tears the
+     daemon down only if the case failed before that *)
+  let serve ~cache f =
+    let server, cfg = boot ~cache dir in
+    Fun.protect
+      ~finally:(fun () -> Server.stop server)
+      (fun () ->
+        let c = connect cfg.Server.socket_path in
+        let result = f c in
+        let bye = rpc c {|{"op":"shutdown","id":"bye"}|} in
+        Alcotest.(check string) "shutdown acknowledged" "shutdown"
+          (str "op" bye);
+        Alcotest.(check bool) "shutdown echoes its id" true
+          (Json.member "id" bye = Json.String "bye");
+        close_conn c;
+        Server.run server;
+        Alcotest.(check bool) "socket unlinked" false
+          (Sys.file_exists cfg.Server.socket_path);
+        result)
+  in
+  let first = serve ~cache:"cache" cold_pass in
+  (* a second daemon on the same trace store with a fresh run cache:
+     every request simulates again, on windows read from the store *)
+  let second, stats =
+    serve ~cache:"cache2" (fun c ->
+        let replies = cold_pass c in
+        (replies, Json.member "stats" (rpc c {|{"op":"stats"}|})))
+  in
+  List.iter2
+    (fun (_, r1) (_, r2) ->
+      List.iter
+        (fun field ->
+          Alcotest.(check string)
+            (field ^ " equal the first boot's")
+            (Json.to_string (Json.member field (Json.member "run" r1)))
+            (Json.to_string (Json.member field (Json.member "run" r2))))
+        [ "metrics"; "counters" ])
+    first second;
+  let hits block = Json.to_int (Json.member "hits" (Json.member block stats)) in
+  Alcotest.(check bool) "trace-store hits" true (hits "trace_store" > 0);
+  Alcotest.(check int) "run-cache hits" 0 (hits "cache")
 
 let suite =
   [ ( "serve.protocol",
@@ -552,4 +777,9 @@ let suite =
           test_scheduler_group_failure_isolated ] );
     ( "serve.server",
       [ case "socket round trip" test_server_socket_roundtrip;
-        case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled ] ) ]
+        case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled;
+        case "concurrent clients match a direct sweep"
+          test_server_concurrent_clients;
+        case "HTTP shim" test_server_http_shim;
+        case "shutdown, then a second boot on the trace store"
+          test_server_shutdown_and_second_boot ] ) ]

@@ -10,7 +10,7 @@ bench=$1
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 pass() {
-  if ! PF_BENCH_WINDOW=2000 "$bench" --no-micro --jobs 2 \
+  if ! PF_BENCH_WINDOW=2000 "$bench" --jobs 2 \
       --cache "$dir/cache" --trace-store "$dir/tstore" \
       >"$dir/$1.raw" 2>"$dir/$1.err"; then
     echo "warm smoke: the $1 pass failed:" >&2
