@@ -176,16 +176,11 @@ let avg ctx label =
 let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
 (* The prepared window a run was measured on, for the sections that
-   re-read windows (limit study, CPI stacks): the sweep's own window
-   when it simulated there, else one prepared on first request — the
-   sweep prepares no window whose runs all came from the cache — and
-   kept for the next section that asks. *)
-let window_of ?trace_store (prepared : Sweep.prepared_window list) =
+   re-read windows (limit study, CPI stacks): prepared on first request
+   through the trace store, since the sweep drops each window after its
+   last batch, and kept for the next section that asks. *)
+let window_of ?trace_store () =
   let memo = Hashtbl.create 16 in
-  List.iter
-    (fun (p : Sweep.prepared_window) ->
-      Hashtbl.replace memo (p.Sweep.pw_workload, p.Sweep.pw_window) p.Sweep.prep)
-    prepared;
   fun (r : Sweep.run) ->
     let key = (r.Sweep.workload, r.Sweep.window) in
     match Hashtbl.find_opt memo key with
@@ -873,7 +868,7 @@ let run_full () =
     else Some (Pf_trace.Trace_store.create ~dir:!trace_store_dir ())
   in
   let stats = ref None in
-  let runs, prepared =
+  let runs, _ =
     Sweep.execute ~progress ?cache ?trace_store
       ~on_stats:(fun s -> stats := Some s)
       ~jobs:!jobs specs
@@ -910,7 +905,7 @@ let run_full () =
       ~jobs:!jobs ~wall_s:sweep_wall runs
   in
   let ctx = ctx_of doc in
-  let window_of = window_of ?trace_store prepared in
+  let window_of = window_of ?trace_store () in
   Printf.printf "Sweep done in %.1f s:\n" sweep_wall;
   List.iter
     (fun w ->

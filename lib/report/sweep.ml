@@ -31,21 +31,20 @@ type prepared_window = {
   pw_workload : string;
   pw_window : int;
   pw_prepare_s : float;
-  prep : Run.prepared;
 }
 
 (* ---- the worker pool ----
 
-   Work items are claimed with an atomic counter; each result slot is
+   Work items are claimed with an atomic counter; each result cell is
    written by exactly one domain and read only after [Domain.join], so
    no further synchronisation is needed. Item functions must not print:
    only the calling domain touches stdout/stderr (via [progress]). *)
 
-let map_pool ?progress ~jobs ~offset ~total f arr =
+let map_pool ?progress ~jobs f arr =
   let n = Array.length arr in
   let results = Array.make n None in
   let notify done_ =
-    match progress with Some p -> p ~done_:(offset + done_) ~total | None -> ()
+    match progress with Some p -> p ~done_ ~total:n | None -> ()
   in
   if jobs <= 1 || n <= 1 then
     Array.iteri
@@ -148,6 +147,73 @@ type exec_stats = {
   prepare_ms : float;
 }
 
+(* ---- window slots ----
+
+   One slot per (workload, window) that some cache miss simulates. The
+   slot's first batch prepares the window and the batch that finishes
+   last drops it, so a sweep holds at most one prepared window per busy
+   worker instead of every window it has touched. A batch that finds
+   its window being prepared on another domain waits for that one
+   preparation. A preparation that raises empties the slot again, so a
+   waiting batch retries it (and fails the same way if the failure is
+   deterministic) instead of waiting forever. *)
+
+type slot_state = Empty | Preparing | Ready of Run.prepared
+
+type slot = {
+  sl_workload : string;
+  sl_wl : Pf_workloads.Workload.t;
+  sl_window : int;
+  lock : Mutex.t;
+  changed : Condition.t;  (* signalled when [state] leaves [Preparing] *)
+  mutable state : slot_state;
+  mutable pending : int;  (* batches of the window not yet finished *)
+  mutable prepare_s : float;  (* wall time of the successful preparation *)
+}
+
+let acquire ?trace_store slot =
+  let claimed =
+    Mutex.protect slot.lock (fun () ->
+        let rec wait () =
+          match slot.state with
+          | Ready prep -> Some prep
+          | Preparing ->
+              Condition.wait slot.changed slot.lock;
+              wait ()
+          | Empty ->
+              slot.state <- Preparing;
+              None
+        in
+        wait ())
+  in
+  match claimed with
+  | Some prep -> prep
+  | None -> (
+      let publish state =
+        Mutex.protect slot.lock (fun () ->
+            slot.state <- state;
+            Condition.broadcast slot.changed)
+      in
+      let t0 = Unix.gettimeofday () in
+      match
+        Run.prepare ?store:trace_store slot.sl_wl.Pf_workloads.Workload.program
+          ~setup:slot.sl_wl.Pf_workloads.Workload.setup
+          ~fast_forward:slot.sl_wl.Pf_workloads.Workload.fast_forward
+          ~window:slot.sl_window
+      with
+      | prep ->
+          slot.prepare_s <- Unix.gettimeofday () -. t0;
+          publish (Ready prep);
+          prep
+      | exception e ->
+          publish Empty;
+          raise e)
+
+let release slot =
+  Mutex.protect slot.lock (fun () ->
+      slot.pending <- slot.pending - 1;
+      if slot.pending = 0 then slot.state <- Empty)
+
 (* split [l] into consecutive chunks of at most [k] elements *)
 let chunk k l =
   let rec go acc cur n = function
@@ -179,7 +245,11 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
   in
   let seen = Hashtbl.create (Array.length specs) in
   Array.iter
-    (fun ((s : spec), _, _) ->
+    (fun ((s : spec), _, window) ->
+      if window <= 0 then
+        invalid_arg
+          (Printf.sprintf "Sweep.execute: run %s/%s has window %d (must be > 0)"
+             s.workload s.label window);
       let key = (s.workload, s.label) in
       if Hashtbl.mem seen key then
         invalid_arg
@@ -240,7 +310,7 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      prepared, so a fully cached sweep prepares nothing. *)
   let batch = max 1 batch in
   let groups : (string * int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let windows = ref [] in
+  let slots = ref [] in
   Array.iteri
     (fun i ((s : spec), wl, window) ->
       if results.(i) = None then begin
@@ -249,83 +319,85 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
         | Some l -> l := i :: !l
         | None ->
             Hashtbl.add groups key (ref [ i ]);
-            windows := (s.workload, wl, window) :: !windows
+            slots :=
+              { sl_workload = s.workload;
+                sl_wl = wl;
+                sl_window = window;
+                lock = Mutex.create ();
+                changed = Condition.create ();
+                state = Empty;
+                pending = 0;
+                prepare_s = 0. }
+              :: !slots
       end)
     resolved;
-  let windows = Array.of_list (List.rev !windows) in
+  let slots = List.rev !slots in
   let batches =
-    Array.to_list windows
-    |> List.concat_map (fun (name, _, window) ->
-           chunk batch (List.rev !(Hashtbl.find groups (name, window))))
-    |> List.map Array.of_list
+    slots
+    |> List.concat_map (fun slot ->
+           let members = Hashtbl.find groups (slot.sl_workload, slot.sl_window) in
+           let chunks = chunk batch (List.rev !members) in
+           slot.pending <- List.length chunks;
+           List.map (fun b -> (slot, Array.of_list b)) chunks)
     |> Array.of_list
   in
   let batched_runs =
     Array.fold_left
-      (fun a b -> if Array.length b >= 2 then a + Array.length b else a)
+      (fun a (_, b) -> if Array.length b >= 2 then a + Array.length b else a)
       0 batches
   in
   let batch_count =
     Array.fold_left
-      (fun a b -> if Array.length b >= 2 then a + 1 else a)
+      (fun a (_, b) -> if Array.length b >= 2 then a + 1 else a)
       0 batches
   in
-  let total = Array.length windows + Array.length batches in
-  let prepared =
-    map_pool ?progress ~jobs ~offset:0 ~total
-      (fun (name, wl, window) ->
-        let t0 = Unix.gettimeofday () in
-        let prep =
-          Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
-            ~setup:wl.Pf_workloads.Workload.setup
-            ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
-        in
-        { pw_workload = name;
-          pw_window = window;
-          pw_prepare_s = Unix.gettimeofday () -. t0;
-          prep })
-      windows
-  in
-  let prep_index = Hashtbl.create 16 in
-  Array.iter
-    (fun pw -> Hashtbl.replace prep_index (pw.pw_workload, pw.pw_window) pw.prep)
-    prepared;
   (* one work item per batch: simulate each member in turn against the
-     shared prepared window, timing it alone, and store its record *)
-  let exec_batch idxs =
-    let (s0 : spec), _, window0 = resolved.(idxs.(0)) in
-    let prep = Hashtbl.find prep_index (s0.workload, window0) in
-    List.map
-      (fun i ->
-        let (s : spec), _, window = resolved.(i) in
-        let config = resolve_config s in
-        let reg = Pf_obs.Counters.create () in
-        let t0 = Unix.gettimeofday () in
-        let metrics = Run.simulate ~counters:reg ~config prep ~policy:s.policy in
-        let wall_s = Unix.gettimeofday () -. t0 in
-        let r =
-          { workload = s.workload;
-            label = s.label;
-            policy = Pf_core.Policy.name s.policy;
-            config;
-            window;
-            instructions = Pf_trace.Tracer.length prep.Run.trace;
-            static_spawns = List.length prep.Run.all_spawns;
-            wall_s;
-            metrics;
-            counters = Pf_obs.Counters.to_alist reg }
-        in
-        (match cache with
-        | Some c -> Run_cache.store c ~digest:digest_of.(i) (run_to_json r)
-        | None -> ());
-        (i, r))
-      (Array.to_list idxs)
+     window's slot, timing it alone, and store its record; the release
+     runs even when the preparation or a member raises, so the last
+     batch of a window always drops it *)
+  let exec_batch (slot, idxs) =
+    Fun.protect
+      ~finally:(fun () -> release slot)
+      (fun () ->
+        let prep = acquire ?trace_store slot in
+        List.map
+          (fun i ->
+            let (s : spec), _, window = resolved.(i) in
+            let config = resolve_config s in
+            let reg = Pf_obs.Counters.create () in
+            let t0 = Unix.gettimeofday () in
+            let metrics =
+              Run.simulate ~counters:reg ~config prep ~policy:s.policy
+            in
+            let wall_s = Unix.gettimeofday () -. t0 in
+            let r =
+              { workload = s.workload;
+                label = s.label;
+                policy = Pf_core.Policy.name s.policy;
+                config;
+                window;
+                instructions = Pf_trace.Tracer.length prep.Run.trace;
+                static_spawns = List.length prep.Run.all_spawns;
+                wall_s;
+                metrics;
+                counters = Pf_obs.Counters.to_alist reg }
+            in
+            (match cache with
+            | Some c -> Run_cache.store c ~digest:digest_of.(i) (run_to_json r)
+            | None -> ());
+            (i, r))
+          (Array.to_list idxs))
   in
-  let out =
-    map_pool ?progress ~jobs ~offset:(Array.length windows) ~total exec_batch
-      batches
-  in
+  let out = map_pool ?progress ~jobs exec_batch batches in
   Array.iter (List.iter (fun (i, r) -> results.(i) <- Some r)) out;
+  let prepared =
+    List.map
+      (fun slot ->
+        { pw_workload = slot.sl_workload;
+          pw_window = slot.sl_window;
+          pw_prepare_s = slot.prepare_s })
+      slots
+  in
   (match on_stats with
   | Some f ->
       f
@@ -335,9 +407,7 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
           batch_count;
           prepare_ms =
             1000.
-            *. Array.fold_left
-                 (fun a pw -> a +. pw.pw_prepare_s)
-                 0. prepared }
+            *. List.fold_left (fun a pw -> a +. pw.pw_prepare_s) 0. prepared }
   | None -> ());
   let runs =
     Array.to_list
@@ -345,7 +415,7 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
          (function Some r -> r | None -> assert false)
          results)
   in
-  (runs, Array.to_list prepared)
+  (runs, prepared)
 
 (* ---- documents ---- *)
 

@@ -6,7 +6,9 @@
     dependence analysis) runs once per distinct (workload, window) pair
     that is simulated and is shared read-only by every simulation of
     that window, exactly the paper's same-dynamic-instructions
-    methodology (Section 3.2).
+    methodology (Section 3.2). A prepared window lives from the first
+    batch of its simulations to the last, so a sweep holds at most one
+    window per busy worker, not every window it touches.
 
     Results are deterministic in the job count: workload data is seeded
     per workload by [Pf_workloads.Rng] and the timing engine keeps no
@@ -71,16 +73,16 @@ val run_to_json : run -> Json.t
 val run_of_json : Json.t -> run
 
 (** A (workload, window) pair that {!execute} prepared because at
-    least one cache miss simulated on it, exposed so callers can run
-    extra analyses (ILP limits, CPI stacks) on the same windows.
-    A window whose runs all replayed from the cache is not prepared;
-    {!Pf_uarch.Run.prepare} with the same inputs builds an identical
-    one. *)
+    least one cache miss simulated on it, and how long that took. The
+    window itself is dropped after its last batch, so callers that run
+    extra analyses (ILP limits, CPI stacks) on the same windows prepare
+    them again: {!Pf_uarch.Run.prepare} with the same inputs builds an
+    identical one, and through a trace store it is a load. A window
+    whose runs all replayed from the cache is not prepared. *)
 type prepared_window = {
   pw_workload : string;
   pw_window : int;
   pw_prepare_s : float;  (** wall seconds {!Pf_uarch.Run.prepare} took *)
-  prep : Pf_uarch.Run.prepared;
 }
 
 (** What {!execute} actually did, reported through [?on_stats]:
@@ -94,10 +96,11 @@ type exec_stats = {
   batched_runs : int;    (** simulated as members of a batch of >= 2 *)
   batch_count : int;     (** number of those multi-member batches *)
   prepare_ms : float;    (** total wall milliseconds spent preparing
-                             the windows the misses simulate (summed
-                             across workers, so it can exceed the
-                             sweep's elapsed wall); 0 on a fully cached
-                             sweep *)
+                             the windows the misses simulate, summed
+                             across workers: it can exceed the sweep's
+                             elapsed wall, and it overlaps simulation
+                             running on other workers; 0 on a fully
+                             cached sweep *)
 }
 
 (** [execute ~jobs specs] runs every spec and returns the runs in spec
@@ -105,9 +108,9 @@ type exec_stats = {
     least one cache miss simulated, in the misses' first-use order.
     [jobs <= 1] runs inline on the calling domain; higher values spawn
     that many worker domains. [progress] is called from the calling
-    domain only, at least once per completed item; the items, and
-    [total], count only the prepared windows and the batches, so a
-    fully cached sweep never calls it.
+    domain only, as batches complete: [done_] and [total] count
+    batches, the work items described below, so a fully cached sweep
+    never calls it.
 
     [cache] consults and fills a {!Run_cache}: a spec whose digest hits
     replays the stored run verbatim (its original [wall_s] included, so
@@ -130,10 +133,21 @@ type exec_stats = {
     simulates its members one after another on the shared prepared
     window, so batching decides only which domain runs which spec and
     never changes a result. Each run's [wall_s] is its own simulation
-    time. [on_stats] receives the cached/simulated/batched breakdown
-    once, from the calling domain, before [execute] returns.
-    @raise Invalid_argument on an unknown workload name or duplicate
-    (workload, label) pairs. *)
+    time. The first batch of a window to start prepares it, once, while
+    batches of the same window claimed meanwhile by other workers wait
+    for that preparation; the batch that finishes last drops it.
+    [on_stats] receives the cached/simulated/batched breakdown once,
+    from the calling domain, before [execute] returns.
+
+    A failing preparation or simulation fails the sweep: every other
+    batch still runs (a batch whose window failed to prepare tries it
+    again),
+    each window is released even by a batch that raised, and once the
+    pool has drained [execute] re-raises the failure of the lowest-index
+    batch.
+    @raise Invalid_argument on an unknown workload name, a window that
+    is not positive, or duplicate (workload, label) pairs, before any
+    window is prepared. *)
 val execute :
   ?progress:(done_:int -> total:int -> unit) ->
   ?cache:Run_cache.t ->

@@ -199,6 +199,30 @@ let test_manifest () =
     | exception Json.Decode_error _ -> true
     | _ -> false)
 
+(* ---- scratch directories ---- *)
+
+let rec rm_rf p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
+let temp_cache_dir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    let dir =
+      Filename.concat (Filename.get_temp_dir_name ())
+        (Printf.sprintf "pf_run_cache_%d_%d" (Unix.getpid ()) !n)
+    in
+    (* Run_cache.create makes the directory; clear leftovers (including
+       shard subdirectories) so a previous killed run can't seed
+       spurious hits *)
+    rm_rf dir;
+    dir
+
 (* ---- sweep ---- *)
 
 let small_specs =
@@ -213,6 +237,11 @@ let metrics_bytes runs =
     (List.map
        (fun (r : Sweep.run) -> Json.to_string (Codec.metrics_to_json r.Sweep.metrics))
        runs)
+
+(* everything a run records except its wall time *)
+let run_bytes (r : Sweep.run) =
+  Json.to_string (Codec.metrics_to_json r.Sweep.metrics)
+  ^ Json.to_string (Codec.counters_to_json r.Sweep.counters)
 
 let test_sweep_jobs_determinism () =
   let seq, _ = Sweep.execute ~jobs:1 small_specs in
@@ -257,7 +286,109 @@ let test_sweep_rejects_bad_input () =
            Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000 ]
      with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  let store = Pf_trace.Trace_store.create ~dir:(temp_cache_dir ()) () in
+  Alcotest.(check bool) "non-positive window named by workload and label" true
+    (match
+       Sweep.execute ~trace_store:store ~jobs:1
+         [ Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000;
+           Sweep.spec "mcf" Pf_core.Policy.Postdoms ~window:0 ]
+     with
+    | exception Invalid_argument msg ->
+        Test_cfg.contains ~needle:"mcf/postdoms" msg
+    | _ -> false);
+  let s = Pf_trace.Trace_store.stats store in
+  Alcotest.(check int) "rejected before any window is prepared" 0
+    (s.Pf_trace.Trace_store.hits + s.Pf_trace.Trace_store.misses)
+
+(* Four batches of one window claimed by four domains at once: the
+   window is prepared by one of them and shared by all four. *)
+let test_sweep_window_prepared_once () =
+  let specs =
+    List.map
+      (fun p -> Sweep.spec "gzip" p ~window:3_000)
+      Pf_core.Policy.[ No_spawn; Postdoms; Rec_pred; Dmt ]
+  in
+  let store = Pf_trace.Trace_store.create ~dir:(temp_cache_dir ()) () in
+  let par, prepared = Sweep.execute ~trace_store:store ~batch:1 ~jobs:4 specs in
+  let s = Pf_trace.Trace_store.stats store in
+  Alcotest.(check int) "one trace-store lookup" 1
+    (s.Pf_trace.Trace_store.hits + s.Pf_trace.Trace_store.misses);
+  Alcotest.(check (list (pair string int))) "one prepared window"
+    [ ("gzip", 3_000) ]
+    (List.map
+       (fun (p : Sweep.prepared_window) -> (p.Sweep.pw_workload, p.Sweep.pw_window))
+       prepared);
+  let seq, _ = Sweep.execute ~jobs:1 specs in
+  Alcotest.(check (list string)) "byte-identical to --jobs 1"
+    (List.map run_bytes seq) (List.map run_bytes par)
+
+(* Six windows of one batch each, run inline: after every batch the
+   live heap is back near where the first batch left it. A window of
+   20,000 instructions holds about 430k words, so a sweep that kept its
+   windows would climb by that much per batch. *)
+let test_sweep_drops_windows () =
+  let specs =
+    List.map
+      (fun w -> Sweep.spec w Pf_core.Policy.No_spawn ~window:20_000)
+      [ "gzip"; "mcf"; "twolf"; "bzip2"; "gcc"; "parser" ]
+  in
+  let samples = ref [] in
+  let progress ~done_:_ ~total =
+    Alcotest.(check int) "progress counts batches" 6 total;
+    Gc.full_major ();
+    samples := (Gc.stat ()).Gc.live_words :: !samples
+  in
+  ignore (Sweep.execute ~progress ~jobs:1 specs);
+  match List.rev !samples with
+  | [] -> Alcotest.fail "progress never called"
+  | first :: _ as all ->
+      Alcotest.(check int) "one sample per batch" 6 (List.length all);
+      List.iter
+        (fun w ->
+          if w - first > 300_000 then
+            Alcotest.failf
+              "live heap grew from %d to %d words: a window outlived its \
+               last batch"
+              first w)
+        all
+
+(* A failure inside a batch, in a member's simulation or in its
+   window's preparation, fails the whole sweep once the pool drains:
+   no worker is left waiting on the window, and the next sweep over
+   the same window runs normally. *)
+let test_sweep_failure_releases () =
+  let watchdog = { Config.polyflow with Config.max_cycles_per_instr = 0 } in
+  let specs ~fault =
+    [ Sweep.spec "gzip" Pf_core.Policy.No_spawn ~window:3_000;
+      Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000
+        ?config:(if fault then Some watchdog else None);
+      Sweep.spec "gzip" Pf_core.Policy.Rec_pred ~window:3_000 ]
+  in
+  let sweep ?trace_store ~fault () =
+    Sweep.execute ?trace_store ~jobs:2 ~batch:1 (specs ~fault)
+  in
+  let succeeds ?trace_store () =
+    Alcotest.(check int) "a repeat without the fault succeeds" 3
+      (List.length (fst (sweep ?trace_store ~fault:false ())))
+  in
+  (match sweep ~fault:true () with
+  | exception Failure msg when Test_cfg.contains ~needle:"watchdog" msg -> ()
+  | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "the watchdog member did not fail the sweep");
+  succeeds ();
+  (* a store whose directory became a regular file cannot publish the
+     window its miss prepares *)
+  let dir = temp_cache_dir () in
+  let store = Pf_trace.Trace_store.create ~dir () in
+  rm_rf dir;
+  close_out (open_out dir);
+  (match sweep ~trace_store:store ~fault:false () with
+  | exception Sys_error _ -> ()
+  | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "the failed publish did not fail the sweep");
+  Sys.remove dir;
+  succeeds ~trace_store:(Pf_trace.Trace_store.create ~dir ()) ()
 
 let test_table_aggregates () =
   let runs, _ = Sweep.execute ~jobs:2 small_specs in
@@ -283,28 +414,6 @@ let test_table_aggregates () =
         expected avg
 
 (* ---- sweep result cache ---- *)
-
-let temp_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "pf_run_cache_%d_%d" (Unix.getpid ()) !n)
-    in
-    (* Run_cache.create makes the directory; clear leftovers (including
-       shard subdirectories) so a previous killed run can't seed
-       spurious hits *)
-    let rec rm_rf p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-    in
-    rm_rf dir;
-    dir
 
 (* Reconstruct, from public inputs only, the digest [Sweep.execute]
    uses for the gzip/postdoms cell of [small_specs]. *)
@@ -357,16 +466,12 @@ let test_cache_partial_hit () =
   Alcotest.(check int) "one trace-store lookup" 1
     (s.Pf_trace.Trace_store.hits + s.Pf_trace.Trace_store.misses);
   let uncached, _ = Sweep.execute ~jobs:1 small_specs in
-  let bytes (r : Sweep.run) =
-    Json.to_string (Codec.metrics_to_json r.Sweep.metrics)
-    ^ Json.to_string (Codec.counters_to_json r.Sweep.counters)
-  in
   List.iter2
     (fun (a : Sweep.run) (b : Sweep.run) ->
       Alcotest.(check string)
         (Printf.sprintf "%s/%s matches the uncached run" a.Sweep.workload
            a.Sweep.label)
-        (bytes a) (bytes b))
+        (run_bytes a) (run_bytes b))
     uncached runs
 
 let test_cache_digest_sensitivity () =
@@ -557,6 +662,13 @@ let suite =
         case "sweep: --jobs 1 and --jobs 4 byte-identical" test_sweep_jobs_determinism;
         case "sweep: document and CSV round trip" test_sweep_document_roundtrip;
         case "sweep: bad input rejected" test_sweep_rejects_bad_input;
+        case "sweep: each window prepared once across domains"
+          test_sweep_window_prepared_once;
+        case "sweep: no window outlives its last batch" test_sweep_drops_windows;
+        case
+          "sweep: a failing member or preparation fails the sweep without \
+           hanging"
+          test_sweep_failure_releases;
         case "table: averages match direct computation" test_table_aggregates;
         case "cache: hits replay runs byte-identically" test_cache_hit_round_trip;
         case "cache: a partial hit prepares only the windows it simulates"

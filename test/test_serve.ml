@@ -114,6 +114,71 @@ let test_request_errors () =
   Alcotest.(check bool) "unknown op" true
     (code {|{"op":"explode"}|} = Some Protocol.Bad_request)
 
+(* Request decoding never raises ([protocol.mli]): any line a client
+   sends, however broken, must come back as [Ok] or [Error]. The inputs
+   are random bytes, random strings over JSON's own alphabet, and valid
+   request lines cut short or with one byte changed; a valid line left
+   intact must decode to the request that wrote it. *)
+let request_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let num = frequency [ (3, small_signed_int); (1, int) ] in
+  let id =
+    oneof
+      [ return Json.Null;
+        map (fun i -> Json.Int i) num;
+        map (fun s -> Json.String s) str ]
+  in
+  let config =
+    map
+      (fun (k, v) -> Json.Obj [ (k, Json.Int v) ])
+      (pair (oneofl [ "task_slots"; "width"; "max_cycles_per_instr" ]) num)
+  in
+  oneof
+    [ (let+ id = id
+       and+ workload = str
+       and+ policy = str
+       and+ label = opt str
+       and+ window = opt num
+       and+ config = opt config
+       and+ timeout_ms = opt num
+       and+ no_cache = bool in
+       Protocol.Run
+         { id; workload; policy; label; window; config; timeout_ms; no_cache });
+      map (fun id -> Protocol.Stats id) id;
+      map (fun id -> Protocol.Ping id) id;
+      map (fun id -> Protocol.Shutdown id) id ]
+
+let decoder_input =
+  let open QCheck.Gen in
+  let line_of r = Json.to_string (Protocol.request_to_json r) in
+  let json_char =
+    oneofl (List.of_seq (String.to_seq "{}[]\":,.-+eE0123456789 \\ubtrufalsn"))
+  in
+  let junk gen = map (fun s -> (None, s)) (string_size ~gen (int_bound 64)) in
+  let gen =
+    frequency
+      [ (1, junk char);
+        (1, junk json_char);
+        (1, map (fun r -> (Some r, line_of r)) request_gen);
+        ( 2,
+          let* l = map line_of request_gen in
+          let+ k = int_bound (String.length l) in
+          (None, String.sub l 0 k) );
+        ( 2,
+          let* l = map line_of request_gen in
+          let+ i = int_bound (String.length l - 1)
+          and+ c = char in
+          (None, String.mapi (fun j b -> if j = i then c else b) l) ) ]
+  in
+  QCheck.make ~print:(fun (_, line) -> Printf.sprintf "%S" line) gen
+
+let request_decoder_prop =
+  QCheck.Test.make ~name:"request decoding never raises" ~count:10_000
+    decoder_input (fun (intact, line) ->
+      let decoded = Protocol.request_of_line line in
+      match intact with Some r -> decoded = Ok r | None -> true)
+
 let resp_roundtrips r =
   Protocol.response_of_json (Protocol.response_to_json r) = Ok r
 
@@ -760,6 +825,7 @@ let suite =
         case "request round trip" test_request_roundtrip;
         case "request defaults" test_request_defaults;
         case "request error paths" test_request_errors;
+        Prop.to_alcotest request_decoder_prop;
         case "response round trip" test_response_roundtrip ] );
     ( "serve.cache",
       [ case "cold start creates parents" test_cache_cold_start_creates_parents;
