@@ -178,23 +178,16 @@ let mean l = List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 (* The prepared window a run was measured on, for the sections that
    re-read windows (limit study, CPI stacks): prepared on first request
    through the trace store, since the sweep drops each window after its
-   last batch, and kept for the next section that asks. *)
+   last batch, and kept in its slot for the next section that asks. *)
 let window_of ?trace_store () =
-  let memo = Hashtbl.create 16 in
+  let slots = Hashtbl.create 16 in
   fun (r : Sweep.run) ->
     let key = (r.Sweep.workload, r.Sweep.window) in
-    match Hashtbl.find_opt memo key with
-    | Some prep -> prep
-    | None ->
-        let wl = Option.get (Pf_workloads.Suite.find r.Sweep.workload) in
-        let prep =
-          Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
-            ~setup:wl.Pf_workloads.Workload.setup
-            ~fast_forward:wl.Pf_workloads.Workload.fast_forward
-            ~window:r.Sweep.window
-        in
-        Hashtbl.add memo key prep;
-        prep
+    if not (Hashtbl.mem slots key) then
+      Hashtbl.add slots key
+        (Sweep.window_slot ~window:r.Sweep.window
+           (Option.get (Pf_workloads.Suite.find r.Sweep.workload)));
+    fst (Sweep.acquire ?trace_store (Hashtbl.find slots key))
 
 let hr () = print_endline (String.make 98 '-')
 

@@ -44,38 +44,40 @@ let print_run ~verbose name policy base m =
   Format.printf "@.";
   if verbose then Format.printf "%a@." Metrics.pp m
 
-let run_cmd workload_name policy_str all_policies window trace_store_dir
+let run_cmd name policy_str all_policies window trace_store_dir
     json_out cpi_stack chrome_out verbose =
-  if all_policies && chrome_out <> None then
-    `Error (false, "--chrome-trace records one run; drop --all-policies")
-  else
-  with_workload workload_name (fun w ->
+  let resolve policy =
+    Pf_report.Sweep.resolve (Pf_report.Sweep.spec ?window name policy)
+  in
+  match resolve Pf_core.Policy.No_spawn with
+  | _ when all_policies && chrome_out <> None ->
+      `Error (false, "--chrome-trace records one run; drop --all-policies")
+  | Error Pf_report.Sweep.Unknown_workload ->
+      `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
+  | Error (Pf_report.Sweep.Non_positive_window n) ->
+      `Error (false, Printf.sprintf "--window must be positive (got %d)" n)
+  | Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->
       let store =
         Option.map
           (fun dir -> Pf_trace.Trace_store.create ~dir ())
           trace_store_dir
       in
       let t_start = Unix.gettimeofday () in
-      let prep = prepare ?store ?window w in
+      let prep = prepare ?store ~window:r_window w in
       let prepare_s = Unix.gettimeofday () -. t_start in
-      let name = w.Pf_workloads.Workload.name in
-      let instructions = Pf_trace.Tracer.length prep.Pf_uarch.Run.trace in
-      let static_spawns = List.length prep.Pf_uarch.Run.all_spawns in
-      let effective_window =
-        match window with
-        | Some n -> n
-        | None -> w.Pf_workloads.Workload.window
-      in
       Format.printf
         "workload %s: %d instructions in window, %d static spawn points \
          (prepared in %.3f s, shared by every policy)@."
-        name instructions static_spawns prepare_s;
+        name
+        (Pf_trace.Tracer.length prep.Pf_uarch.Run.trace)
+        (List.length prep.Pf_uarch.Run.all_spawns)
+        prepare_s;
       let records = ref [] in
       let run_one ?base ?(record_trace = false) policy =
-        let config = Pf_uarch.Config.for_policy policy in
+        (* the workload and window resolved above, so this cannot fail *)
+        let resolved = Result.get_ok (resolve policy) in
         (* observability: attach only the sinks asked for, so a plain
            run still goes through the engine's null-sink fast path *)
-        let counters = Pf_obs.Counters.create () in
         let cpi = if cpi_stack then Some (Pf_obs.Cpi_stack.create ()) else None in
         let chrome =
           if record_trace then Some (Pf_obs.Chrome_trace.create ()) else None
@@ -86,30 +88,21 @@ let run_cmd workload_name policy_str all_policies window trace_store_dir
                [ Option.map Pf_obs.Cpi_stack.sink cpi;
                  Option.map Pf_obs.Chrome_trace.sink chrome ])
         in
-        let t0 = Unix.gettimeofday () in
-        let m = Pf_uarch.Run.simulate ~sink ~counters ~config prep ~policy in
-        let simulate_s = Unix.gettimeofday () -. t0 in
+        let run = Pf_report.Sweep.simulate_run ~sink resolved prep in
+        let m = run.Pf_report.Sweep.metrics in
         if verbose then
           Format.printf "  %-22s simulate %.3f s@."
-            (Pf_core.Policy.name policy) simulate_s;
-        records :=
-          { Pf_report.Sweep.workload = name;
-            label = Pf_core.Policy.name policy;
-            policy = Pf_core.Policy.name policy;
-            config;
-            window = effective_window;
-            instructions;
-            static_spawns;
-            wall_s = simulate_s;
-            metrics = m;
-            counters = Pf_obs.Counters.to_alist counters }
-          :: !records;
+            (Pf_core.Policy.name policy) run.Pf_report.Sweep.wall_s;
+        records := run :: !records;
         print_run ~verbose name policy base m;
         if verbose && Pf_core.Policy.uses_safety_filter policy then begin
           (* the tracker's story lives in the counter registry, not in
              Metrics: violation rate per 10k retired instructions plus
              the safety filter's per-spawn level decisions *)
-          let c n = Option.value ~default:0 (Pf_obs.Counters.find counters n) in
+          let c n =
+            Option.value ~default:0
+              (List.assoc_opt n run.Pf_report.Sweep.counters)
+          in
           Format.printf
             "mem tracker       violations %d (%.2f per 10k instrs), syncs %d@.\
              safety levels     bypass %d, conservative %d, optimistic %d@."
@@ -188,7 +181,7 @@ let run_cmd workload_name policy_str all_policies window trace_store_dir
             (List.length doc.Pf_report.Sweep.runs)
             path Pf_report.Manifest.schema_version
       | _ -> ());
-      result)
+      result
 
 (* ---- report ---- *)
 

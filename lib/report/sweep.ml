@@ -134,42 +134,65 @@ let run_of_json j =
       | Some c -> Codec.counters_of_json c
       | None -> []) }
 
-(* ---- sweep execution ---- *)
+(* ---- the steps of one run: resolve, acquire, simulate_run ---- *)
 
 let resolve_config (s : spec) =
   match s.config with Some c -> c | None -> Config.for_policy s.policy
 
-type exec_stats = {
-  cached_runs : int;
-  simulated_runs : int;
-  batched_runs : int;
-  batch_count : int;
-  prepare_ms : float;
+type resolved = {
+  r_spec : spec;
+  r_workload : Pf_workloads.Workload.t;
+  r_window : int;
+  r_config : Config.t;
+  r_digest : string;
 }
 
-(* ---- window slots ----
+type resolve_error = Unknown_workload | Non_positive_window of int
 
-   One slot per (workload, window) that some cache miss simulates. The
-   slot's first batch prepares the window and the batch that finishes
-   last drops it, so a sweep holds at most one prepared window per busy
-   worker instead of every window it has touched. A batch that finds
-   its window being prepared on another domain waits for that one
-   preparation. A preparation that raises empties the slot again, so a
-   waiting batch retries it (and fails the same way if the failure is
-   deterministic) instead of waiting forever. *)
+let resolve (s : spec) =
+  match Pf_workloads.Suite.find s.workload with
+  | None -> Error Unknown_workload
+  | Some wl ->
+      let window =
+        Option.value s.window ~default:wl.Pf_workloads.Workload.window
+      in
+      if window <= 0 then Error (Non_positive_window window)
+      else
+        let config = resolve_config s in
+        Ok
+          { r_spec = s;
+            r_workload = wl;
+            r_window = window;
+            r_config = config;
+            r_digest =
+              Run_cache.digest ~workload:s.workload ~window
+                ~fast_forward:wl.Pf_workloads.Workload.fast_forward
+                ~policy:(Pf_core.Policy.name s.policy) ~label:s.label ~config }
+
+(* ---- window slots ----
+   A waiting caller retries a preparation that raised (and fails the
+   same way if the failure is deterministic) instead of waiting forever. *)
 
 type slot_state = Empty | Preparing | Ready of Run.prepared
 
 type slot = {
-  sl_workload : string;
   sl_wl : Pf_workloads.Workload.t;
   sl_window : int;
   lock : Mutex.t;
   changed : Condition.t;  (* signalled when [state] leaves [Preparing] *)
   mutable state : slot_state;
-  mutable pending : int;  (* batches of the window not yet finished *)
+  mutable pending : int;  (* [execute]: batches of the window to finish *)
   mutable prepare_s : float;  (* wall time of the successful preparation *)
 }
+
+let window_slot wl ~window =
+  { sl_wl = wl;
+    sl_window = window;
+    lock = Mutex.create ();
+    changed = Condition.create ();
+    state = Empty;
+    pending = 0;
+    prepare_s = 0. }
 
 let acquire ?trace_store slot =
   let claimed =
@@ -187,24 +210,25 @@ let acquire ?trace_store slot =
         wait ())
   in
   match claimed with
-  | Some prep -> prep
+  | Some prep -> (prep, None)
   | None -> (
       let publish state =
         Mutex.protect slot.lock (fun () ->
             slot.state <- state;
             Condition.broadcast slot.changed)
       in
+      let wl = slot.sl_wl in
       let t0 = Unix.gettimeofday () in
       match
-        Run.prepare ?store:trace_store slot.sl_wl.Pf_workloads.Workload.program
-          ~setup:slot.sl_wl.Pf_workloads.Workload.setup
-          ~fast_forward:slot.sl_wl.Pf_workloads.Workload.fast_forward
+        Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
+          ~setup:wl.Pf_workloads.Workload.setup
+          ~fast_forward:wl.Pf_workloads.Workload.fast_forward
           ~window:slot.sl_window
       with
       | prep ->
           slot.prepare_s <- Unix.gettimeofday () -. t0;
           publish (Ready prep);
-          prep
+          (prep, Some slot.prepare_s)
       | exception e ->
           publish Empty;
           raise e)
@@ -213,6 +237,41 @@ let release slot =
   Mutex.protect slot.lock (fun () ->
       slot.pending <- slot.pending - 1;
       if slot.pending = 0 then slot.state <- Empty)
+
+let simulate_run ?cache ?sink r prep =
+  let s = r.r_spec in
+  let reg = Pf_obs.Counters.create () in
+  let t0 = Unix.gettimeofday () in
+  let metrics =
+    Run.simulate ?sink ~counters:reg ~config:r.r_config prep ~policy:s.policy
+  in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let run =
+    { workload = s.workload;
+      label = s.label;
+      policy = Pf_core.Policy.name s.policy;
+      config = r.r_config;
+      window = r.r_window;
+      instructions = Pf_trace.Tracer.length prep.Run.trace;
+      static_spawns = List.length prep.Run.all_spawns;
+      wall_s;
+      metrics;
+      counters = Pf_obs.Counters.to_alist reg }
+  in
+  Option.iter
+    (fun c -> Run_cache.store c ~digest:r.r_digest (run_to_json run))
+    cache;
+  run
+
+(* ---- sweep execution ---- *)
+
+type exec_stats = {
+  cached_runs : int;
+  simulated_runs : int;
+  batched_runs : int;
+  batch_count : int;
+  prepare_ms : float;
+}
 
 (* split [l] into consecutive chunks of at most [k] elements *)
 let chunk k l =
@@ -225,38 +284,22 @@ let chunk k l =
   go [] [] 0 l
 
 let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
-  let specs = Array.of_list specs in
-  let workload_of name =
-    match Pf_workloads.Suite.find name with
-    | Some w -> w
-    | None -> invalid_arg (Printf.sprintf "Sweep.execute: unknown workload %S" name)
-  in
+  let fail fmt = Printf.ksprintf invalid_arg ("Sweep.execute: " ^^ fmt) in
+  let seen = Hashtbl.create 64 in
   let resolved =
-    Array.map
-      (fun (s : spec) ->
-        let wl = workload_of s.workload in
-        let window =
-          match s.window with
-          | Some w -> w
-          | None -> wl.Pf_workloads.Workload.window
-        in
-        (s, wl, window))
-      specs
+    Array.of_list specs
+    |> Array.map (fun (s : spec) ->
+           let key = (s.workload, s.label) in
+           match resolve s with
+           | Error Unknown_workload -> fail "unknown workload %S" s.workload
+           | Error (Non_positive_window w) ->
+               fail "run %s/%s has window %d (must be > 0)" s.workload s.label w
+           | Ok _ when Hashtbl.mem seen key ->
+               fail "duplicate run %s/%s" s.workload s.label
+           | Ok r ->
+               Hashtbl.add seen key ();
+               r)
   in
-  let seen = Hashtbl.create (Array.length specs) in
-  Array.iter
-    (fun ((s : spec), _, window) ->
-      if window <= 0 then
-        invalid_arg
-          (Printf.sprintf "Sweep.execute: run %s/%s has window %d (must be > 0)"
-             s.workload s.label window);
-      let key = (s.workload, s.label) in
-      if Hashtbl.mem seen key then
-        invalid_arg
-          (Printf.sprintf "Sweep.execute: duplicate run %s/%s" s.workload
-             s.label);
-      Hashtbl.add seen key ())
-    resolved;
   (* ---- cache probe (calling domain) ----
      A hit replays the stored run verbatim (its original [wall_s]
      included, so a fully-hit sweep reproduces its document byte for
@@ -267,35 +310,29 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      on a fully cached sweep the probes are all the work there is. *)
   let nspec = Array.length resolved in
   let results : run option array = Array.make nspec None in
-  let digest_of = Array.make nspec "" in
-  Array.iteri
-    (fun i ((s : spec), wl, window) ->
-      match cache with
-      | None -> ()
-      | Some c -> (
-          let d =
-            Run_cache.digest ~workload:s.workload ~window
-              ~fast_forward:wl.Pf_workloads.Workload.fast_forward
-              ~policy:(Pf_core.Policy.name s.policy) ~label:s.label
-              ~config:(resolve_config s)
-          in
-          digest_of.(i) <- d;
-          match Run_cache.find c ~digest:d with
+  Option.iter
+    (fun c ->
+      Array.iteri
+        (fun i r ->
+          let s = r.r_spec in
+          match Run_cache.find c ~digest:r.r_digest with
           | None -> ()
           | Some j -> (
               (* a corrupt entry must never kill the sweep: any decode
                  failure downgrades to a miss *)
               let decoded = try Some (run_of_json j) with _ -> None in
               match decoded with
-              | Some r when r.workload = s.workload && r.label = s.label ->
-                  results.(i) <- Some r
+              | Some run when run.workload = s.workload && run.label = s.label
+                ->
+                  results.(i) <- Some run
               | _ ->
                   Printf.eprintf
                     "Run_cache: ignoring %s/%s entry that fails to decode; \
                      will resimulate\n\
                      %!"
-                    s.workload s.label)))
-    resolved;
+                    s.workload s.label))
+        resolved)
+    cache;
   let cached_runs =
     Array.fold_left
       (fun a -> function Some _ -> a + 1 | None -> a)
@@ -309,33 +346,26 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      shared prepared window. The groups' windows are the only ones
      prepared, so a fully cached sweep prepares nothing. *)
   let batch = max 1 batch in
-  let groups : (string * int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-  let slots = ref [] in
+  let groups : (string * int, slot * int list ref) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  let order = ref [] in
   Array.iteri
-    (fun i ((s : spec), wl, window) ->
+    (fun i r ->
       if results.(i) = None then begin
-        let key = (s.workload, window) in
+        let key = (r.r_spec.workload, r.r_window) in
         match Hashtbl.find_opt groups key with
-        | Some l -> l := i :: !l
+        | Some (_, l) -> l := i :: !l
         | None ->
-            Hashtbl.add groups key (ref [ i ]);
-            slots :=
-              { sl_workload = s.workload;
-                sl_wl = wl;
-                sl_window = window;
-                lock = Mutex.create ();
-                changed = Condition.create ();
-                state = Empty;
-                pending = 0;
-                prepare_s = 0. }
-              :: !slots
+            Hashtbl.add groups key
+              (window_slot r.r_workload ~window:r.r_window, ref [ i ]);
+            order := key :: !order
       end)
     resolved;
-  let slots = List.rev !slots in
+  let slots = List.rev_map (fun key -> Hashtbl.find groups key) !order in
   let batches =
     slots
-    |> List.concat_map (fun slot ->
-           let members = Hashtbl.find groups (slot.sl_workload, slot.sl_window) in
+    |> List.concat_map (fun (slot, members) ->
            let chunks = chunk batch (List.rev !members) in
            slot.pending <- List.length chunks;
            List.map (fun b -> (slot, Array.of_list b)) chunks)
@@ -352,48 +382,24 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
       0 batches
   in
   (* one work item per batch: simulate each member in turn against the
-     window's slot, timing it alone, and store its record; the release
-     runs even when the preparation or a member raises, so the last
-     batch of a window always drops it *)
+     window's slot and store its record; the release runs even when the
+     preparation or a member raises, so the last batch of a window
+     always drops it *)
   let exec_batch (slot, idxs) =
     Fun.protect
       ~finally:(fun () -> release slot)
       (fun () ->
-        let prep = acquire ?trace_store slot in
+        let prep, _ = acquire ?trace_store slot in
         List.map
-          (fun i ->
-            let (s : spec), _, window = resolved.(i) in
-            let config = resolve_config s in
-            let reg = Pf_obs.Counters.create () in
-            let t0 = Unix.gettimeofday () in
-            let metrics =
-              Run.simulate ~counters:reg ~config prep ~policy:s.policy
-            in
-            let wall_s = Unix.gettimeofday () -. t0 in
-            let r =
-              { workload = s.workload;
-                label = s.label;
-                policy = Pf_core.Policy.name s.policy;
-                config;
-                window;
-                instructions = Pf_trace.Tracer.length prep.Run.trace;
-                static_spawns = List.length prep.Run.all_spawns;
-                wall_s;
-                metrics;
-                counters = Pf_obs.Counters.to_alist reg }
-            in
-            (match cache with
-            | Some c -> Run_cache.store c ~digest:digest_of.(i) (run_to_json r)
-            | None -> ());
-            (i, r))
+          (fun i -> (i, simulate_run ?cache resolved.(i) prep))
           (Array.to_list idxs))
   in
   let out = map_pool ?progress ~jobs exec_batch batches in
   Array.iter (List.iter (fun (i, r) -> results.(i) <- Some r)) out;
   let prepared =
     List.map
-      (fun slot ->
-        { pw_workload = slot.sl_workload;
+      (fun (slot, _) ->
+        { pw_workload = slot.sl_wl.Pf_workloads.Workload.name;
           pw_window = slot.sl_window;
           pw_prepare_s = slot.prepare_s })
       slots

@@ -58,9 +58,7 @@ type run = {
 
 (** The effective configuration of a spec: its explicit [config] if any,
     otherwise the policy default ({!Pf_uarch.Config.for_policy}). This
-    is the value {!execute} simulates with and digests for the cache; it
-    is exposed so other schedulers (polyflow_serve) resolve
-    identically. *)
+    is the value {!resolve} puts in [r_config]. *)
 val resolve_config : spec -> Pf_uarch.Config.t
 
 (** The run record's canonical JSON encoding — the ["runs"] array
@@ -71,6 +69,49 @@ val run_to_json : run -> Json.t
 
 (** @raise Json.Decode_error on schema violations. *)
 val run_of_json : Json.t -> run
+
+(** {1 The steps of one run}
+
+    {!execute}, [Pf_serve.Scheduler] and [polyflow_sim run] all
+    {!resolve} a spec, {!acquire} its window and {!simulate_run} it. *)
+
+type resolved = {
+  r_spec : spec;
+  r_workload : Pf_workloads.Workload.t;  (** the suite entry *)
+  r_window : int;  (** the spec's window, else the workload's; > 0 *)
+  r_config : Pf_uarch.Config.t;  (** {!resolve_config} *)
+  r_digest : string;  (** the run's {!Run_cache.digest} *)
+}
+
+type resolve_error = Unknown_workload | Non_positive_window of int
+
+(** Looks up the workload and computes the rest of {!resolved}. *)
+val resolve : spec -> (resolved, resolve_error) result
+
+(** One (workload, window) and its prepared window, if any. *)
+type slot
+
+val window_slot : Pf_workloads.Workload.t -> window:int -> slot
+
+(** The slot's window, prepared (through [trace_store]) on first use:
+    concurrent callers wait for that one preparation, and [Some s] tells
+    the caller that did it, in [s] wall seconds. A preparation that
+    raises empties the slot, so the next caller tries again. *)
+val acquire :
+  ?trace_store:Pf_trace.Trace_store.t ->
+  slot ->
+  Pf_uarch.Run.prepared * float option
+
+(** Simulates a resolved spec on its prepared window (with [sink]),
+    timing it as [wall_s], and stores the record in [cache]. *)
+val simulate_run :
+  ?cache:Run_cache.t ->
+  ?sink:Pf_obs.Sink.t ->
+  resolved ->
+  Pf_uarch.Run.prepared ->
+  run
+
+(** {1 Sweeps} *)
 
 (** A (workload, window) pair that {!execute} prepared because at
     least one cache miss simulated on it, and how long that took. The
@@ -135,7 +176,8 @@ type exec_stats = {
     never changes a result. Each run's [wall_s] is its own simulation
     time. The first batch of a window to start prepares it, once, while
     batches of the same window claimed meanwhile by other workers wait
-    for that preparation; the batch that finishes last drops it.
+    for that preparation ({!acquire}); the batch that finishes last
+    drops it.
     [on_stats] receives the cached/simulated/batched breakdown once,
     from the calling domain, before [execute] returns.
 
@@ -145,9 +187,8 @@ type exec_stats = {
     each window is released even by a batch that raised, and once the
     pool has drained [execute] re-raises the failure of the lowest-index
     batch.
-    @raise Invalid_argument on an unknown workload name, a window that
-    is not positive, or duplicate (workload, label) pairs, before any
-    window is prepared. *)
+    @raise Invalid_argument on a {!resolve_error} or duplicate
+    (workload, label) pairs, before any window is prepared. *)
 val execute :
   ?progress:(done_:int -> total:int -> unit) ->
   ?cache:Run_cache.t ->

@@ -11,7 +11,7 @@ type t = {
   fd : Unix.file_descr;
   port : int;
   stop : bool Atomic.t;
-  mutable acceptor : Thread.t option;
+  acceptor : Thread.t;
 }
 
 let status_line = function
@@ -60,14 +60,27 @@ let error_json code message =
   Protocol.response_to_json
     (Protocol.Error_reply { er_id = Json.Null; code; message })
 
-(* read the request line and headers; returns (method, path, body) *)
-let read_request ic =
-  let line = String.trim (input_line ic) in
-  match String.split_on_char ' ' line with
+exception Bad_head of Protocol.error_code * string
+
+(* returns (method, path, body); a head line or Content-Length over the
+   limit is refused before any body is read *)
+let too_large =
+  Bad_head
+    ( Protocol.Bad_request,
+      Printf.sprintf "request larger than %d bytes" Conn.max_request_bytes )
+
+let read_request reader =
+  let next_line () =
+    match Conn.read_line reader with
+    | `Line l -> String.trim l
+    | `Too_long -> raise too_large
+    | `Eof -> raise End_of_file
+  in
+  match String.split_on_char ' ' (next_line ()) with
   | meth :: path :: _ ->
       let content_length = ref 0 in
       let rec headers () =
-        let h = String.trim (input_line ic) in
+        let h = next_line () in
         if h <> "" then begin
           (match String.index_opt h ':' with
           | Some i ->
@@ -82,21 +95,20 @@ let read_request ic =
         end
       in
       headers ();
+      if !content_length > Conn.max_request_bytes then raise too_large;
       let body =
-        if !content_length > 0 then really_input_string ic !content_length
+        if !content_length > 0 then Conn.read_exactly reader !content_length
         else ""
       in
-      Some (meth, path, body)
-  | _ -> None
+      (meth, path, body)
+  | _ -> raise (Bad_head (Protocol.Parse_error, "malformed request line"))
 
 let handle dispatch fd =
-  let ic = Unix.in_channel_of_descr fd in
   (try
-     match read_request ic with
-     | None ->
-         write_response fd ~status:400
-           (error_json Protocol.Parse_error "malformed request line")
-     | Some (meth, path, body) -> (
+     match read_request (Conn.reader fd) with
+     | exception Bad_head (code, message) ->
+         write_response fd ~status:400 (error_json code message)
+     | meth, path, body -> (
          match (meth, path) with
          | "GET", "/healthz" ->
              write_response fd ~status:200
@@ -124,21 +136,6 @@ let handle dispatch fd =
    with _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let rec accept_loop t dispatch =
-  match Unix.accept t.fd with
-  | fd, _ ->
-      if Atomic.get t.stop then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        ()
-      end
-      else begin
-        ignore (Thread.create (handle dispatch) fd);
-        accept_loop t dispatch
-      end
-  | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
-      if Atomic.get t.stop then () else accept_loop t dispatch
-  | exception Unix.Unix_error _ -> ()
-
 let start ~port ~dispatch =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -149,22 +146,14 @@ let start ~port ~dispatch =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> port
   in
-  let t = { fd; port; stop = Atomic.make false; acceptor = None } in
-  t.acceptor <- Some (Thread.create (fun () -> accept_loop t dispatch) ());
-  t
+  let stop = Atomic.make false in
+  { fd; port; stop; acceptor = Conn.acceptor ~stop fd (handle dispatch) }
 
 let port t = t.port
 
 let stop t =
   if not (Atomic.exchange t.stop true) then begin
-    (* wake the acceptor with a throwaway connection *)
-    (try
-       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       (try
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port))
-        with Unix.Unix_error _ -> ());
-       Unix.close fd
-     with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.acceptor;
+    Conn.wake t.fd;
+    Thread.join t.acceptor;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end

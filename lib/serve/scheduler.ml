@@ -4,22 +4,24 @@
    Three kinds of parties touch a scheduler:
 
    - connection threads (systhreads in the accepting domain) call
-     [run]: resolve the request, try the cache, then either join an
-     in-flight identical job or enqueue a fresh one and wait;
+     [run]: resolve the request ([Sweep.resolve]), try the cache, then
+     either join an in-flight identical job or enqueue a fresh one and
+     wait;
    - worker domains loop over the job queue, sharing prepared windows
-     through [preps] and keeping their per-domain [Engine.Scratch]
-     pools warm across requests (that reuse is why the pool is
-     persistent domains rather than domain-per-request);
+     through the sweep's slots ([Sweep.acquire]) and keeping their
+     per-domain [Engine.Scratch] pools warm across requests (that reuse
+     is why the pool is persistent domains rather than
+     domain-per-request);
    - the owner eventually calls [shutdown], which lets workers drain
      the queue and then join.
 
-   Everything mutable is guarded by [t.mutex]. Waiting is by polling
-   with a short sleep rather than condition variables on the waiter
-   side: stdlib [Condition] has no timed wait, per-request deadlines
-   need one, and the up-to-1ms wake latency only applies to requests
-   that are paying a simulation (or a coalesced join) anyway — cache
-   hits never wait. Workers do park on a condition variable, so an idle
-   pool burns no cycles. *)
+   Everything mutable here is guarded by [t.mutex], and each window by
+   its slot. Only a request's wait for its job polls (1 ms sleeps):
+   stdlib [Condition] has no timed wait, per-request deadlines need
+   one, and the wake latency only applies to requests that are paying
+   a simulation (or a coalesced join) anyway — cache hits never wait.
+   Workers, and callers waiting for a window, park on condition
+   variables, so an idle pool burns no cycles. *)
 
 module Json = Pf_json.Json
 module Sweep = Pf_report.Sweep
@@ -27,28 +29,14 @@ module Run_cache = Pf_report.Run_cache
 module Trace_store = Pf_trace.Trace_store
 module Counters = Pf_obs.Counters
 
-type resolved = {
-  r_workload : Pf_workloads.Workload.t;
-  r_wname : string;
-  r_policy : Pf_core.Policy.t;
-  r_pname : string;
-  r_label : string;
-  r_window : int;
-  r_config : Pf_uarch.Config.t;
-  r_digest : string;
-  r_no_cache : bool;
-}
-
 (* a successful outcome remembers whether it was simulated or served by
    the in-queue cache re-check, so the reply's [cached] flag is truthful
    even for jobs that raced an identical store *)
 type job = {
-  j_digest : string;
-  j_resolved : resolved;
+  j_resolved : Sweep.resolved;
+  j_no_cache : bool;
   mutable j_outcome : (Json.t * bool, Protocol.error_code * string) result option;
 }
-
-type prep_slot = Building | Ready of Pf_uarch.Run.prepared
 
 type t = {
   jobs : int;
@@ -66,159 +54,84 @@ type t = {
   work : Condition.t;
   queue : job Queue.t;
   pending : (string, job) Hashtbl.t;
-  preps : (string * int, prep_slot) Hashtbl.t;
+  slots : (string * int, Sweep.slot) Hashtbl.t;
   mutable stopping : bool;
   mutable workers : unit Domain.t list;
   mutable prepare_s : float; (* wall seconds spent in prep builds *)
 }
 
-(* ---- request resolution ---- *)
+(* ---- request resolution ----
+
+   A request wrong in several ways gets the first error of: workload,
+   policy, config, window. So a bad policy or config still goes through
+   [Sweep.resolve], with a stand-in, to learn whether the workload is
+   known. *)
 
 let resolve (r : Protocol.run_request) =
-  match Pf_workloads.Suite.find r.workload with
-  | None ->
+  let policy = Pf_core.Policy.of_string r.policy in
+  let config =
+    try Ok (Option.map Pf_report.Codec.config_of_json r.config)
+    with Json.Decode_error msg -> Error msg
+  in
+  let spec =
+    Sweep.spec ?label:r.label ?window:r.window
+      ?config:(Result.value config ~default:None)
+      r.workload
+      (Result.value policy ~default:Pf_core.Policy.No_spawn)
+  in
+  match (Sweep.resolve spec, policy, config) with
+  | Error Sweep.Unknown_workload, _, _ ->
       Error
         ( Protocol.Unknown_workload,
           Printf.sprintf "unknown workload %S (known: %s)" r.workload
             (String.concat ", " Pf_workloads.Suite.names) )
-  | Some wl -> (
-      match Pf_core.Policy.of_string r.policy with
-      | Error msg -> Error (Protocol.Unknown_policy, msg)
-      | Ok policy -> (
-          let pname = Pf_core.Policy.name policy in
-          let config =
-            match r.config with
-            | None ->
-                Ok
-                  (Sweep.resolve_config
-                     (Sweep.spec r.workload policy ?label:r.label
-                        ?window:r.window))
-            | Some j -> (
-                match Pf_report.Codec.config_of_json j with
-                | c -> Ok c
-                | exception Json.Decode_error msg ->
-                    Error
-                      ( Protocol.Bad_request,
-                        Printf.sprintf "bad \"config\": %s" msg ))
-          in
-          match config with
-          | Error e -> Error e
-          | Ok config -> (
-              match r.window with
-              | Some w when w <= 0 ->
-                  Error
-                    ( Protocol.Bad_request,
-                      Printf.sprintf "\"window\" must be positive (got %d)" w
-                    )
-              | _ ->
-                  let window =
-                    Option.value r.window
-                      ~default:wl.Pf_workloads.Workload.window
-                  in
-                  let label = Option.value r.label ~default:pname in
-                  Ok
-                    { r_workload = wl;
-                      r_wname = r.workload;
-                      r_policy = policy;
-                      r_pname = pname;
-                      r_label = label;
-                      r_window = window;
-                      r_config = config;
-                      r_digest =
-                        Run_cache.digest ~workload:r.workload ~window
-                          ~fast_forward:wl.Pf_workloads.Workload.fast_forward
-                          ~policy:pname ~label ~config;
-                      r_no_cache = r.no_cache })))
+  | _, Error msg, _ -> Error (Protocol.Unknown_policy, msg)
+  | _, _, Error msg ->
+      Error (Protocol.Bad_request, Printf.sprintf "bad \"config\": %s" msg)
+  | Error (Sweep.Non_positive_window w), _, _ ->
+      Error
+        ( Protocol.Bad_request,
+          Printf.sprintf "\"window\" must be positive (got %d)" w )
+  | Ok res, Ok _, Ok _ -> Ok res
 
 (* ---- prepared-window sharing ----
 
-   One [Run.prepare] per distinct (workload, window) pair, shared by
-   every simulation and kept for the life of the daemon: preparation
-   (architectural execution + dependence analysis) dominates cold
-   latency, and the result is immutable so any number of worker
-   domains may simulate from it concurrently (docs/ENGINE.md). The
-   [Building] slot makes concurrent first requests for the same window
-   build it once: latecomers poll until it is [Ready]. *)
+   One slot per distinct (workload, window), never released:
+   preparation dominates cold latency, and the prepared window is
+   immutable, so any number of worker domains may simulate from it
+   concurrently (docs/ENGINE.md). *)
 
-let rec acquire_prep t (r : resolved) =
-  let key = (r.r_wname, r.r_window) in
-  Mutex.lock t.mutex;
-  match Hashtbl.find_opt t.preps key with
-  | Some (Ready prep) ->
-      Counters.incr t.c_prep_reuses;
-      Mutex.unlock t.mutex;
-      prep
-  | Some Building ->
-      Mutex.unlock t.mutex;
-      Unix.sleepf 0.002;
-      acquire_prep t r
-  | None -> (
-      Hashtbl.replace t.preps key Building;
-      Mutex.unlock t.mutex;
-      let wl = r.r_workload in
-      let t0 = Unix.gettimeofday () in
-      match
-        Pf_uarch.Run.prepare ?store:t.trace_store
-          wl.Pf_workloads.Workload.program
-          ~setup:wl.Pf_workloads.Workload.setup
-          ~fast_forward:wl.Pf_workloads.Workload.fast_forward
-          ~window:r.r_window
-      with
-      | prep ->
-          Mutex.lock t.mutex;
-          Hashtbl.replace t.preps key (Ready prep);
+let window_key (r : Sweep.resolved) = (r.r_spec.workload, r.r_window)
+
+let acquire_prep t (r : Sweep.resolved) =
+  let key = window_key r in
+  let slot =
+    Mutex.protect t.mutex (fun () ->
+        if not (Hashtbl.mem t.slots key) then
+          Hashtbl.add t.slots key
+            (Sweep.window_slot r.r_workload ~window:r.r_window);
+        Hashtbl.find t.slots key)
+  in
+  let prep, built = Sweep.acquire ?trace_store:t.trace_store slot in
+  Mutex.protect t.mutex (fun () ->
+      match built with
+      | Some s ->
           Counters.incr t.c_prep_builds;
-          t.prepare_s <- t.prepare_s +. (Unix.gettimeofday () -. t0);
-          Mutex.unlock t.mutex;
-          prep
-      | exception e ->
-          (* drop the slot so a polling worker can retry (and fail the
-             same way if the failure is deterministic) *)
-          Mutex.lock t.mutex;
-          Hashtbl.remove t.preps key;
-          Mutex.unlock t.mutex;
-          raise e)
+          t.prepare_s <- t.prepare_s +. s
+      | None -> Counters.incr t.c_prep_reuses);
+  prep
 
 (* ---- workers ---- *)
 
-let cache_find t (r : resolved) =
+let cache_find t ~no_cache (r : Sweep.resolved) =
   match t.cache with
-  | Some c when not r.r_no_cache -> Run_cache.find c ~digest:r.r_digest
+  | Some c when not no_cache -> Run_cache.find c ~digest:r.r_digest
   | _ -> None
-
-(* simulate one job on its prepared window, build its run record,
-   count it, store it, and return its JSON *)
-let simulate_job t (r : resolved) prep =
-  let reg = Counters.create () in
-  let t0 = Unix.gettimeofday () in
-  let metrics =
-    Pf_uarch.Run.simulate ~counters:reg ~config:r.r_config prep
-      ~policy:r.r_policy
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let run =
-    { Sweep.workload = r.r_wname;
-      label = r.r_label;
-      policy = r.r_pname;
-      config = r.r_config;
-      window = r.r_window;
-      instructions = Pf_trace.Tracer.length prep.Pf_uarch.Run.trace;
-      static_spawns = List.length prep.Pf_uarch.Run.all_spawns;
-      wall_s;
-      metrics;
-      counters = Counters.to_alist reg }
-  in
-  let run_json = Sweep.run_to_json run in
-  Counters.incr t.c_simulations;
-  (match t.cache with
-  | Some c -> Run_cache.store c ~digest:r.r_digest run_json
-  | None -> ());
-  run_json
 
 let publish t job outcome =
   Mutex.lock t.mutex;
   job.j_outcome <- Some outcome;
-  Hashtbl.remove t.pending job.j_digest;
+  Hashtbl.remove t.pending job.j_resolved.r_digest;
   Mutex.unlock t.mutex
 
 (* ---- same-window groups ----
@@ -235,16 +148,13 @@ let max_batch = 8
 (* called with [t.mutex] held and the queue non-empty *)
 let pop_batch t =
   let first = Queue.pop t.queue in
-  let key = (first.j_resolved.r_wname, first.j_resolved.r_window) in
+  let key = window_key first.j_resolved in
   let mates = ref [] in
   let nmates = ref 0 in
   let rest = Queue.create () in
   Queue.iter
     (fun job ->
-      if
-        !nmates < max_batch - 1
-        && (job.j_resolved.r_wname, job.j_resolved.r_window) = key
-      then begin
+      if !nmates < max_batch - 1 && window_key job.j_resolved = key then begin
         mates := job :: !mates;
         incr nmates
       end
@@ -261,7 +171,7 @@ let execute_batch t jobs =
   let misses =
     List.filter
       (fun job ->
-        match cache_find t job.j_resolved with
+        match cache_find t ~no_cache:job.j_no_cache job.j_resolved with
         | Some run_json ->
             publish t job (Ok (run_json, true));
             false
@@ -276,13 +186,17 @@ let execute_batch t jobs =
       | exception e -> List.iter (fun job -> publish t job (internal e)) misses
       | prep ->
           let grouped = List.compare_length_with misses 1 > 0 in
+          let simulate job =
+            Sweep.simulate_run ?cache:t.cache job.j_resolved prep
+          in
           List.iter
             (fun job ->
               publish t job
-                (match simulate_job t job.j_resolved prep with
-                | run_json ->
+                (match simulate job with
+                | run ->
+                    Counters.incr t.c_simulations;
                     if grouped then Counters.incr t.c_batched;
-                    Ok (run_json, false)
+                    Ok (Sweep.run_to_json run, false)
                 | exception e -> internal e))
             misses)
 
@@ -324,7 +238,7 @@ let create ?cache ?trace_store ?(prewarm_windows = []) ~jobs ~counters () =
       work = Condition.create ();
       queue = Queue.create ();
       pending = Hashtbl.create 64;
-      preps = Hashtbl.create 16;
+      slots = Hashtbl.create 16;
       stopping = false;
       workers = [];
       prepare_s = 0. }
@@ -350,7 +264,7 @@ let reply (r : Protocol.run_request) ~t0 ~cached ~coalesced ~digest run =
 (* Join the pending job for [digest] or enqueue a fresh one; never
    coalesces a [no_cache] request onto an existing job (it asked for its
    own simulation), but its job is still published for others to join. *)
-let join_or_enqueue t (res : resolved) =
+let join_or_enqueue t ~no_cache (res : Sweep.resolved) =
   Mutex.lock t.mutex;
   if t.stopping then begin
     Mutex.unlock t.mutex;
@@ -358,15 +272,14 @@ let join_or_enqueue t (res : resolved) =
   end
   else begin
     let existing =
-      if res.r_no_cache then None
-      else Hashtbl.find_opt t.pending res.r_digest
+      if no_cache then None else Hashtbl.find_opt t.pending res.r_digest
     in
     let job, coalesced =
       match existing with
       | Some job -> (job, true)
       | None ->
           let job =
-            { j_digest = res.r_digest; j_resolved = res; j_outcome = None }
+            { j_resolved = res; j_no_cache = no_cache; j_outcome = None }
           in
           Hashtbl.replace t.pending res.r_digest job;
           Queue.push job t.queue;
@@ -384,12 +297,12 @@ let run t ?(default_timeout_ms = 0) (r : Protocol.run_request) =
   match resolve r with
   | Error (code, message) -> error r.id code message
   | Ok res -> (
-      match cache_find t res with
+      match cache_find t ~no_cache:r.no_cache res with
       | Some run_json ->
           reply r ~t0 ~cached:true ~coalesced:false ~digest:res.r_digest
             run_json
       | None -> (
-          match join_or_enqueue t res with
+          match join_or_enqueue t ~no_cache:r.no_cache res with
           | None ->
               error r.id Protocol.Shutting_down
                 "daemon is shutting down; request not accepted"
@@ -432,7 +345,7 @@ let stats_fields t =
   Mutex.lock t.mutex;
   let inflight = Hashtbl.length t.pending in
   let queued = Queue.length t.queue in
-  let prepared = Hashtbl.length t.preps in
+  let prepared = Counters.value t.c_prep_builds in
   let prepare_ms = 1000. *. t.prepare_s in
   Mutex.unlock t.mutex;
   [ ("jobs", Json.Int t.jobs);

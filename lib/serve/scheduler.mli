@@ -4,9 +4,9 @@
 
     The serving path for one run request is
 
-    + resolve names to a workload, policy, window and effective config,
-      and digest them exactly as {!Pf_report.Sweep.execute} would — a
-      served reply is byte-identical to the sweep's run record;
+    + {!Pf_report.Sweep.resolve} the request, as
+      {!Pf_report.Sweep.execute} does — a served reply is
+      byte-identical to the sweep's run record;
     + consult the {!Pf_report.Run_cache} — a hit answers immediately
       with the stored bytes;
     + on a miss, join the in-flight job for the same digest if one
@@ -15,10 +15,10 @@
 
     Workers are spawned once at {!create} and live until {!shutdown}:
     each keeps its per-domain {!Pf_uarch.Engine.Scratch} pool warm
-    across requests (optionally pre-warmed for expected window sizes),
-    and the first simulation of each distinct (workload, window) pair
-    publishes its {!Pf_uarch.Run.prepare} result for every later
-    request of that window — concurrent first requests build it once.
+    across requests (optionally pre-warmed for expected window sizes).
+    Each (workload, window) gets one {!Pf_report.Sweep.slot}, never
+    released: concurrent first requests wait on it for one
+    preparation, and nothing polls on a window.
     With [trace_store], those builds go through the persistent
     {!Pf_trace.Trace_store}, so a daemon restarted over a populated
     store loads its windows from disk instead of re-preparing them
@@ -27,7 +27,8 @@
     A worker popping a job also drains every other queued job for the
     same (workload, window) — up to 8 — and simulates them one after
     another on the one shared prepared window. Each member is a solo
-    simulation: its reply is what a lone request would get, a member
+    simulation ({!Pf_report.Sweep.simulate_run}): its reply is what a
+    lone request would get, a member
     whose simulation fails answers only its own request with the
     error, and the group is counted by the [batched_runs] counter.
 
@@ -71,9 +72,11 @@ val run : t -> ?default_timeout_ms:int -> Protocol.run_request -> Protocol.respo
 (** Fields for the [stats] reply: worker/in-flight/queued/
     prepared-window gauges, a [prepare_ms] gauge (total wall
     milliseconds spent building prepared windows), cache and
-    [trace_store] blocks (or [Null]), and the full counter registry. [queued] is the number of jobs accepted but not
-    yet popped by a worker ([inflight] also counts jobs being
-    simulated right now). *)
+    [trace_store] blocks (or [Null]), and the full counter registry.
+    [queued] is the number of jobs accepted but not yet popped by a
+    worker ([inflight] also counts jobs being simulated right now);
+    [prepared_windows] counts the windows the daemon holds, so a
+    window whose preparation failed is left out. *)
 val stats_fields : t -> (string * Pf_json.Json.t) list
 
 (** Stop accepting work ({!run} then answers [Shutting_down]), let the

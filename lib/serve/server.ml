@@ -76,21 +76,10 @@ let stats_json t =
        ("timing_version", Json.String Pf_uarch.Engine.timing_version) ]
     @ Scheduler.stats_fields t.sched)
 
-(* Wake a blocked [accept] after the stop flag is set: closing the fd
-   from another thread is not guaranteed to interrupt accept(2), so
-   make one throwaway connection instead. *)
-let poke_acceptor t =
-  try
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX t.cfg.socket_path)
-     with Unix.Unix_error _ -> ());
-    Unix.close fd
-  with Unix.Unix_error _ -> ()
-
 let request_stop t =
   if not (Atomic.exchange t.stop_requested true) then begin
     log t "stop requested";
-    poke_acceptor t
+    Conn.wake t.listen_fd
   end
 
 let stop_requested t = Atomic.get t.stop_requested
@@ -113,50 +102,41 @@ let dispatch t (req : Protocol.request) : Protocol.response =
             message = "shutdown over the socket is disabled" }
 
 let handle_conn t fd =
-  let ic = Unix.in_channel_of_descr fd in
+  Counters.incr t.c_connections;
+  let reader = Conn.reader fd in
   let oc = Unix.out_channel_of_descr fd in
   let respond resp =
     output_string oc (Json.to_string (Protocol.response_to_json resp));
     output_char oc '\n';
     flush oc
   in
+  let malformed code message =
+    Counters.incr t.c_requests;
+    Counters.incr t.c_malformed;
+    respond (Protocol.Error_reply { er_id = Json.Null; code; message })
+  in
   (try
      let rec loop () =
-       let line = input_line ic in
-       if String.trim line = "" then loop ()
-       else begin
-         Counters.incr t.c_requests;
-         (match Protocol.request_of_line line with
-         | Error (code, message) ->
-             Counters.incr t.c_malformed;
-             respond
-               (Protocol.Error_reply { er_id = Json.Null; code; message })
-         | Ok req -> respond (dispatch t req));
-         loop ()
-       end
+       match Conn.read_line reader with
+       | `Eof -> ()
+       | `Too_long ->
+           (* the rest of the line is never read: answer, then close *)
+           malformed Protocol.Bad_request
+             (Printf.sprintf "request line longer than %d bytes"
+                Conn.max_request_bytes)
+       | `Line line when String.trim line = "" -> loop ()
+       | `Line line ->
+           (match Protocol.request_of_line line with
+           | Error (code, message) -> malformed code message
+           | Ok req ->
+               Counters.incr t.c_requests;
+               respond (dispatch t req));
+           loop ()
      in
      loop ()
-   with
-  | End_of_file -> ()
-  | Sys_error _ | Unix.Unix_error _ -> ());
+   with Sys_error _ | Unix.Unix_error _ -> ());
   (try flush oc with Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
-
-let rec accept_loop t =
-  match Unix.accept t.listen_fd with
-  | fd, _ ->
-      if Atomic.get t.stop_requested then begin
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        ()
-      end
-      else begin
-        Counters.incr t.c_connections;
-        ignore (Thread.create (handle_conn t) fd);
-        accept_loop t
-      end
-  | exception Unix.Unix_error ((Unix.ECONNABORTED | Unix.EINTR), _, _) ->
-      if Atomic.get t.stop_requested then () else accept_loop t
-  | exception Unix.Unix_error _ -> ()
 
 let bind_socket cfg =
   (if Sys.file_exists cfg.socket_path then
@@ -227,7 +207,8 @@ let start cfg =
       c_malformed }
   in
   t.http <- Option.map (fun port -> Http.start ~port ~dispatch:(dispatch t)) cfg.http_port;
-  t.acceptor <- Some (Thread.create accept_loop t);
+  t.acceptor <-
+    Some (Conn.acceptor ~stop:t.stop_requested listen_fd (handle_conn t));
   log t "listening on %s (jobs %d, cache %s%s, trace store %s)%s"
     cfg.socket_path cfg.jobs
     (match cfg.cache_dir with None -> "off" | Some d -> d)
@@ -245,7 +226,7 @@ let teardown t =
   Mutex.unlock t.teardown_mutex;
   if first then begin
     Atomic.set t.stop_requested true;
-    poke_acceptor t;
+    Conn.wake t.listen_fd;
     Option.iter Thread.join t.acceptor;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     Option.iter Http.stop t.http;

@@ -9,7 +9,8 @@
     [shutdown] request, {!request_stop} from a signal handler, or
     {!stop}) and then tears everything down — joins the acceptor,
     drains the scheduler so every accepted request finishes and lands
-    in the cache, and unlinks the socket. *)
+    in the cache, and unlinks the socket; this works even after the
+    socket file has been deleted. *)
 
 type config = {
   socket_path : string;  (** Unix-domain socket to bind. *)

@@ -1,11 +1,12 @@
 (* Tests for pf_serve and the sharded LRU run cache underneath it:
    protocol codec round trips and error paths, cache cold-start /
    sharding / migration / eviction-order behaviour, scheduler
-   coalescing, no_cache, prep sharing and the deterministic timeout
-   path, and integration cases against a live server: the socket
-   protocol, concurrent clients checked byte for byte against a direct
-   sweep, the HTTP shim, and shutdown followed by a second boot over
-   the persisted trace store. *)
+   coalescing, no_cache, prep sharing (also under concurrent first
+   requests) and the deterministic timeout path, and integration cases
+   against a live server: the socket protocol, the request size limit,
+   concurrent clients checked byte for byte against a direct sweep, the
+   HTTP shim, stopping after the socket file is gone, and shutdown
+   followed by a second boot over the persisted trace store. *)
 
 open Pf_serve
 module Json = Pf_json.Json
@@ -305,9 +306,9 @@ let run_request ?(id = Json.Null) ?label ?window ?timeout_ms ?(no_cache = false)
     timeout_ms;
     no_cache }
 
-let with_scheduler ?cache ?(jobs = 1) f =
+let with_scheduler ?cache ?trace_store ?(jobs = 1) f =
   let counters = Counters.create () in
-  let sched = Scheduler.create ?cache ~jobs ~counters () in
+  let sched = Scheduler.create ?cache ?trace_store ~jobs ~counters () in
   Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () -> f sched counters)
 
 let counter counters name = List.assoc name (Counters.to_alist counters)
@@ -530,10 +531,70 @@ let test_scheduler_group_failure_isolated () =
       | Protocol.Run_reply _ -> ()
       | _ -> Alcotest.fail "later request not answered")
 
+(* Twelve threads ask at once for twelve policies over one fresh gzip
+   window, on two workers. Twelve jobs are more than one group of 8, so
+   at least two groups acquire the window, usually on both workers at
+   once; it must still be prepared once, with one trace-store lookup. *)
+let test_scheduler_concurrent_first_requests () =
+  let dir = temp_dir () in
+  let cache_dir = Filename.concat dir "cache" in
+  let cache = Run_cache.create ~dir:cache_dir () in
+  let trace_store =
+    Pf_trace.Trace_store.create ~dir:(Filename.concat dir "tstore") ()
+  in
+  let policies =
+    [ "superscalar"; "postdoms"; "rec_pred"; "dmt"; "adaptive"; "doacross";
+      "loop"; "loopFT"; "procFT"; "hammock"; "other"; "loop+loopFT" ]
+  in
+  with_scheduler ~cache ~trace_store ~jobs:2 (fun sched counters ->
+      let replies = Array.make (List.length policies) None in
+      List.mapi
+        (fun i policy ->
+          Thread.create
+            (fun () ->
+              replies.(i) <-
+                Some (Scheduler.run sched (run_request ~window:2_000 "gzip" policy)))
+            ())
+        policies
+      |> List.iter Thread.join;
+      Alcotest.(check int) "one preparation" 1 (counter counters "prep_builds");
+      let ts = Pf_trace.Trace_store.stats trace_store in
+      Alcotest.(check int) "one trace-store lookup" 1
+        (ts.Pf_trace.Trace_store.hits + ts.Pf_trace.Trace_store.misses);
+      Alcotest.(check int) "twelve simulations" 12
+        (counter counters "simulations");
+      (* a sweep over the same cache directory replays every reply *)
+      let cached = ref 0 in
+      let direct, _ =
+        Sweep.execute
+          ~cache:(Run_cache.create ~dir:cache_dir ())
+          ~on_stats:(fun s -> cached := s.Sweep.cached_runs)
+          ~jobs:1
+          (List.map
+             (fun p ->
+               Sweep.spec ~window:2_000 "gzip"
+                 (Result.get_ok (Pf_core.Policy.of_string p)))
+             policies)
+      in
+      Alcotest.(check int) "the sweep replays all twelve" 12 !cached;
+      List.iteri
+        (fun i run ->
+          match replies.(i) with
+          | Some (Protocol.Run_reply r) ->
+              Alcotest.(check string) "reply equals the sweep's replay"
+                (Json.to_string r.Protocol.run)
+                (Json.to_string (Sweep.run_to_json run))
+          | _ -> Alcotest.fail "concurrent first request failed")
+        direct)
+
 (* ---- server integration over a real socket ---- *)
 
 let connect path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* a daemon that stops answering fails the case instead of hanging
+     the suite *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.;
   Unix.connect fd (Unix.ADDR_UNIX path);
   (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
@@ -606,6 +667,58 @@ let test_server_refuses_shutdown_when_disabled () =
           Alcotest.(check bool) "not stopping" false
             (Server.stop_requested server)
       | _ -> Alcotest.fail "disabled shutdown was honoured")
+
+(* A line over [Conn.max_request_bytes] gets bad_request and its
+   connection is closed before the daemon reads the rest of it; a new
+   connection is served as usual. *)
+let test_server_bounds_request_size () =
+  let server, cfg = boot (temp_dir ()) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let ((fd, ic, _) as c) = connect cfg.Server.socket_path in
+      let huge =
+        Printf.sprintf {|{"op":"ping","id":"%s"}|}
+          (String.make (2 * 1024 * 1024) 'a')
+        ^ "\n"
+      in
+      (* the daemon closes the connection part-way through the line, so
+         the write may fail *)
+      (try ignore (Unix.write_substring fd huge 0 (String.length huge))
+       with Unix.Unix_error _ -> ());
+      Alcotest.(check string) "oversized line" "bad_request"
+        (str "code" (Json.of_string (input_line ic)));
+      (* closed with the rest of the line unread, which the client may
+         see as a reset rather than an end of file *)
+      Alcotest.(check bool) "connection closed" true
+        (match In_channel.input_line ic with
+        | None | (exception Sys_error _) -> true
+        | Some _ -> false);
+      close_conn c;
+      let c = connect cfg.Server.socket_path in
+      Alcotest.(check string) "a new connection still gets pong" "ping"
+        (str "op" (rpc c {|{"op":"ping"}|}));
+      close_conn c)
+
+(* A daemon whose socket file is deleted under it (by a tmp cleaner,
+   say) must still stop. [Server.stop] runs on its own thread, so that
+   a hang fails the case instead of hanging the suite. *)
+let test_server_stops_after_unlink () =
+  let server, cfg = boot (temp_dir ()) in
+  Unix.unlink cfg.Server.socket_path;
+  let stopped = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         Server.stop server;
+         Atomic.set stopped true)
+       ());
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "Server.stop returned within 5 s" true
+    (Atomic.get stopped)
 
 (* three workloads x three policy classes over one small window *)
 let mix_window = 2_000
@@ -725,6 +838,7 @@ let http port request =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
@@ -769,6 +883,16 @@ let test_server_http_shim () =
       Alcotest.(check int) "malformed body status" 400 code;
       Alcotest.(check string) "malformed body code" "parse_error"
         (str "code" bad);
+      (* answered from the headers alone: no body is sent *)
+      let code, big =
+        http port
+          (Printf.sprintf
+             "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n"
+             (Conn.max_request_bytes + 1))
+      in
+      Alcotest.(check int) "oversized body status" 400 code;
+      Alcotest.(check string) "oversized body code" "bad_request"
+        (str "code" big);
       let code, stats = http_get port "/stats" in
       Alcotest.(check int) "stats status" 200 code;
       Alcotest.(check string) "stats body" "ok" (str "status" stats);
@@ -840,10 +964,15 @@ let suite =
         case "concurrent identical requests coalesce" test_scheduler_coalescing;
         case "queued request times out" test_scheduler_timeout;
         case "a failing group member hurts only itself"
-          test_scheduler_group_failure_isolated ] );
+          test_scheduler_group_failure_isolated;
+        case "concurrent first requests prepare a window once"
+          test_scheduler_concurrent_first_requests ] );
     ( "serve.server",
       [ case "socket round trip" test_server_socket_roundtrip;
         case "shutdown op can be disabled" test_server_refuses_shutdown_when_disabled;
+        case "oversized request line" test_server_bounds_request_size;
+        case "stops after its socket file is deleted"
+          test_server_stops_after_unlink;
         case "concurrent clients match a direct sweep"
           test_server_concurrent_clients;
         case "HTTP shim" test_server_http_shim;
