@@ -5,9 +5,7 @@
    Layout: [dir/ab/<digest><ext>] where [ab] is the first two hex
    characters of the digest. Sharding keeps directory listings short
    under service load (a million entries is ~4k files per shard instead
-   of one directory the filesystem has to scan linearly). Entries
-   written by older revisions directly under [dir/] are migrated into
-   their shard on [create].
+   of one directory the filesystem has to scan linearly).
 
    Every mutation of the in-memory index runs under [t.mutex]: a store
    is shared by Sweep worker domains and by polyflow_serve connection
@@ -27,7 +25,7 @@ type stats = {
 type t = {
   root : string;
   cap : int; (* 0 = unlimited *)
-  ext : string; (* entry filename extension, e.g. ".json" *)
+  ext : string; (* entry filename extension, e.g. ".run" *)
   on_invalid : path:string -> reason:string -> unit;
   mutex : Mutex.t;
   ticks : (string, int) Hashtbl.t; (* digest -> last-use tick *)
@@ -64,23 +62,6 @@ let shard_dir t digest = Filename.concat t.root (shard_of digest)
 let path t ~digest = Filename.concat (shard_dir t digest) (digest ^ t.ext)
 
 let mtime_of p = try (Unix.stat p).Unix.st_mtime with Unix.Unix_error _ -> 0.
-
-(* Move any flat [dir/<digest><ext>] entries of the pre-sharding layout
-   into their shard, so an existing warm store survives the upgrade. *)
-let migrate_legacy t =
-  Array.iter
-    (fun name ->
-      match digest_of_filename t name with
-      | None -> ()
-      | Some digest ->
-          let src = Filename.concat t.root name in
-          let dst_dir = Filename.concat t.root (shard_of digest) in
-          mkdir_p dst_dir;
-          let dst = Filename.concat dst_dir name in
-          (try Sys.rename src dst
-           with Sys_error _ -> ( (* already migrated by a racing process *)
-             try Sys.remove src with Sys_error _ -> ())))
-    (try Sys.readdir t.root with Sys_error _ -> [||])
 
 (* Seed the LRU index from disk, oldest mtime first, so recency survives
    a daemon restart (hits refresh the file mtime below). *)
@@ -128,8 +109,8 @@ let evict_until_under_cap t =
 let default_on_invalid ~path ~reason =
   Printf.eprintf "Cache_store: ignoring %s (%s)\n%!" path reason
 
-let create ?(cap = 0) ?counters ?(ext = ".json")
-    ?(on_invalid = default_on_invalid) ~counter_prefix ~dir () =
+let create ?(cap = 0) ?counters ?(on_invalid = default_on_invalid) ~ext
+    ~counter_prefix ~dir () =
   mkdir_p dir;
   let reg =
     match counters with Some r -> r | None -> Pf_obs.Counters.create ()
@@ -147,7 +128,6 @@ let create ?(cap = 0) ?counters ?(ext = ".json")
       c_stores = Pf_obs.Counters.make reg (counter_prefix ^ "_stores");
       c_evictions = Pf_obs.Counters.make reg (counter_prefix ^ "_evictions") }
   in
-  migrate_legacy t;
   scan t;
   Mutex.lock t.mutex;
   evict_until_under_cap t;

@@ -11,9 +11,9 @@
 
     {b Layout.} Entries live at [dir/ab/<digest><ext>] where [ab] is
     the first two hex characters of the digest, so directory listings
-    stay short under service load. Flat [dir/<digest><ext>] entries
-    written by older revisions are migrated into their shard on
-    {!create}.
+    stay short under service load. Files with another extension, or
+    outside a shard directory, are not entries: they are never read,
+    indexed or evicted.
 
     {b LRU cap.} With [cap > 0] the store holds at most [cap] entries;
     publishing one more evicts the least-recently-used entry (a {!find}
@@ -41,21 +41,21 @@ type stats = {
   entries : int;
 }
 
-(** [create ~counter_prefix ~dir ()] opens the store, creating the
-    directory — and any missing parents, [mkdir -p] style — if
-    necessary, migrating legacy flat entries into their shards, and
-    indexing existing entries by mtime for LRU order. [cap] bounds the
-    entry count (0 = unlimited; over-cap entries found on disk are
-    evicted immediately). [ext] is the entry filename extension
-    (default [".json"]). [on_invalid] is called with the path and
-    reason whenever an entry is downgraded to a miss. [counters]
-    registers the four stats counters in the caller's
-    {!Pf_obs.Counters} registry so services can export them. *)
+(** [create ~ext ~counter_prefix ~dir ()] opens the store, creating
+    the directory — and any missing parents, [mkdir -p] style — if
+    necessary, and indexing existing entries by mtime for LRU order.
+    [ext] is the entry filename extension (the run cache's [".run"],
+    the trace store's [".trace"]). [cap] bounds the entry count (0 =
+    unlimited; over-cap entries found on disk are evicted immediately).
+    [on_invalid] is called with the path and reason whenever an entry
+    is downgraded to a miss. [counters] registers the four stats
+    counters in the caller's {!Pf_obs.Counters} registry so services
+    can export them. *)
 val create :
   ?cap:int ->
   ?counters:Pf_obs.Counters.t ->
-  ?ext:string ->
   ?on_invalid:(path:string -> reason:string -> unit) ->
+  ext:string ->
   counter_prefix:string ->
   dir:string ->
   unit ->

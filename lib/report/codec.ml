@@ -210,6 +210,55 @@ let config_of_json j : Config.t =
       | Some v -> Json.to_int v
       | None -> Config.superscalar.Config.doacross_sync_distance) }
 
+(* ---- run records ----
+
+   Defined below the run cache, which encodes exactly this record; the
+   JSON form is a report document's "runs" element and a serve reply's
+   "run" member. *)
+
+type run = {
+  workload : string;
+  label : string;
+  policy : string;
+  config : Config.t;
+  window : int;
+  instructions : int;
+  static_spawns : int;
+  wall_s : float;
+  metrics : Metrics.t;
+  counters : (string * int) list;
+}
+
+let run_to_json r =
+  Json.Obj
+    [ ("workload", Json.String r.workload);
+      ("label", Json.String r.label);
+      ("policy", Json.String r.policy);
+      ("window", Json.Int r.window);
+      ("instructions", Json.Int r.instructions);
+      ("static_spawns", Json.Int r.static_spawns);
+      ("wall_s", Json.Float r.wall_s);
+      ("config", config_to_json r.config);
+      ("metrics", metrics_to_json r.metrics);
+      ("counters", counters_to_json r.counters) ]
+
+let run_of_json j =
+  { workload = Json.to_str (Json.member "workload" j);
+    label = Json.to_str (Json.member "label" j);
+    policy = Json.to_str (Json.member "policy" j);
+    window = Json.to_int (Json.member "window" j);
+    instructions = Json.to_int (Json.member "instructions" j);
+    static_spawns = Json.to_int (Json.member "static_spawns" j);
+    wall_s = Json.to_float (Json.member "wall_s" j);
+    config = config_of_json (Json.member "config" j);
+    metrics = metrics_of_json (Json.member "metrics" j);
+    (* additive schema-v1 field: absent in documents written before the
+       counter registry existed *)
+    counters =
+      (match Json.member_opt "counters" j with
+      | Some c -> counters_of_json c
+      | None -> []) }
+
 (* ---- CSV ---- *)
 
 let metrics_csv_header =

@@ -50,6 +50,33 @@ val config_to_json : Pf_uarch.Config.t -> Json.t
 
 val config_of_json : Json.t -> Pf_uarch.Config.t
 
+(** {1 Run records} *)
+
+(** One completed run; {!Sweep.run} re-exports it with its field
+    documentation. It lives here, below {!Run_cache}, because the run
+    cache encodes it. *)
+type run = {
+  workload : string;
+  label : string;
+  policy : string;
+  config : Pf_uarch.Config.t;
+  window : int;
+  instructions : int;
+  static_spawns : int;
+  wall_s : float;
+  metrics : Pf_uarch.Metrics.t;
+  counters : (string * int) list;
+}
+
+(** The canonical JSON of a run: a report document's ["runs"] element
+    and a serve reply's ["run"] member. Byte-stable: serializing a
+    decoded run reproduces the original bytes. *)
+val run_to_json : run -> Json.t
+
+(** A missing ["counters"] member (documents predating it) decodes as
+    [[]]. *)
+val run_of_json : Json.t -> run
+
 (** {1 CSV}
 
     One row per run; {!Sweep.to_csv} prepends the identifying columns.

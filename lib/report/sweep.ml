@@ -14,7 +14,7 @@ let spec ?label ?config ?window workload policy =
   in
   { workload; policy; label; config; window }
 
-type run = {
+type run = Codec.run = {
   workload : string;
   label : string;
   policy : string;
@@ -99,40 +99,8 @@ let map_pool ?progress ~jobs f arr =
       | Some (Error _) | None -> assert false)
     results
 
-(* ---- run (de)serialization ----
-
-   Defined ahead of [execute] because the result cache stores and
-   replays exactly this encoding. *)
-
-let run_to_json r =
-  Json.Obj
-    [ ("workload", Json.String r.workload);
-      ("label", Json.String r.label);
-      ("policy", Json.String r.policy);
-      ("window", Json.Int r.window);
-      ("instructions", Json.Int r.instructions);
-      ("static_spawns", Json.Int r.static_spawns);
-      ("wall_s", Json.Float r.wall_s);
-      ("config", Codec.config_to_json r.config);
-      ("metrics", Codec.metrics_to_json r.metrics);
-      ("counters", Codec.counters_to_json r.counters) ]
-
-let run_of_json j =
-  { workload = Json.to_str (Json.member "workload" j);
-    label = Json.to_str (Json.member "label" j);
-    policy = Json.to_str (Json.member "policy" j);
-    window = Json.to_int (Json.member "window" j);
-    instructions = Json.to_int (Json.member "instructions" j);
-    static_spawns = Json.to_int (Json.member "static_spawns" j);
-    wall_s = Json.to_float (Json.member "wall_s" j);
-    config = Codec.config_of_json (Json.member "config" j);
-    metrics = Codec.metrics_of_json (Json.member "metrics" j);
-    (* additive schema-v1 field: absent in documents written before the
-       counter registry existed *)
-    counters =
-      (match Json.member_opt "counters" j with
-      | Some c -> Codec.counters_of_json c
-      | None -> []) }
+let run_to_json = Codec.run_to_json
+let run_of_json = Codec.run_of_json
 
 (* ---- the steps of one run: resolve, acquire, simulate_run ---- *)
 
@@ -238,6 +206,10 @@ let release slot =
       slot.pending <- slot.pending - 1;
       if slot.pending = 0 then slot.state <- Empty)
 
+let cached cache r =
+  Run_cache.find_run cache ~digest:r.r_digest ~workload:r.r_spec.workload
+    ~label:r.r_spec.label
+
 let simulate_run ?cache ?sink r prep =
   let s = r.r_spec in
   let reg = Pf_obs.Counters.create () in
@@ -258,9 +230,7 @@ let simulate_run ?cache ?sink r prep =
       metrics;
       counters = Pf_obs.Counters.to_alist reg }
   in
-  Option.iter
-    (fun c -> Run_cache.store c ~digest:r.r_digest (run_to_json run))
-    cache;
+  Option.iter (fun c -> Run_cache.store_run c ~digest:r.r_digest run) cache;
   run
 
 (* ---- sweep execution ---- *)
@@ -305,33 +275,13 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      included, so a fully-hit sweep reproduces its document byte for
      byte); the misses left over are what gets simulated. Probing up
      front — instead of inside the worker items — is what lets the
-     misses be grouped by window below. A probe costs about 0.1 ms per
-     spec, mostly the JSON parse and run decode of its ~2 KB entry;
-     on a fully cached sweep the probes are all the work there is. *)
+     misses be grouped by window below. A probe is a file read, an MD5
+     check and a binary decode of a ~1 KB entry, about 0.03 ms; on a
+     fully cached sweep the probes are all the work there is. *)
   let nspec = Array.length resolved in
   let results : run option array = Array.make nspec None in
   Option.iter
-    (fun c ->
-      Array.iteri
-        (fun i r ->
-          let s = r.r_spec in
-          match Run_cache.find c ~digest:r.r_digest with
-          | None -> ()
-          | Some j -> (
-              (* a corrupt entry must never kill the sweep: any decode
-                 failure downgrades to a miss *)
-              let decoded = try Some (run_of_json j) with _ -> None in
-              match decoded with
-              | Some run when run.workload = s.workload && run.label = s.label
-                ->
-                  results.(i) <- Some run
-              | _ ->
-                  Printf.eprintf
-                    "Run_cache: ignoring %s/%s entry that fails to decode; \
-                     will resimulate\n\
-                     %!"
-                    s.workload s.label))
-        resolved)
+    (fun c -> Array.iteri (fun i r -> results.(i) <- cached c r) resolved)
     cache;
   let cached_runs =
     Array.fold_left

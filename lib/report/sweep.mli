@@ -39,7 +39,7 @@ val spec :
   spec
 
 (** One completed run: the resolved inputs plus the measured metrics. *)
-type run = {
+type run = Codec.run = {
   workload : string;
   label : string;
   policy : string;            (** [Pf_core.Policy.name] of the policy *)
@@ -61,10 +61,12 @@ type run = {
     is the value {!resolve} puts in [r_config]. *)
 val resolve_config : spec -> Pf_uarch.Config.t
 
-(** The run record's canonical JSON encoding — the ["runs"] array
-    element of a report document, and exactly the payload a
-    {!Run_cache} entry stores and replays. Byte-stable: serializing a
-    decoded run reproduces the original bytes. *)
+(** The run record's canonical JSON encoding ({!Codec.run_to_json}) —
+    the ["runs"] array element of a report document and the ["run"]
+    member of a serve reply. A {!Run_cache} entry holds the same record
+    in a binary encoding whose decoded run renders to exactly these
+    bytes. Byte-stable: serializing a decoded run reproduces the
+    original bytes. *)
 val run_to_json : run -> Json.t
 
 (** @raise Json.Decode_error on schema violations. *)
@@ -73,7 +75,8 @@ val run_of_json : Json.t -> run
 (** {1 The steps of one run}
 
     {!execute}, [Pf_serve.Scheduler] and [polyflow_sim run] all
-    {!resolve} a spec, {!acquire} its window and {!simulate_run} it. *)
+    {!resolve} a spec, {!acquire} its window and {!simulate_run} it;
+    {!execute} and the scheduler probe the cache with {!cached}. *)
 
 type resolved = {
   r_spec : spec;
@@ -101,6 +104,12 @@ val acquire :
   ?trace_store:Pf_trace.Trace_store.t ->
   slot ->
   Pf_uarch.Run.prepared * float option
+
+(** The run [cache] holds for a resolved spec: {!Run_cache.find_run}
+    under its digest, so an entry that fails to decode or names another
+    workload or label is a miss (warned on stderr) that the caller
+    simulates and stores over. *)
+val cached : Run_cache.t -> resolved -> run option
 
 (** Simulates a resolved spec on its prepared window (with [sink]),
     timing it as [wall_s], and stores the record in [cache]. *)

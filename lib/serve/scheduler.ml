@@ -35,7 +35,8 @@ module Counters = Pf_obs.Counters
 type job = {
   j_resolved : Sweep.resolved;
   j_no_cache : bool;
-  mutable j_outcome : (Json.t * bool, Protocol.error_code * string) result option;
+  mutable j_outcome :
+    (Sweep.run * bool, Protocol.error_code * string) result option;
 }
 
 type t = {
@@ -125,7 +126,7 @@ let acquire_prep t (r : Sweep.resolved) =
 
 let cache_find t ~no_cache (r : Sweep.resolved) =
   match t.cache with
-  | Some c when not no_cache -> Run_cache.find c ~digest:r.r_digest
+  | Some c when not no_cache -> Sweep.cached c r
   | _ -> None
 
 let publish t job outcome =
@@ -172,8 +173,8 @@ let execute_batch t jobs =
     List.filter
       (fun job ->
         match cache_find t ~no_cache:job.j_no_cache job.j_resolved with
-        | Some run_json ->
-            publish t job (Ok (run_json, true));
+        | Some run ->
+            publish t job (Ok (run, true));
             false
         | None -> true)
       jobs
@@ -196,7 +197,7 @@ let execute_batch t jobs =
                 | run ->
                     Counters.incr t.c_simulations;
                     if grouped then Counters.incr t.c_batched;
-                    Ok (Sweep.run_to_json run, false)
+                    Ok (run, false)
                 | exception e -> internal e))
             misses)
 
@@ -259,7 +260,7 @@ let reply (r : Protocol.run_request) ~t0 ~cached ~coalesced ~digest run =
       coalesced;
       digest;
       wall_ms = (Unix.gettimeofday () -. t0) *. 1000.;
-      run }
+      run = Sweep.run_to_json run }
 
 (* Join the pending job for [digest] or enqueue a fresh one; never
    coalesces a [no_cache] request onto an existing job (it asked for its
@@ -298,9 +299,8 @@ let run t ?(default_timeout_ms = 0) (r : Protocol.run_request) =
   | Error (code, message) -> error r.id code message
   | Ok res -> (
       match cache_find t ~no_cache:r.no_cache res with
-      | Some run_json ->
-          reply r ~t0 ~cached:true ~coalesced:false ~digest:res.r_digest
-            run_json
+      | Some run ->
+          reply r ~t0 ~cached:true ~coalesced:false ~digest:res.r_digest run
       | None -> (
           match join_or_enqueue t ~no_cache:r.no_cache res with
           | None ->
@@ -319,9 +319,9 @@ let run t ?(default_timeout_ms = 0) (r : Protocol.run_request) =
                 let outcome = job.j_outcome in
                 Mutex.unlock t.mutex;
                 match outcome with
-                | Some (Ok (run_json, from_cache)) ->
+                | Some (Ok (run, from_cache)) ->
                     reply r ~t0 ~cached:from_cache ~coalesced
-                      ~digest:res.r_digest run_json
+                      ~digest:res.r_digest run
                 | Some (Error (code, message)) -> error r.id code message
                 | None ->
                     if Unix.gettimeofday () > deadline then begin

@@ -7,8 +7,10 @@
     + {!Pf_report.Sweep.resolve} the request, as
       {!Pf_report.Sweep.execute} does — a served reply is
       byte-identical to the sweep's run record;
-    + consult the {!Pf_report.Run_cache} — a hit answers immediately
-      with the stored bytes;
+    + probe the {!Pf_report.Run_cache} with
+      {!Pf_report.Sweep.cached}, as the sweep does — a hit answers
+      immediately with the stored run, and an entry that names another
+      workload or label is a miss;
     + on a miss, join the in-flight job for the same digest if one
       exists (coalescing), else enqueue a fresh job on the worker pool
       and wait, bounded by the per-request deadline.

@@ -413,6 +413,221 @@ let test_table_aggregates () =
       Alcotest.(check (float 1e-9)) "average matches direct computation"
         expected avg
 
+(* ---- run-cache entry codec ---- *)
+
+(* a run built by hand, for cache cases that need no simulation *)
+let sample_run : Sweep.run =
+  { Sweep.workload = "gzip";
+    label = "postdoms";
+    policy = "postdoms";
+    config = Config.polyflow;
+    window = 2_000;
+    instructions = 2_000;
+    static_spawns = 17;
+    wall_s = 0.012_345_678_9;
+    metrics =
+      { Metrics.instructions = 2_000; cycles = 1_234; branch_mispredicts = 31;
+        indirect_mispredicts = 2; return_mispredicts = 1;
+        spawns =
+          [ (Pf_core.Spawn_point.Hammock, 40); (Pf_core.Spawn_point.Proc_ft, 7) ];
+        squashes = 3; squashed_instrs = 45; diverted = 610; tasks_spawned = 47;
+        max_live_tasks = 4; l1i_misses = 12; l1d_misses = 80; l2_misses = 9;
+        stall_frontend = 300; stall_divert = 20; stall_sched = 41;
+        stall_exec = 77 };
+    counters = [ ("spawns", 47); ("squashes", 3); ("refetched_instrs", 45) ] }
+
+(* every Config.t field off its default, each int distinct, so a field
+   the entry codec forgets or swaps changes the round trip *)
+let config_off_default =
+  let d = Config.superscalar in
+  { Config.width = 101; fetch_tasks_per_cycle = 102; max_tasks = 103;
+    rob_entries = 104; scheduler_entries = 105; fus = 106;
+    divert_entries = 107; retire_width = 108; min_mispredict_penalty = 109;
+    frontend_depth = 110; fetch_buffer = 111; max_spawn_distance = 112;
+    min_task_instrs = 113; spawn_latency = 114; squash_penalty = 115;
+    ras_depth = 116; max_cycles_per_instr = 117;
+    biased_fetch = not d.Config.biased_fetch;
+    shared_history = not d.Config.shared_history;
+    rob_shares = not d.Config.rob_shares;
+    divert_chains = not d.Config.divert_chains;
+    sp_hint = not d.Config.sp_hint;
+    feedback = not d.Config.feedback;
+    split_spawning = not d.Config.split_spawning;
+    no_event_skip = not d.Config.no_event_skip;
+    mem_tracker = not d.Config.mem_tracker;
+    tracker_entries = 118; mem_sync_threshold = 119; safety_store_pct = 120;
+    safety_branch_pct = 121; safety_serial_ops = 122;
+    doacross_sync_distance = 123 }
+
+let arbitrary_run =
+  let open QCheck.Gen in
+  let text =
+    oneof
+      [ string_size ~gen:printable (int_bound 24);
+        oneofl
+          [ ""; "postdoms@tasks=4"; "r\xc3\xa9seau \xcf\x80\xe2\x89\x883";
+            "\xf0\x9d\x84\x9e" ] ]
+  in
+  let value = oneof [ int_bound 100_000; int ] in
+  let wall_s =
+    oneof
+      [ float_bound_inclusive 10.;
+        map (fun f -> if Float.is_finite f then f else 0.) float ]
+  in
+  let config =
+    map2
+      (fun i b ->
+        { Config.width = i.(0); fetch_tasks_per_cycle = i.(1);
+          max_tasks = i.(2);
+          rob_entries = i.(3); scheduler_entries = i.(4); fus = i.(5);
+          divert_entries = i.(6); retire_width = i.(7);
+          min_mispredict_penalty = i.(8); frontend_depth = i.(9);
+          fetch_buffer = i.(10); max_spawn_distance = i.(11);
+          min_task_instrs = i.(12); spawn_latency = i.(13);
+          squash_penalty = i.(14); ras_depth = i.(15);
+          max_cycles_per_instr = i.(16); biased_fetch = b.(0);
+          shared_history = b.(1); rob_shares = b.(2); divert_chains = b.(3);
+          sp_hint = b.(4); feedback = b.(5); split_spawning = b.(6);
+          no_event_skip = b.(7); mem_tracker = b.(8); tracker_entries = i.(17);
+          mem_sync_threshold = i.(18); safety_store_pct = i.(19);
+          safety_branch_pct = i.(20); safety_serial_ops = i.(21);
+          doacross_sync_distance = i.(22) })
+      (array_repeat 23 value) (array_repeat 9 bool)
+  in
+  let gen =
+    text >>= fun workload ->
+    text >>= fun label ->
+    text >>= fun policy ->
+    config >>= fun config ->
+    value >>= fun window ->
+    value >>= fun instructions ->
+    value >>= fun static_spawns ->
+    wall_s >>= fun wall_s ->
+    QCheck.gen arbitrary_metrics >>= fun metrics ->
+    list_size (int_bound 30) (pair text value) >>= fun counters ->
+    return
+      { Sweep.workload; label; policy; config; window; instructions;
+        static_spawns; wall_s; metrics; counters }
+  in
+  QCheck.make ~print:(fun r -> Json.to_string (Sweep.run_to_json r)) gen
+
+let entry_digest = "0123456789abcdef0123456789abcdef"
+let other_digest = "fedcba9876543210fedcba9876543210"
+let run_json r = Json.to_string (Sweep.run_to_json r)
+
+(* [decode (encode r)] renders to [r]'s JSON byte for byte *)
+let entry_round_trips r =
+  let bytes = Run_cache.encode ~digest:entry_digest r in
+  match Run_cache.decode ~digest:entry_digest bytes with
+  | Ok r' -> run_json r' = run_json r
+  | Error _ -> false
+
+let entry_roundtrip_prop =
+  QCheck.Test.make ~name:"run-cache entry: decode (encode r) renders r's JSON"
+    ~count:300 arbitrary_run entry_round_trips
+
+(* replace the MD5 footer, so that only the checks behind it can reject
+   the entry *)
+let reseal body = body ^ Digest.string body
+
+(* Every damaged form of a valid entry: each truncation, each byte
+   flipped, each re-sealed truncation of the body, random bytes, a
+   foreign magic or version, and the entry filed under another digest.
+   Each must decode to [Error], without raising. *)
+let entry_faults_prop =
+  let gen =
+    QCheck.Gen.(
+      triple (QCheck.gen arbitrary_run) (int_range 1 255)
+        (string_size (int_bound 2_000)))
+  in
+  QCheck.Test.make ~name:"run-cache entry: a damaged entry never decodes"
+    ~count:25
+    (QCheck.make ~print:(fun (r, _, _) -> run_json r) gen)
+    (fun (r, mask, noise) ->
+      let valid = Run_cache.encode ~digest:entry_digest r in
+      let n = String.length valid in
+      let body = String.sub valid 0 (n - 16) in
+      let rejected ?(digest = entry_digest) bytes =
+        match Run_cache.decode ~digest bytes with
+        | Error _ -> true
+        | Ok _ | (exception _) -> false
+      in
+      let with_bytes at s =
+        let b = Bytes.of_string body in
+        Bytes.blit_string s 0 b at (String.length s);
+        reseal (Bytes.to_string b)
+      in
+      let version = Bytes.create 4 in
+      Bytes.set_int32_le version 0
+        (Int32.of_int (Run_cache.format_version + 1));
+      List.for_all
+        (fun k -> rejected (String.sub valid 0 k))
+        (List.init n Fun.id)
+      && List.for_all
+           (fun i ->
+             rejected
+               (String.mapi
+                  (fun j c ->
+                    if j = i then Char.chr (Char.code c lxor mask) else c)
+                  valid))
+           (List.init n Fun.id)
+      && List.for_all
+           (fun k -> rejected (reseal (String.sub body 0 k)))
+           (List.init (String.length body) Fun.id)
+      && rejected noise
+      && rejected (with_bytes 0 "PFTR")
+      && rejected (with_bytes 4 (Bytes.to_string version))
+      && rejected ~digest:other_digest valid
+      && rejected (with_bytes 8 other_digest)
+      && rejected (reseal (body ^ "x")))
+
+(* Every policy class of a small sweep, a config with every field off
+   its default, a UTF-8 label, and non-empty spawn and counter lists
+   each survive the entry codec byte for byte; so do the JSON
+   adapters. *)
+let test_entry_round_trip () =
+  let runs, _ =
+    Sweep.execute ~jobs:1
+      (List.map
+         (fun p -> Sweep.spec "gzip" p ~window:2_000)
+         Pf_core.Policy.
+           [ No_spawn; Categories [ Pf_core.Spawn_point.Loop_iter ]; Postdoms;
+             Postdoms_minus Pf_core.Spawn_point.Hammock; Rec_pred; Dmt;
+             Adaptive; Doacross ])
+  in
+  let postdoms =
+    List.find (fun (r : Sweep.run) -> r.Sweep.label = "postdoms") runs
+  in
+  Alcotest.(check bool) "the sweep's postdoms run spawns and counts" true
+    (postdoms.Sweep.metrics.Metrics.spawns <> []
+    && postdoms.Sweep.counters <> []);
+  let cases =
+    List.map (fun (r : Sweep.run) -> (r.Sweep.label, r)) runs
+    @ [ ("every config field off its default",
+         { sample_run with Sweep.config = config_off_default });
+        ("UTF-8 label",
+         { sample_run with
+           Sweep.label = "postdoms@\xc3\xa9t\xc3\xa9 \xe2\x88\x80\xf0\x9d\x84\x9e"
+         });
+        ("hand-built spawns and counters", sample_run) ]
+  in
+  let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
+  List.iter
+    (fun (what, r) ->
+      let bytes = Run_cache.encode ~digest:entry_digest r in
+      (match Run_cache.decode ~digest:entry_digest bytes with
+      | Ok r' ->
+          Alcotest.(check string) (what ^ ": entry round trip") (run_json r)
+            (run_json r')
+      | Error e -> Alcotest.failf "%s: entry rejected (%s)" what e);
+      Run_cache.store cache ~digest:entry_digest (Sweep.run_to_json r);
+      match Run_cache.find cache ~digest:entry_digest with
+      | Some j ->
+          Alcotest.(check string) (what ^ ": JSON adapters") (run_json r)
+            (Json.to_string j)
+      | None -> Alcotest.failf "%s: JSON adapter missed" what)
+    cases
+
 (* ---- sweep result cache ---- *)
 
 (* Reconstruct, from public inputs only, the digest [Sweep.execute]
@@ -422,6 +637,10 @@ let gzip_postdoms_digest () =
   Run_cache.digest ~workload:"gzip" ~window:3_000
     ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~policy:"postdoms"
     ~label:"postdoms" ~config:Config.polyflow
+
+let find_gzip_postdoms cache =
+  Run_cache.find_run cache ~digest:(gzip_postdoms_digest ()) ~workload:"gzip"
+    ~label:"postdoms"
 
 let test_cache_hit_round_trip () =
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
@@ -442,7 +661,7 @@ let test_cache_hit_round_trip () =
       Alcotest.(check int) "every run replayed" 4 s.Sweep.cached_runs
   | None -> Alcotest.fail "on_stats not called");
   Alcotest.(check bool) "the sweep's digest is reconstructible" true
-    (Run_cache.find cache ~digest:(gzip_postdoms_digest ()) <> None)
+    (find_gzip_postdoms cache <> None)
 
 (* A cache holding only the mcf runs: the sweep prepares the gzip
    window alone, through one trace-store lookup, and its mix of
@@ -581,19 +800,12 @@ let test_cache_bypass_and_verbatim_replay () =
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
   let specs = [ Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000 ] in
   let cold, _ = Sweep.execute ~cache ~jobs:1 specs in
-  let digest = gzip_postdoms_digest () in
   (* plant a sentinel wall_s in the stored entry, via the public API *)
-  let patched =
-    match Run_cache.find cache ~digest with
-    | Some (Json.Obj members) ->
-        Json.Obj
-          (List.map
-             (fun (k, v) ->
-               if k = "wall_s" then (k, Json.Float 123.456) else (k, v))
-             members)
-    | _ -> Alcotest.fail "expected a cached run object"
-  in
-  Run_cache.store cache ~digest patched;
+  (match find_gzip_postdoms cache with
+  | Some r ->
+      Run_cache.store_run cache ~digest:(gzip_postdoms_digest ())
+        { r with Sweep.wall_s = 123.456 }
+  | None -> Alcotest.fail "expected a cached run");
   (match Sweep.execute ~cache ~jobs:1 specs with
   | [ r ], _ ->
       Alcotest.(check (float 0.)) "a hit replays the entry verbatim" 123.456
@@ -616,20 +828,45 @@ let test_cache_corruption_ignored () =
   let cold, _ = Sweep.execute ~cache ~jobs:1 specs in
   let digest = gzip_postdoms_digest () in
   let path = Run_cache.path cache ~digest in
-  let oc = open_out path in
-  output_string oc "{ \"digest\": truncated garb";
+  let read () =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let valid = read () in
+  (* a torn write: the first half of the valid entry *)
+  let oc = open_out_bin path in
+  output_string oc (String.sub valid 0 (String.length valid / 2));
   close_out oc;
-  (* the corrupt entry downgrades to a miss (with a stderr warning),
+  (* the truncated entry downgrades to a miss (with a stderr warning),
      the sweep resimulates and repairs the entry *)
-  (match Sweep.execute ~cache ~jobs:1 specs with
-  | [ r ], _ ->
-      let c = List.hd cold in
+  let simulated sweep_cache =
+    let n = ref (-1) in
+    let runs, _ =
+      Sweep.execute ~cache:sweep_cache
+        ~on_stats:(fun s -> n := s.Sweep.simulated_runs)
+        ~jobs:1 specs
+    in
+    (runs, !n)
+  in
+  let c = List.hd cold in
+  (match simulated cache with
+  | [ r ], n ->
+      Alcotest.(check int) "the truncated entry is resimulated" 1 n;
       Alcotest.(check string) "resimulated metrics match the cold run"
         (Json.to_string (Codec.metrics_to_json c.Sweep.metrics))
         (Json.to_string (Codec.metrics_to_json r.Sweep.metrics))
   | _ -> Alcotest.fail "one run expected");
-  Alcotest.(check bool) "entry repaired in place" true
-    (Run_cache.find cache ~digest <> None)
+  (match Run_cache.decode ~digest (read ()) with
+  | Ok r ->
+      Alcotest.(check string) "entry repaired in place"
+        (Json.to_string (Codec.metrics_to_json c.Sweep.metrics))
+        (Json.to_string (Codec.metrics_to_json r.Sweep.metrics))
+  | Error e -> Alcotest.failf "entry not repaired (%s)" e);
+  match simulated cache with
+  | [ _ ], n -> Alcotest.(check int) "the repaired entry hits" 0 n
+  | _ -> Alcotest.fail "one run expected"
 
 (* ---- policy names round-trip (the CLI and the schema rely on it) ---- *)
 
@@ -677,4 +914,7 @@ let suite =
         case "cache: no-cache bypasses, hits replay verbatim"
           test_cache_bypass_and_verbatim_replay;
         case "cache: corrupt entries resimulated" test_cache_corruption_ignored;
+        case "cache: entry round trip is byte-identical" test_entry_round_trip;
+        Prop.to_alcotest entry_roundtrip_prop;
+        Prop.to_alcotest entry_faults_prop;
         case "policy names parse back" test_policy_of_string ] ) ]

@@ -1,8 +1,9 @@
 (* Tests for pf_serve and the sharded LRU run cache underneath it:
    protocol codec round trips and error paths, cache cold-start /
-   sharding / migration / eviction-order behaviour, scheduler
-   coalescing, no_cache, prep sharing (also under concurrent first
-   requests) and the deterministic timeout path, and integration cases
+   sharding / eviction-order behaviour, scheduler coalescing, no_cache,
+   a hit checked against its spec's workload and label, prep sharing
+   (also under concurrent first requests) and the deterministic timeout
+   path, and integration cases
    against a live server: the socket protocol, the request size limit,
    concurrent clients checked byte for byte against a direct sweep, the
    HTTP shim, stopping after the socket file is gone, and shutdown
@@ -205,68 +206,55 @@ let test_response_roundtrip () =
           code = Protocol.Timeout;
           message = "too slow" } ]
 
-(* ---- run cache: cold start, sharding, migration, LRU ---- *)
+(* ---- run cache: cold start, sharding, LRU ---- *)
 
-let entry n = Json.Obj [ ("payload", Json.Int n) ]
-
-(* the cache only recognizes 32-char lowercase-hex names as entries
-   (scan, migration), so test digests must be shaped like real ones *)
+(* the cache only recognizes 32-char lowercase-hex names as entries, so
+   test digests must be shaped like real ones *)
 let hex_digest prefix fill = prefix ^ String.make 30 fill
 let d_aa = hex_digest "aa" '1'
 let d_ab = hex_digest "ab" '2'
 let d_bb = hex_digest "bb" '3'
 let d_cc = hex_digest "cc" '4'
 
+(* a run record per digest: labelled with it, so each entry differs *)
+let entry digest = { Test_report.sample_run with Sweep.label = digest }
+
+let store cache digest = Run_cache.store_run cache ~digest (entry digest)
+
+let find cache digest =
+  Run_cache.find_run cache ~digest ~workload:"gzip" ~label:digest
+
 let test_cache_cold_start_creates_parents () =
   (* regression: create must mkdir -p missing parent directories *)
   let root = temp_dir () in
   let dir = Filename.concat root "a/b/c/cache" in
   let cache = Run_cache.create ~dir () in
-  Run_cache.store cache ~digest:d_aa (entry 1);
+  store cache d_aa;
   Alcotest.(check bool) "find after cold start" true
-    (Run_cache.find cache ~digest:d_aa = Some (entry 1));
+    (find cache d_aa = Some (entry d_aa));
   Alcotest.(check bool) "dir exists" true
     (Sys.is_directory dir)
 
 let test_cache_sharding () =
   let cache = Run_cache.create ~dir:(temp_dir ()) () in
-  Run_cache.store cache ~digest:d_ab (entry 2);
+  store cache d_ab;
   let p = Run_cache.path cache ~digest:d_ab in
   Alcotest.(check bool) "entry lives in its shard" true (Sys.file_exists p);
   Alcotest.(check string) "shard is the digest prefix" "ab"
     (Filename.basename (Filename.dirname p))
 
-let test_cache_legacy_migration () =
-  (* entries written by the old flat layout are adopted on create *)
-  let dir = temp_dir () in
-  let flat = Filename.concat dir (d_cc ^ ".json") in
-  let oc = open_out flat in
-  output_string oc
-    (Json.to_string
-       (Json.Obj [ ("digest", Json.String d_cc); ("run", entry 3) ]));
-  close_out oc;
-  let cache = Run_cache.create ~dir () in
-  Alcotest.(check bool) "migrated entry found" true
-    (Run_cache.find cache ~digest:d_cc = Some (entry 3));
-  Alcotest.(check bool) "flat file moved into its shard" true
-    (Sys.file_exists (Run_cache.path cache ~digest:d_cc)
-    && not (Sys.file_exists flat))
-
 let test_cache_lru_eviction_order () =
   let counters = Counters.create () in
   let cache = Run_cache.create ~cap:2 ~counters ~dir:(temp_dir ()) () in
-  Run_cache.store cache ~digest:d_aa (entry 1);
-  Run_cache.store cache ~digest:d_bb (entry 2);
+  store cache d_aa;
+  store cache d_bb;
   (* touch aa01 so bb02 becomes the least recently used *)
-  Alcotest.(check bool) "hit before eviction" true
-    (Run_cache.find cache ~digest:d_aa <> None);
-  Run_cache.store cache ~digest:d_cc (entry 3);
-  Alcotest.(check bool) "LRU entry evicted" true
-    (Run_cache.find cache ~digest:d_bb = None);
+  Alcotest.(check bool) "hit before eviction" true (find cache d_aa <> None);
+  store cache d_cc;
+  Alcotest.(check bool) "LRU entry evicted" true (find cache d_bb = None);
   Alcotest.(check bool) "recently-hit entry survives" true
-    (Run_cache.find cache ~digest:d_aa <> None);
-  Alcotest.(check bool) "new entry present" true
-    (Run_cache.find cache ~digest:d_cc <> None);
+    (find cache d_aa <> None);
+  Alcotest.(check bool) "new entry present" true (find cache d_cc <> None);
   let s = Run_cache.stats cache in
   Alcotest.(check int) "entries at cap" 2 s.Run_cache.entries;
   Alcotest.(check int) "one eviction" 1 s.Run_cache.evictions;
@@ -281,17 +269,15 @@ let test_cache_recency_survives_reopen () =
      refresh mtime via utimes *)
   let dir = temp_dir () in
   let c1 = Run_cache.create ~dir () in
-  Run_cache.store c1 ~digest:d_aa (entry 1);
-  Run_cache.store c1 ~digest:d_bb (entry 2);
+  store c1 d_aa;
+  store c1 d_bb;
   (* push aa01's mtime well into the past, as an old hit would be *)
   let past = Unix.gettimeofday () -. 3600. in
   Unix.utimes (Run_cache.path c1 ~digest:d_aa) past past;
   let c2 = Run_cache.create ~cap:1 ~dir () in
-  Run_cache.store c2 ~digest:d_cc (entry 3);
-  Alcotest.(check bool) "stale entry evicted first" true
-    (Run_cache.find c2 ~digest:d_aa = None);
-  Alcotest.(check bool) "new entry survives" true
-    (Run_cache.find c2 ~digest:d_cc <> None)
+  store c2 d_cc;
+  Alcotest.(check bool) "stale entry evicted first" true (find c2 d_aa = None);
+  Alcotest.(check bool) "new entry survives" true (find c2 d_cc <> None)
 
 (* ---- scheduler ---- *)
 
@@ -388,6 +374,35 @@ let test_scheduler_no_cache () =
          runs filled *)
       Alcotest.(check bool) "plain request hits" true
         (cached (Scheduler.run sched (run_request ~window:2_000 "mcf" "postdoms"))))
+
+(* The daemon checks a hit's workload and label, as the sweep does: a
+   gzip run filed under an mcf spec's digest is resimulated on both
+   probes (the request's, then the worker's in-queue re-check), not
+   served, and the fresh run repairs the entry. *)
+let test_scheduler_checks_hit_identity () =
+  let cache = Run_cache.create ~dir:(temp_dir ()) () in
+  let mcf =
+    match
+      Sweep.resolve (Sweep.spec ~window:2_000 "mcf" Pf_core.Policy.Postdoms)
+    with
+    | Ok r -> r
+    | Error _ -> Alcotest.fail "the mcf spec does not resolve"
+  in
+  Run_cache.store_run cache ~digest:mcf.Sweep.r_digest Test_report.sample_run;
+  with_scheduler ~cache (fun sched counters ->
+      let req = run_request ~window:2_000 "mcf" "postdoms" in
+      (match Scheduler.run sched req with
+      | Protocol.Run_reply r ->
+          Alcotest.(check bool) "the gzip entry is not served" false
+            r.Protocol.cached;
+          Alcotest.(check string) "the reply is mcf's run" "mcf"
+            (Json.to_str (Json.member "workload" r.Protocol.run))
+      | _ -> Alcotest.fail "mcf run failed");
+      Alcotest.(check int) "resimulated" 1 (counter counters "simulations");
+      match Scheduler.run sched req with
+      | Protocol.Run_reply r ->
+          Alcotest.(check bool) "the repaired entry hits" true r.Protocol.cached
+      | _ -> Alcotest.fail "second mcf run failed")
 
 let test_scheduler_coalescing () =
   let cache = Run_cache.create ~dir:(temp_dir ()) () in
@@ -954,13 +969,14 @@ let suite =
     ( "serve.cache",
       [ case "cold start creates parents" test_cache_cold_start_creates_parents;
         case "digest-prefix sharding" test_cache_sharding;
-        case "legacy flat layout migrates" test_cache_legacy_migration;
         case "LRU eviction order" test_cache_lru_eviction_order;
         case "recency survives reopen" test_cache_recency_survives_reopen ] );
     ( "serve.scheduler",
       [ case "resolution errors" test_scheduler_resolution_errors;
         case "hit, miss and prep sharing" test_scheduler_hit_miss_and_prep_sharing;
         case "no_cache bypasses the cache" test_scheduler_no_cache;
+        case "a hit for another workload is resimulated"
+          test_scheduler_checks_hit_identity;
         case "concurrent identical requests coalesce" test_scheduler_coalescing;
         case "queued request times out" test_scheduler_timeout;
         case "a failing group member hurts only itself"

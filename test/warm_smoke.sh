@@ -2,16 +2,20 @@
 # Warm-regeneration smoke: runs the figure harness twice over the same
 # fresh run-cache and trace-store directories, a cold pass that
 # simulates everything and a warm pass that the cache answers in full,
-# and fails unless both print the same tables. Only the two wall-time
+# and fails unless both print the same tables and the warm pass's
+# report document says it simulated nothing. Only the two wall-time
 # lines may differ.
 #   bash test/warm_smoke.sh path/to/bench/main.exe
 set -euo pipefail
 bench=$1
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
+# both passes write the same document path, so their stdouts name the
+# same file; the warm pass's document is the one left to check
 pass() {
   if ! PF_BENCH_WINDOW=2000 "$bench" --jobs 2 \
       --cache "$dir/cache" --trace-store "$dir/tstore" \
+      --json "$dir/sweep.json" \
       >"$dir/$1.raw" 2>"$dir/$1.err"; then
     echo "warm smoke: the $1 pass failed:" >&2
     cat "$dir/$1.err" >&2
@@ -23,3 +27,10 @@ pass() {
 pass cold
 pass warm
 diff "$dir/cold.out" "$dir/warm.out"
+# identical tables alone would also pass if every cache entry were
+# rejected and resimulated
+if ! grep -Eq '"simulated_runs": 0([^0-9]|$)' "$dir/sweep.json"; then
+  echo "warm smoke: the warm pass did not replay every run from the cache:" >&2
+  grep '"simulated_runs"' "$dir/sweep.json" >&2 || true
+  exit 1
+fi
