@@ -54,6 +54,7 @@ let run_cmd name policy_str all_policies window trace_store_dir
       `Error (false, "--chrome-trace records one run; drop --all-policies")
   | Error Pf_report.Sweep.Unknown_workload ->
       `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
+  | Error (Pf_report.Sweep.Bad_config msg) -> `Error (false, msg)
   | Error (Pf_report.Sweep.Non_positive_window n) ->
       `Error (false, Printf.sprintf "--window must be positive (got %d)" n)
   | Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->

@@ -83,132 +83,28 @@ let cpi_stack_of_json j =
     Json.to_str (Json.member "label" j),
     Pf_obs.Cpi_stack.of_json (Json.member "cpi_stack" j) )
 
-(* ---- config ---- *)
+(* ---- config: walks of [Config.fields] ---- *)
 
 let config_to_json (c : Config.t) =
-  (* additive schema-v1 fields (memory-dependence tracker PR): emitted
-     only when they differ from their defaults, so every document — and
-     every run-cache digest — produced before the fields existed stays
-     byte-identical *)
-  let d = Config.superscalar in
-  let tracker_fields =
-    List.concat
-      [ (if c.Config.mem_tracker <> d.Config.mem_tracker then
-           [ ("mem_tracker", Json.Bool c.Config.mem_tracker) ]
-         else []);
-        (if c.Config.tracker_entries <> d.Config.tracker_entries then
-           [ ("tracker_entries", Json.Int c.Config.tracker_entries) ]
-         else []);
-        (if c.Config.mem_sync_threshold <> d.Config.mem_sync_threshold then
-           [ ("mem_sync_threshold", Json.Int c.Config.mem_sync_threshold) ]
-         else []);
-        (if c.Config.safety_store_pct <> d.Config.safety_store_pct then
-           [ ("safety_store_pct", Json.Int c.Config.safety_store_pct) ]
-         else []);
-        (if c.Config.safety_branch_pct <> d.Config.safety_branch_pct then
-           [ ("safety_branch_pct", Json.Int c.Config.safety_branch_pct) ]
-         else []);
-        (if c.Config.safety_serial_ops <> d.Config.safety_serial_ops then
-           [ ("safety_serial_ops", Json.Int c.Config.safety_serial_ops) ]
-         else []);
-        (if c.Config.doacross_sync_distance <> d.Config.doacross_sync_distance
-         then
-           [ ( "doacross_sync_distance",
-               Json.Int c.Config.doacross_sync_distance ) ]
-         else []) ]
-  in
   Json.Obj
-    ([ ("width", Json.Int c.Config.width);
-      ("fetch_tasks_per_cycle", Json.Int c.Config.fetch_tasks_per_cycle);
-      ("max_tasks", Json.Int c.Config.max_tasks);
-      ("rob_entries", Json.Int c.Config.rob_entries);
-      ("scheduler_entries", Json.Int c.Config.scheduler_entries);
-      ("fus", Json.Int c.Config.fus);
-      ("divert_entries", Json.Int c.Config.divert_entries);
-      ("retire_width", Json.Int c.Config.retire_width);
-      ("min_mispredict_penalty", Json.Int c.Config.min_mispredict_penalty);
-      ("frontend_depth", Json.Int c.Config.frontend_depth);
-      ("fetch_buffer", Json.Int c.Config.fetch_buffer);
-      ("max_spawn_distance", Json.Int c.Config.max_spawn_distance);
-      ("min_task_instrs", Json.Int c.Config.min_task_instrs);
-      ("spawn_latency", Json.Int c.Config.spawn_latency);
-      ("squash_penalty", Json.Int c.Config.squash_penalty);
-      ("ras_depth", Json.Int c.Config.ras_depth);
-      ("max_cycles_per_instr", Json.Int c.Config.max_cycles_per_instr);
-      ("biased_fetch", Json.Bool c.Config.biased_fetch);
-      ("shared_history", Json.Bool c.Config.shared_history);
-      ("rob_shares", Json.Bool c.Config.rob_shares);
-      ("divert_chains", Json.Bool c.Config.divert_chains);
-      ("sp_hint", Json.Bool c.Config.sp_hint);
-      ("feedback", Json.Bool c.Config.feedback);
-      ("split_spawning", Json.Bool c.Config.split_spawning);
-      ("no_event_skip", Json.Bool c.Config.no_event_skip) ]
-    @ tracker_fields)
+    (List.filter_map
+       (fun (f : Config.field) ->
+         let v = f.get c in
+         if f.presence = Non_default && v = f.get Config.superscalar then None
+         else Some (f.name, if f.flag then Json.Bool (v = 1) else Json.Int v))
+       Config.fields)
 
-let config_of_json j : Config.t =
-  let int name = Json.to_int (Json.member name j) in
-  let bool name = Json.to_bool (Json.member name j) in
-  { Config.width = int "width";
-    fetch_tasks_per_cycle = int "fetch_tasks_per_cycle";
-    max_tasks = int "max_tasks";
-    rob_entries = int "rob_entries";
-    scheduler_entries = int "scheduler_entries";
-    fus = int "fus";
-    divert_entries = int "divert_entries";
-    retire_width = int "retire_width";
-    min_mispredict_penalty = int "min_mispredict_penalty";
-    frontend_depth = int "frontend_depth";
-    fetch_buffer = int "fetch_buffer";
-    max_spawn_distance = int "max_spawn_distance";
-    min_task_instrs = int "min_task_instrs";
-    spawn_latency = int "spawn_latency";
-    squash_penalty = int "squash_penalty";
-    ras_depth = int "ras_depth";
-    max_cycles_per_instr = int "max_cycles_per_instr";
-    biased_fetch = bool "biased_fetch";
-    shared_history = bool "shared_history";
-    rob_shares = bool "rob_shares";
-    divert_chains = bool "divert_chains";
-    sp_hint = bool "sp_hint";
-    feedback = bool "feedback";
-    split_spawning = bool "split_spawning";
-    (* additive schema-v1 field (PR 5): absent in documents written by
-       earlier versions, where stepping was always per-cycle *)
-    no_event_skip =
-      (match Json.member_opt "no_event_skip" j with
-      | Some b -> Json.to_bool b
-      | None -> false);
-    (* additive fields (memory-dependence tracker PR): absent means the
-       default, matching [config_to_json]'s only-when-non-default rule *)
-    mem_tracker =
-      (match Json.member_opt "mem_tracker" j with
-      | Some b -> Json.to_bool b
-      | None -> Config.superscalar.Config.mem_tracker);
-    tracker_entries =
-      (match Json.member_opt "tracker_entries" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.tracker_entries);
-    mem_sync_threshold =
-      (match Json.member_opt "mem_sync_threshold" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.mem_sync_threshold);
-    safety_store_pct =
-      (match Json.member_opt "safety_store_pct" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.safety_store_pct);
-    safety_branch_pct =
-      (match Json.member_opt "safety_branch_pct" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.safety_branch_pct);
-    safety_serial_ops =
-      (match Json.member_opt "safety_serial_ops" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.safety_serial_ops);
-    (* additive field (DOACROSS PR), same only-when-non-default rule *)
-    doacross_sync_distance =
-      (match Json.member_opt "doacross_sync_distance" j with
-      | Some v -> Json.to_int v
-      | None -> Config.superscalar.Config.doacross_sync_distance) }
+let config_of_json j =
+  List.fold_left
+    (fun c (f : Config.field) ->
+      match
+        if f.presence = Required then Some (Json.member f.name j)
+        else Json.member_opt f.name j
+      with
+      | None -> c
+      | Some v when f.flag -> f.set c (Bool.to_int (Json.to_bool v))
+      | Some v -> f.set c (Json.to_int v))
+    Config.superscalar Config.fields
 
 (* ---- run records ----
 

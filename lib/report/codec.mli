@@ -2,9 +2,12 @@
 
     These are the building blocks of the report schema
     ([docs/REPORT_SCHEMA.md]); {!Sweep} assembles them into full
-    documents. Every [.._of_json] is strict — a missing or mistyped
-    field raises {!Json.Decode_error} naming the field — and every
-    round trip is exact: [metrics_of_json (metrics_to_json m) = m]. *)
+    documents. A missing required member raises {!Json.Decode_error}
+    naming it, and so does a mistyped value (naming the type it
+    expected). Members added to schema v1 later are optional: an absent
+    config member of {!config_of_json} reads as its default, and an
+    absent ["counters"] of {!run_of_json} as [[]]. Every round trip is
+    exact: [metrics_of_json (metrics_to_json m) = m]. *)
 
 (** {1 Spawn categories} *)
 
@@ -45,9 +48,13 @@ val cpi_stack_of_json : Json.t -> string * string * Pf_obs.Cpi_stack.t
 
 (** {1 Machine configuration} *)
 
-(** All knobs of [Pf_uarch.Config.t], one JSON member per record field. *)
+(** One member per [Pf_uarch.Config.fields] entry, in that order, but
+    a [Non_default] field only when it differs from
+    [Config.superscalar]. *)
 val config_to_json : Pf_uarch.Config.t -> Json.t
 
+(** An absent optional member reads as its [Config.superscalar] value.
+    Types are checked, ranges are not: that is [Config.check]'s job. *)
 val config_of_json : Json.t -> Pf_uarch.Config.t
 
 (** {1 Run records} *)

@@ -9,8 +9,8 @@
    and a 16-byte raw MD5 of everything before it. In the run, ints are
    int64 LE, counts and string lengths int32 LE, [wall_s] its IEEE bits,
    and each record (run scalars, config, metrics scalars) a fixed block
-   of int64 fields in record-field order, bools as 0 or 1, so the
-   decoder reads fields by index and never depends on evaluation order.
+   of int64 fields, bools as 0 or 1, in record-field order ([Config.fields]
+   for the config); no decoder depends on evaluation order.
    Spawn categories are their index in [Spawn_point.all_categories].
    Any truncation, checksum or length mismatch, foreign magic or
    version, an entry filed under another digest, or an out-of-range
@@ -45,9 +45,10 @@ let path = Cache_store.path
 
 let digest ~workload ~window ~fast_forward ~policy ~label ~config =
   (* every field is a full line of its own, so no two distinct keys can
-     concatenate to the same string; the config goes in as its complete
-     canonical JSON so that any new Config.t field automatically
-     invalidates entries written before it existed *)
+     concatenate to the same string; the config goes in as its canonical
+     JSON, so a new Config.t field changes every key unless it is
+     [Non_default]: a config at its default keeps its old key, right only
+     while that default reproduces the old timing *)
   let key =
     String.concat "\n"
       [ "polyflow-run-cache";
@@ -75,24 +76,6 @@ let category_index c =
   let rec go i = if categories.(i) = c then i else go (i + 1) in
   go 0
 
-let int_of_bool b = if b then 1 else 0
-
-let config_fields (c : Config.t) =
-  [| c.width; c.fetch_tasks_per_cycle; c.max_tasks; c.rob_entries;
-     c.scheduler_entries; c.fus; c.divert_entries; c.retire_width;
-     c.min_mispredict_penalty; c.frontend_depth; c.fetch_buffer;
-     c.max_spawn_distance; c.min_task_instrs; c.spawn_latency;
-     c.squash_penalty; c.ras_depth; c.max_cycles_per_instr;
-     int_of_bool c.biased_fetch; int_of_bool c.shared_history;
-     int_of_bool c.rob_shares; int_of_bool c.divert_chains;
-     int_of_bool c.sp_hint; int_of_bool c.feedback;
-     int_of_bool c.split_spawning; int_of_bool c.no_event_skip;
-     int_of_bool c.mem_tracker; c.tracker_entries; c.mem_sync_threshold;
-     c.safety_store_pct; c.safety_branch_pct; c.safety_serial_ops;
-     c.doacross_sync_distance |]
-
-let config_count = Array.length (config_fields Config.superscalar)
-
 (* every Metrics.t field except [spawns], which follows as a list *)
 let metrics_fields (m : Metrics.t) =
   [| m.instructions; m.cycles; m.branch_mispredicts; m.indirect_mispredicts;
@@ -119,7 +102,7 @@ let encode ~digest (r : Codec.run) =
   str r.policy;
   Array.iter int [| r.window; r.instructions; r.static_spawns |];
   Buffer.add_int64_le b (Int64.bits_of_float r.wall_s);
-  Array.iter int (config_fields r.config);
+  List.iter (fun (f : Config.field) -> int (f.get r.config)) Config.fields;
   Array.iter int (metrics_fields r.metrics);
   count (List.length r.metrics.spawns);
   List.iter
@@ -165,25 +148,13 @@ let list rd f =
   let rec go acc n = if n = 0 then List.rev acc else go (f rd :: acc) (n - 1) in
   go [] (count rd)
 
-let bool v =
-  match v with 0 -> false | 1 -> true | _ -> raise (Corrupt "bad flag")
-
-let config_of_fields a : Config.t =
-  { width = a.(0); fetch_tasks_per_cycle = a.(1); max_tasks = a.(2);
-    rob_entries = a.(3); scheduler_entries = a.(4); fus = a.(5);
-    divert_entries = a.(6); retire_width = a.(7);
-    min_mispredict_penalty = a.(8); frontend_depth = a.(9);
-    fetch_buffer = a.(10); max_spawn_distance = a.(11);
-    min_task_instrs = a.(12); spawn_latency = a.(13);
-    squash_penalty = a.(14); ras_depth = a.(15);
-    max_cycles_per_instr = a.(16); biased_fetch = bool a.(17);
-    shared_history = bool a.(18); rob_shares = bool a.(19);
-    divert_chains = bool a.(20); sp_hint = bool a.(21);
-    feedback = bool a.(22); split_spawning = bool a.(23);
-    no_event_skip = bool a.(24); mem_tracker = bool a.(25);
-    tracker_entries = a.(26); mem_sync_threshold = a.(27);
-    safety_store_pct = a.(28); safety_branch_pct = a.(29);
-    safety_serial_ops = a.(30); doacross_sync_distance = a.(31) }
+let config rd =
+  List.fold_left
+    (fun c (f : Config.field) ->
+      let v = int rd in
+      if f.flag && v <> 0 && v <> 1 then raise (Corrupt "bad flag");
+      f.set c v)
+    Config.superscalar Config.fields
 
 let metrics_of_fields a spawns : Metrics.t =
   { instructions = a.(0); cycles = a.(1); branch_mispredicts = a.(2);
@@ -223,7 +194,7 @@ let decode ~digest text =
         let policy = str rd in
         let scalars = ints rd 3 in
         let wall_s = Int64.float_of_bits (int64 rd) in
-        let config = config_of_fields (ints rd config_count) in
+        let config = config rd in
         let fields = ints rd metrics_count in
         let spawns = list rd spawn in
         let counters = list rd counter in

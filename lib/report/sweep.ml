@@ -115,27 +115,33 @@ type resolved = {
   r_digest : string;
 }
 
-type resolve_error = Unknown_workload | Non_positive_window of int
+type resolve_error =
+  | Unknown_workload
+  | Bad_config of string
+  | Non_positive_window of int
 
 let resolve (s : spec) =
   match Pf_workloads.Suite.find s.workload with
   | None -> Error Unknown_workload
-  | Some wl ->
+  | Some wl -> (
       let window =
         Option.value s.window ~default:wl.Pf_workloads.Workload.window
       in
-      if window <= 0 then Error (Non_positive_window window)
-      else
-        let config = resolve_config s in
-        Ok
-          { r_spec = s;
-            r_workload = wl;
-            r_window = window;
-            r_config = config;
-            r_digest =
-              Run_cache.digest ~workload:s.workload ~window
-                ~fast_forward:wl.Pf_workloads.Workload.fast_forward
-                ~policy:(Pf_core.Policy.name s.policy) ~label:s.label ~config }
+      let config = resolve_config s in
+      match Config.check config with
+      | Error msg -> Error (Bad_config msg)
+      | Ok () when window <= 0 -> Error (Non_positive_window window)
+      | Ok () ->
+          Ok
+            { r_spec = s;
+              r_workload = wl;
+              r_window = window;
+              r_config = config;
+              r_digest =
+                Run_cache.digest ~workload:s.workload ~window
+                  ~fast_forward:wl.Pf_workloads.Workload.fast_forward
+                  ~policy:(Pf_core.Policy.name s.policy) ~label:s.label
+                  ~config })
 
 (* ---- window slots ----
    A waiting caller retries a preparation that raised (and fails the
@@ -262,6 +268,8 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
            let key = (s.workload, s.label) in
            match resolve s with
            | Error Unknown_workload -> fail "unknown workload %S" s.workload
+           | Error (Bad_config msg) ->
+               fail "run %s/%s has a bad config: %s" s.workload s.label msg
            | Error (Non_positive_window w) ->
                fail "run %s/%s has window %d (must be > 0)" s.workload s.label w
            | Ok _ when Hashtbl.mem seen key ->

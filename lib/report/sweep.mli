@@ -86,9 +86,14 @@ type resolved = {
   r_digest : string;  (** the run's {!Run_cache.digest} *)
 }
 
-type resolve_error = Unknown_workload | Non_positive_window of int
+type resolve_error =
+  | Unknown_workload
+  | Bad_config of string  (** {!Pf_uarch.Config.check}'s message *)
+  | Non_positive_window of int
 
-(** Looks up the workload and computes the rest of {!resolved}. *)
+(** Looks up the workload and computes the rest of {!resolved}. A spec
+    wrong in several ways gets the first error of: workload, config,
+    window. *)
 val resolve : spec -> (resolved, resolve_error) result
 
 (** One (workload, window) and its prepared window, if any. *)

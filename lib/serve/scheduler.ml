@@ -87,7 +87,7 @@ let resolve (r : Protocol.run_request) =
           Printf.sprintf "unknown workload %S (known: %s)" r.workload
             (String.concat ", " Pf_workloads.Suite.names) )
   | _, Error msg, _ -> Error (Protocol.Unknown_policy, msg)
-  | _, _, Error msg ->
+  | _, _, Error msg | Error (Sweep.Bad_config msg), _, _ ->
       Error (Protocol.Bad_request, Printf.sprintf "bad \"config\": %s" msg)
   | Error (Sweep.Non_positive_window w), _, _ ->
       Error

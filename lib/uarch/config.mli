@@ -107,6 +107,43 @@ val doacross : t
     [Doacross] and {!polyflow} for every other policy. *)
 val for_policy : Pf_core.Policy.t -> t
 
+(** {1 Field table} *)
+
+(** When a field's JSON member is written. An absent optional member
+    reads as the field's {!superscalar} value. *)
+type presence =
+  | Required
+  | Defaulted  (** always written, optional when read *)
+  | Non_default
+      (** written only when it differs from {!superscalar}, so documents
+          and run-cache digests from before the field keep their bytes *)
+
+(** One field of {!t}: its JSON name, whether it is a [bool] (carried as
+    0 or 1; [set] reads any non-zero value as [true]), and the range
+    {!check} accepts ([hi = max_int]: no bound). *)
+type field = {
+  name : string;
+  flag : bool;
+  presence : presence;
+  lo : int;
+  hi : int;
+  get : t -> int;
+  set : t -> int -> t;
+}
+
+(** Every field of {!t}, in record order, and the only list of them:
+    [Pf_report]'s JSON codec, run-cache digest and run-cache entry all
+    walk it. A new knob is a record field and an entry here. *)
+val fields : field list
+
+(** [Error] naming the first field outside its range. Ints are at least
+    0; [max_tasks], [tracker_entries] and [ras_depth] at least 1 (the
+    engine, built without bounds checks, indexes an empty array below
+    that). The fields that size an allocation are capped: [max_tasks]
+    at 256, [tracker_entries] and [ras_depth] at 4,096,
+    [scheduler_entries] and [divert_entries] at 65,536. *)
+val check : t -> (unit, string) result
+
 (** Address mask selecting the L1 I-cache line of a PC, derived once
     from {!Pf_cache.Hierarchy.default_params} (the fetch stage applies
     it to every instruction). *)

@@ -187,6 +187,9 @@ let prewarm_scratch ~window =
 
 let simulate input =
   let cfg = input.config in
+  Result.iter_error
+    (fun msg -> invalid_arg ("Engine.simulate: " ^ msg))
+    (Config.check cfg);
   (* Observability. [observe] is computed once; every hook site below is
      guarded by it, so with the null sink a simulation pays one boolean
      test per site and never enters the per-slot accounting pass. The

@@ -90,5 +90,6 @@ type input = {
 (** Run to completion (every window instruction retired).
     @raise Failure if the watchdog trips (a scheduling deadlock — a bug,
     not a workload property).
-    @raise Invalid_argument if [flat] was not built from [trace]. *)
+    @raise Invalid_argument if [flat] was not built from [trace], or if
+    [config] fails {!Config.check}. *)
 val simulate : input -> Metrics.t

@@ -297,6 +297,17 @@ let test_sweep_rejects_bad_input () =
     | exception Invalid_argument msg ->
         Test_cfg.contains ~needle:"mcf/postdoms" msg
     | _ -> false);
+  List.iter
+    (fun (field, config) ->
+      Alcotest.(check bool) (field ^ " out of range named") true
+        (match
+           Sweep.execute ~trace_store:store ~jobs:1
+             [ Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000;
+               Sweep.spec "gzip" Pf_core.Policy.Rec_pred ~window:3_000 ~config ]
+         with
+        | exception Invalid_argument msg -> Test_cfg.contains ~needle:field msg
+        | _ -> false))
+    Test_uarch.hostile_configs;
   let s = Pf_trace.Trace_store.stats store in
   Alcotest.(check int) "rejected before any window is prepared" 0
     (s.Pf_trace.Trace_store.hits + s.Pf_trace.Trace_store.misses)
@@ -618,7 +629,13 @@ let test_entry_round_trip () =
       (match Run_cache.decode ~digest:entry_digest bytes with
       | Ok r' ->
           Alcotest.(check string) (what ^ ": entry round trip") (run_json r)
-            (run_json r')
+            (run_json r');
+          (* the JSON above is blind to a field missing from both
+             codecs; the records are not *)
+          Alcotest.(check bool) (what ^ ": every config field back") true
+            (r'.Sweep.config = r.Sweep.config
+            && Codec.config_of_json (Codec.config_to_json r.Sweep.config)
+               = r.Sweep.config)
       | Error e -> Alcotest.failf "%s: entry rejected (%s)" what e);
       Run_cache.store cache ~digest:entry_digest (Sweep.run_to_json r);
       match Run_cache.find cache ~digest:entry_digest with
@@ -796,6 +813,62 @@ let test_cache_digest_sensitivity () =
       Hashtbl.add seen digest name)
     variants
 
+(* The cache key and the entry bytes, pinned as test_golden.ml pins the
+   goldens: changing either orphans every cache on disk, so it comes
+   with a new [Engine.timing_version] (key) or [Run_cache.format_version]
+   (entry) and a new pin here, never an edit of an old one. The keys are
+   gzip's at window 3,000 under each default machine and one machine
+   with every field off its default. *)
+let key_pins =
+  [ ( "engine-3",
+      [ ("superscalar", "b1b16290ea08b564ceac88bf26ba6ad5");
+        ("postdoms", "dadc36435694380cc621d2d9a50699ba");
+        ("adaptive", "368dbbd35e6dbd2cec67458950e9ba47");
+        ("doacross", "a63e45a17d61a6e4edf365ffbb35ea6f");
+        ("postdoms@off-default", "60015ad4184db478456cdf7db87bfb3a") ] ) ]
+
+let entry_pins = [ (1, "de03fccf04ffc5f71e83c11333d7d92f") ]
+
+let test_cache_key_and_entry_pinned () =
+  let wl = Option.get (Pf_workloads.Suite.find "gzip") in
+  let key label policy config =
+    ( label,
+      Run_cache.digest ~workload:"gzip" ~window:3_000
+        ~fast_forward:wl.Pf_workloads.Workload.fast_forward
+        ~policy:(Pf_core.Policy.name policy) ~label ~config )
+  in
+  let keys =
+    List.map
+      (fun p -> key (Pf_core.Policy.name p) p (Config.for_policy p))
+      Pf_core.Policy.[ No_spawn; Postdoms; Adaptive; Doacross ]
+    @ [ key "postdoms@off-default" Pf_core.Policy.Postdoms config_off_default ]
+  in
+  let entry =
+    Digest.to_hex
+      (Digest.string
+         (Run_cache.encode ~digest:entry_digest
+            { sample_run with Sweep.config = config_off_default }))
+  in
+  (match List.assoc_opt Engine.timing_version key_pins with
+  | None ->
+      Alcotest.failf "timing_version %s has no key pin; add (%S, [ %s ])"
+        Engine.timing_version Engine.timing_version
+        (String.concat "; "
+           (List.map (fun (l, d) -> Printf.sprintf "(%S, %S)" l d) keys))
+  | Some pinned ->
+      Alcotest.(check (list (pair string string)))
+        ("run-cache keys under " ^ Engine.timing_version)
+        pinned keys);
+  match List.assoc_opt Run_cache.format_version entry_pins with
+  | None ->
+      Alcotest.failf "format_version %d has no entry pin; add (%d, %S)"
+        Run_cache.format_version Run_cache.format_version entry
+  | Some pinned ->
+      Alcotest.(check string)
+        (Printf.sprintf "entry MD5 under format_version %d"
+           Run_cache.format_version)
+        pinned entry
+
 let test_cache_bypass_and_verbatim_replay () =
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
   let specs = [ Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000 ] in
@@ -911,6 +984,8 @@ let suite =
         case "cache: a partial hit prepares only the windows it simulates"
           test_cache_partial_hit;
         case "cache: digest keyed on every input" test_cache_digest_sensitivity;
+        case "cache: key and entry bytes pinned to their versions"
+          test_cache_key_and_entry_pinned;
         case "cache: no-cache bypasses, hits replay verbatim"
           test_cache_bypass_and_verbatim_replay;
         case "cache: corrupt entries resimulated" test_cache_corruption_ignored;

@@ -325,7 +325,33 @@ let test_scheduler_resolution_errors () =
       | _ -> Alcotest.fail "unknown policy not rejected");
       (match Scheduler.run sched (run_request ~window:0 "gzip" "postdoms") with
       | Protocol.Error_reply { code = Protocol.Bad_request; _ } -> ()
-      | _ -> Alcotest.fail "window 0 not rejected"))
+      | _ -> Alcotest.fail "window 0 not rejected");
+      let with_config ?(window = 2_000) ?(policy = "postdoms") config =
+        { (run_request ~window "gzip" policy) with
+          Protocol.config = Some (Pf_report.Codec.config_to_json config) }
+      in
+      let bad_config field message =
+        Test_cfg.contains ~needle:(Printf.sprintf "bad \"config\": %S" field)
+          message
+      in
+      List.iter
+        (fun (field, config) ->
+          match Scheduler.run sched (with_config config) with
+          | Protocol.Error_reply { code = Protocol.Bad_request; message; _ }
+            when bad_config field message ->
+              ()
+          | _ -> Alcotest.failf "%s out of range not rejected" field)
+        Test_uarch.hostile_configs;
+      (* the order stays workload, policy, config, window *)
+      let field, hostile = List.hd Test_uarch.hostile_configs in
+      (match Scheduler.run sched (with_config ~policy:"no-such" hostile) with
+      | Protocol.Error_reply { code = Protocol.Unknown_policy; _ } -> ()
+      | _ -> Alcotest.fail "a bad policy does not come before a bad config");
+      match Scheduler.run sched (with_config ~window:0 hostile) with
+      | Protocol.Error_reply { code = Protocol.Bad_request; message; _ }
+        when bad_config field message ->
+          ()
+      | _ -> Alcotest.fail "a bad config does not come before a bad window")
 
 let test_scheduler_hit_miss_and_prep_sharing () =
   let cache = Run_cache.create ~dir:(temp_dir ()) () in

@@ -197,6 +197,30 @@ let test_max_tasks_respected () =
   let m = Run.simulate prep ~config:cfg ~policy:Pf_core.Policy.Postdoms in
   Alcotest.(check bool) "at most 3 live tasks" true (m.Metrics.max_live_tasks <= 3)
 
+(* Out-of-range configs, each with the field at fault. Unchecked, the
+   engine (compiled with -unsafe) segfaults on max_tasks 0, dies on a
+   division by zero with ras_depth 0 in a window with calls, never
+   returns from rounding a huge tracker up to a power of two, and raises
+   Array.make's Invalid_argument on a negative RAS depth. *)
+let hostile_configs =
+  [ ("max_tasks", { Config.polyflow with Config.max_tasks = 0 });
+    ( "tracker_entries",
+      { Config.polyflow with
+        Config.mem_tracker = true;
+        tracker_entries = 4611686018427387903 } );
+    ("ras_depth", { Config.polyflow with Config.ras_depth = -1 });
+    ("ras_depth", { Config.polyflow with Config.ras_depth = 0 }) ]
+
+let test_engine_rejects_hostile_configs () =
+  let prep = prepare_hammock ~iters:50 ~window:1_000 () in
+  List.iter
+    (fun (field, config) ->
+      Alcotest.(check bool) (field ^ " out of range rejected") true
+        (match Run.simulate prep ~config ~policy:Pf_core.Policy.Postdoms with
+        | exception Invalid_argument msg -> Test_cfg.contains ~needle:field msg
+        | _ -> false))
+    hostile_configs
+
 (* Each ablation variant must still complete and retire everything. *)
 let test_ablation_variants_complete () =
   let prep = prepare_hammock ~iters:300 ~window:10_000 () in
@@ -394,7 +418,9 @@ let suite =
         case "memory violations recover" test_memory_violations_squash_and_recover;
         case "rec_pred runs" test_rec_pred_policy_runs;
         case "rec_pred close to postdoms" test_rec_pred_close_to_postdoms;
-        case "max tasks respected" test_max_tasks_respected ] );
+        case "max tasks respected" test_max_tasks_respected;
+        case "out-of-range configs rejected"
+          test_engine_rejects_hostile_configs ] );
     ( "uarch.ablations",
       [ case "task scaling monotone" test_task_scaling_monotone;
         case "self-check mode" test_self_check_mode;
