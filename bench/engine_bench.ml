@@ -21,7 +21,7 @@
    this harness cannot bitrot. *)
 
 module B = Pf_bench_support.Bench_support
-module Json = Pf_report.Json
+module Json = Pf_json.Json
 open Pf_uarch
 
 (* ---- command line ---- *)

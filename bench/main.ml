@@ -542,7 +542,7 @@ let metrics_fingerprint (runs : Sweep.run list) =
   String.concat "\n"
     (List.map
        (fun (r : Sweep.run) ->
-         Pf_report.Json.to_string (Pf_report.Codec.metrics_to_json r.Sweep.metrics))
+         Pf_json.Json.to_string (Pf_report.Codec.metrics_to_json r.Sweep.metrics))
        runs)
 
 let run_smoke () =
@@ -562,7 +562,7 @@ let run_smoke () =
     doc.Sweep.manifest.Pf_report.Manifest.schema_version
     (List.length doc.Sweep.runs);
   let reparsed =
-    Sweep.of_json (Pf_report.Json.of_string (Pf_report.Json.to_string_pretty (Sweep.to_json doc)))
+    Sweep.of_json (Pf_json.Json.of_string (Pf_json.Json.to_string_pretty (Sweep.to_json doc)))
   in
   let round_trip_ok =
     List.for_all2
@@ -620,9 +620,9 @@ let run_smoke () =
   let obs_ok =
     Pf_obs.Chrome_trace.spans chrome = observed.Metrics.tasks_spawned + 1
     && (match trace_json with
-       | Pf_report.Json.List evs ->
+       | Pf_json.Json.List evs ->
            List.length evs > Pf_obs.Chrome_trace.spans chrome
-           && Pf_report.Json.of_string (Pf_report.Json.to_string trace_json)
+           && Pf_json.Json.of_string (Pf_json.Json.to_string trace_json)
               = trace_json
        | _ -> false)
     && Pf_obs.Counters.find counters "squashes"
@@ -776,7 +776,7 @@ let run_loopnest_smoke () =
   let ctx = ctx_of ~names:Loopnest.sweep_names doc in
   let reparsed =
     Sweep.of_json
-      (Pf_report.Json.of_string (Pf_report.Json.to_string_pretty (Sweep.to_json doc)))
+      (Pf_json.Json.of_string (Pf_json.Json.to_string_pretty (Sweep.to_json doc)))
   in
   let round_trip_ok =
     List.for_all2
@@ -875,12 +875,12 @@ let run_full () =
     | None -> []
     | Some s ->
         [ ( "execution",
-            Pf_report.Json.Obj
-              [ ("cached_runs", Pf_report.Json.Int s.Sweep.cached_runs);
-                ("simulated_runs", Pf_report.Json.Int s.Sweep.simulated_runs);
-                ("batched_runs", Pf_report.Json.Int s.Sweep.batched_runs);
-                ("batch_count", Pf_report.Json.Int s.Sweep.batch_count);
-                ("prepare_ms", Pf_report.Json.Float s.Sweep.prepare_ms) ] ) ]
+            Pf_json.Json.Obj
+              [ ("cached_runs", Pf_json.Json.Int s.Sweep.cached_runs);
+                ("simulated_runs", Pf_json.Json.Int s.Sweep.simulated_runs);
+                ("batched_runs", Pf_json.Json.Int s.Sweep.batched_runs);
+                ("batch_count", Pf_json.Json.Int s.Sweep.batch_count);
+                ("prepare_ms", Pf_json.Json.Float s.Sweep.prepare_ms) ] ) ]
   in
   (match !stats with
   | Some s when !verbose ->

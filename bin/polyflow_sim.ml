@@ -96,7 +96,8 @@ let run_cmd name policy_str all_policies window trace_store_dir
             (Pf_core.Policy.name policy) run.Pf_report.Sweep.wall_s;
         records := run :: !records;
         print_run ~verbose name policy base m;
-        if verbose && Pf_core.Policy.uses_safety_filter policy then begin
+        let row = Pf_core.Policy.descriptor policy in
+        if verbose && row.speculation = Safety_levels () then begin
           (* the tracker's story lives in the counter registry, not in
              Metrics: violation rate per 10k retired instructions plus
              the safety filter's per-spawn level decisions *)
@@ -194,9 +195,9 @@ let label_set (doc : Pf_report.Sweep.t) =
 let report_cmd path csv_out =
   match Pf_report.Sweep.load path with
   | exception Sys_error m -> `Error (false, m)
-  | exception Pf_report.Json.Parse_error (off, m) ->
+  | exception Pf_json.Json.Parse_error (off, m) ->
       `Error (false, Printf.sprintf "%s: JSON syntax error at byte %d: %s" path off m)
-  | exception Pf_report.Json.Decode_error m ->
+  | exception Pf_json.Json.Decode_error m ->
       `Error (false, Printf.sprintf "%s: not a report document: %s" path m)
   | doc ->
       let out = Format.std_formatter in

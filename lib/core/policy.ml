@@ -27,29 +27,30 @@ let select policy spawns =
      distance-aware sync plus the violation tracker *)
   | Doacross -> keep [ Spawn_point.Loop_iter ]
 
-let uses_reconvergence_predictor = function
-  | Rec_pred -> true
-  | No_spawn | Categories _ | Postdoms | Postdoms_minus _ | Dmt | Adaptive
-  | Doacross ->
-      false
+type dynamic_spawns = No_dynamic | Reconvergence | Dmt_heuristics
 
-let uses_dmt_heuristics = function
-  | Dmt -> true
-  | No_spawn | Categories _ | Postdoms | Postdoms_minus _ | Rec_pred
-  | Adaptive | Doacross ->
-      false
+type 'levels speculation =
+  | Speculate of dynamic_spawns
+  | Safety_levels of 'levels
+  | Near_carry_sync
 
-let uses_safety_filter = function
-  | Adaptive -> true
-  | No_spawn | Categories _ | Postdoms | Postdoms_minus _ | Rec_pred | Dmt
-  | Doacross ->
-      false
+type machine = One_task | Polyflow of { tracker : bool }
+type descriptor = { speculation : unit speculation; machine : machine }
 
-let uses_doacross_sync = function
-  | Doacross -> true
-  | No_spawn | Categories _ | Postdoms | Postdoms_minus _ | Rec_pred | Dmt
-  | Adaptive ->
-      false
+let descriptor =
+  let polyflow ~tracker speculation =
+    { speculation; machine = Polyflow { tracker } }
+  in
+  function
+  | No_spawn -> { speculation = Speculate No_dynamic; machine = One_task }
+  | Categories _ | Postdoms | Postdoms_minus _ ->
+      polyflow ~tracker:false (Speculate No_dynamic)
+  | Rec_pred -> polyflow ~tracker:false (Speculate Reconvergence)
+  | Dmt -> polyflow ~tracker:false (Speculate Dmt_heuristics)
+  | Adaptive -> polyflow ~tracker:true (Safety_levels ())
+  | Doacross -> polyflow ~tracker:true Near_carry_sync
+
+let uses_safety_filter p = (descriptor p).speculation = Safety_levels ()
 
 let name = function
   | No_spawn -> "superscalar"

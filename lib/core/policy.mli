@@ -18,18 +18,12 @@
       approximate loop fall-through) and at the return address of each
       call — no compiler information, no reconvergence prediction.
     - [Adaptive]: three-level adaptive speculation. Every static spawn
-      point is a candidate, but each one is classified by the
-      {!Safety_filter} (bypass / conservative / optimistic) and the
-      engine runs the optimistic regions under a modelled
-      memory-dependence violation tracker.
+      point is a candidate, each one classified by the {!Safety_filter}
+      ({!Safety_levels}).
     - [Doacross]: DOACROSS-style iteration spawning. Only the loop
-      back-edge ([Loop_iter]) spawn points are selected — each live
-      task is one loop iteration — and the engine applies a
-      distance-aware synchronisation: cross-task loads whose producing
-      store lies within [Config.doacross_sync_distance] preceding
-      tasks are force-synchronised (the classic DOACROSS post/wait on
-      near carries), while longer-distance carries speculate under the
-      memory-dependence violation tracker. *)
+      back-edge ([Loop_iter]) spawn points are selected, so each live
+      task is one loop iteration, and near carries synchronise
+      ({!Near_carry_sync}). *)
 
 type t =
   | No_spawn
@@ -44,19 +38,52 @@ type t =
 (** Static spawn points enabled by the policy. *)
 val select : t -> Spawn_point.t list -> Spawn_point.t list
 
-(** Does the policy use the dynamic reconvergence predictor? *)
-val uses_reconvergence_predictor : t -> bool
+(** {1 Speculation descriptor}
 
-(** Does the policy use the DMT fall-through heuristics? *)
-val uses_dmt_heuristics : t -> bool
+    Besides its static selection, each policy is one row of a table
+    (tabulated in docs/ENGINE.md): where the Task Spawn Unit also spawns
+    at run time, how spawned tasks treat cross-task loads, and the
+    machine the policy runs on when no config is given. A new policy
+    that reuses an existing discipline is one constructor and one row. *)
 
-(** Does the policy classify spawn regions through the
-    {!Safety_filter}? *)
+(** Spawn candidates found at run time, beside the static hint cache. *)
+type dynamic_spawns =
+  | No_dynamic
+  | Reconvergence
+      (** the reconvergence predictor (Section 2.4) at branches and
+          indirect jumps, plus procedure fall-throughs at calls *)
+  | Dmt_heuristics
+      (** the static address after each backward branch and the return
+          address of each call *)
+
+(** How spawned tasks treat cross-task loads. Only [Speculate] spawns
+    dynamically, so the type holds exactly the combinations a policy
+    produces. ['levels] is what the per-region case carries: [unit] in a
+    {!descriptor}, the built {!Safety_filter.t} in an engine input. *)
+type 'levels speculation =
+  | Speculate of dynamic_spawns
+      (** one level for every task: a cross-task load synchronises only
+          when the store-set predictor says so *)
+  | Safety_levels of 'levels
+      (** the {!Safety_filter} picks each spawn region's level: bypass
+          (never spawned), conservative (every cross-task load
+          synchronises) or optimistic *)
+  | Near_carry_sync
+      (** DOACROSS post/wait: a cross-task load whose producing store
+          lies within [Config.doacross_sync_distance] preceding tasks
+          synchronises; farther carries speculate *)
+
+(** The machine a policy runs on when no config is given:
+    [Config.superscalar], or [Config.polyflow] with the
+    memory-dependence tracker on or off. *)
+type machine = One_task | Polyflow of { tracker : bool }
+
+type descriptor = { speculation : unit speculation; machine : machine }
+
+val descriptor : t -> descriptor
+
+(** [(descriptor p).speculation = Safety_levels ()]. *)
 val uses_safety_filter : t -> bool
-
-(** Does the policy force-synchronise near-distance cross-iteration
-    loads (the DOACROSS post/wait discipline)? *)
-val uses_doacross_sync : t -> bool
 
 (** Short display name, e.g. ["postdoms"], ["loop+loopFT"]. *)
 val name : t -> string

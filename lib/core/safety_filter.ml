@@ -7,10 +7,6 @@
 type level = Bypass | Conservative | Optimistic
 
 let level_code = function Bypass -> 0 | Conservative -> 1 | Optimistic -> 2
-let level_name = function
-  | Bypass -> "bypass"
-  | Conservative -> "conservative"
-  | Optimistic -> "optimistic"
 
 type t = {
   levels : (int, level) Hashtbl.t; (* spawn at_pc -> level *)

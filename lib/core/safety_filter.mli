@@ -42,9 +42,6 @@ val level : t -> at_pc:int -> level
 (** {!level} as a dense code: Bypass 0, Conservative 1, Optimistic 2. *)
 val code : t -> at_pc:int -> int
 
-val level_code : level -> int
-val level_name : level -> string
-
 (** (bypass, conservative, optimistic) spawn-point counts. *)
 val counts : t -> int * int * int
 

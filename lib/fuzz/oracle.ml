@@ -3,7 +3,6 @@ module Tracer = Pf_trace.Tracer
 module Policy = Pf_core.Policy
 module Spawn_point = Pf_core.Spawn_point
 module Run = Pf_uarch.Run
-module Config = Pf_uarch.Config
 module Metrics = Pf_uarch.Metrics
 module Sink = Pf_obs.Sink
 module Cpi_stack = Pf_obs.Cpi_stack
@@ -112,23 +111,25 @@ let check_one_policy prep ~n ~policy =
                      name v metric })
       | _ -> ())
     (counter_fields m);
-  (* memory-tracker oracles. The safety filter belongs to [Adaptive]
-     alone: its level counters must be zero for every other policy. The
-     tracker runs wherever the policy's default machine turns it on
-     ([Adaptive], and [Doacross] for far iteration carries); every other
-     policy must keep [mem_violations] at zero too. For the tracker
-     policies the CPI stack must still sum exactly to run cycles with
-     the [mem_violation] row included (the obs-cpi-sum check above
-     already walked every row), every violation must have produced a
-     squash, and a PF_CHECK'd re-run must reproduce the same metrics
-     while the engine self-check validates the CAM's live counts and
-     that freed task slots hold no stale entries after each squash. *)
+  (* memory-tracker oracles, read off the policy's descriptor row. The
+     safety filter belongs to the [Safety_levels] discipline alone: its
+     level counters must be zero for every other policy. The tracker
+     runs wherever the policy's default machine turns it on ([Adaptive],
+     and [Doacross] for far iteration carries); every other policy must
+     keep [mem_violations] at zero too. For the tracker policies the CPI
+     stack must still sum exactly to run cycles with the [mem_violation]
+     row included (the obs-cpi-sum check above already walked every
+     row), every violation must have produced a squash, and a PF_CHECK'd
+     re-run must reproduce the same metrics while the engine self-check
+     validates the CAM's live counts and that freed task slots hold no
+     stale entries after each squash. *)
   let counter name = Option.value ~default:0 (Counters.find counters name) in
-  let uses_tracker = (Config.for_policy policy).Config.mem_tracker in
+  let row = Policy.descriptor policy in
+  let uses_tracker = row.machine = Polyflow { tracker = true } in
   let zero_counters =
     (if uses_tracker then [] else [ "mem_violations" ])
     @
-    if Policy.uses_safety_filter policy then []
+    if row.speculation = Safety_levels () then []
     else [ "level_bypass"; "level_conservative"; "level_optimistic" ]
   in
   List.iter

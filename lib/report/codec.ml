@@ -70,19 +70,6 @@ let counters_to_json (cs : (string * int) list) =
 let counters_of_json j =
   List.map (fun (n, v) -> (n, Json.to_int v)) (Json.to_obj j)
 
-(* ---- CPI stacks ---- *)
-
-let cpi_stack_to_json ~workload ~label stack =
-  Json.Obj
-    [ ("workload", Json.String workload);
-      ("label", Json.String label);
-      ("cpi_stack", Pf_obs.Cpi_stack.to_json stack) ]
-
-let cpi_stack_of_json j =
-  ( Json.to_str (Json.member "workload" j),
-    Json.to_str (Json.member "label" j),
-    Pf_obs.Cpi_stack.of_json (Json.member "cpi_stack" j) )
-
 (* ---- config: walks of [Config.fields] ---- *)
 
 let config_to_json (c : Config.t) =
@@ -102,8 +89,12 @@ let config_of_json j =
         else Json.member_opt f.name j
       with
       | None -> c
-      | Some v when f.flag -> f.set c (Bool.to_int (Json.to_bool v))
-      | Some v -> f.set c (Json.to_int v))
+      | Some v -> (
+          try
+            f.set c
+              (if f.flag then Bool.to_int (Json.to_bool v) else Json.to_int v)
+          with Json.Decode_error msg ->
+            raise (Json.Decode_error (Printf.sprintf "%S: %s" f.name msg))))
     Config.superscalar Config.fields
 
 (* ---- run records ----

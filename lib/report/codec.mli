@@ -3,11 +3,11 @@
     These are the building blocks of the report schema
     ([docs/REPORT_SCHEMA.md]); {!Sweep} assembles them into full
     documents. A missing required member raises {!Json.Decode_error}
-    naming it, and so does a mistyped value (naming the type it
-    expected). Members added to schema v1 later are optional: an absent
-    config member of {!config_of_json} reads as its default, and an
-    absent ["counters"] of {!run_of_json} as [[]]. Every round trip is
-    exact: [metrics_of_json (metrics_to_json m) = m]. *)
+    naming it. A mistyped value raises it naming the type it expected,
+    and, in a config, the member too. Members added to schema v1 later
+    are optional: an absent config member of {!config_of_json} reads as
+    its default, and an absent ["counters"] of {!run_of_json} as [[]].
+    Every round trip is exact: [metrics_of_json (metrics_to_json m) = m]. *)
 
 (** {1 Spawn categories} *)
 
@@ -35,17 +35,6 @@ val counters_to_json : (string * int) list -> Json.t
 
 val counters_of_json : Json.t -> (string * int) list
 
-(** {1 CPI stacks}
-
-    Schema-v1 record for one run's cycle accounting: identifying keys
-    plus the [Pf_obs.Cpi_stack] matrix. *)
-
-val cpi_stack_to_json :
-  workload:string -> label:string -> Pf_obs.Cpi_stack.t -> Json.t
-
-(** Returns [(workload, label, stack)]. *)
-val cpi_stack_of_json : Json.t -> string * string * Pf_obs.Cpi_stack.t
-
 (** {1 Machine configuration} *)
 
 (** One member per [Pf_uarch.Config.fields] entry, in that order, but
@@ -54,7 +43,9 @@ val cpi_stack_of_json : Json.t -> string * string * Pf_obs.Cpi_stack.t
 val config_to_json : Pf_uarch.Config.t -> Json.t
 
 (** An absent optional member reads as its [Config.superscalar] value.
-    Types are checked, ranges are not: that is [Config.check]'s job. *)
+    Types are checked, ranges are not: that is [Config.check]'s job. A
+    mistyped member raises {!Json.Decode_error} naming it:
+    [{"width": "x"}] gives ["width": expected int, got string]. *)
 val config_of_json : Json.t -> Pf_uarch.Config.t
 
 (** {1 Run records} *)

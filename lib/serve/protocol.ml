@@ -234,9 +234,3 @@ let response_of_json j =
           | _ -> Error "ok reply needs a known \"op\"")
       | _ -> Error "reply needs a \"status\" of \"ok\" or \"error\"")
   | _ -> Error "reply must be a JSON object"
-
-let response_of_line line =
-  match Json.of_string line with
-  | exception Json.Parse_error (off, msg) ->
-      Error (Printf.sprintf "reply parse error at byte %d: %s" off msg)
-  | j -> response_of_json j

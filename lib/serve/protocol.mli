@@ -77,4 +77,3 @@ val request_of_json : Json.t -> (request, string) result
 val request_of_line : string -> (request, error_code * string) result
 
 val response_of_json : Json.t -> (response, string) result
-val response_of_line : string -> (response, string) result

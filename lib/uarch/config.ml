@@ -68,14 +68,11 @@ let superscalar =
     doacross_sync_distance = 1 }
 
 let polyflow = { superscalar with fetch_tasks_per_cycle = 2; max_tasks = 8 }
-let adaptive = { polyflow with mem_tracker = true }
-let doacross = { polyflow with mem_tracker = true }
 
-let for_policy : Pf_core.Policy.t -> t = function
-  | No_spawn -> superscalar
-  | Adaptive -> adaptive
-  | Doacross -> doacross
-  | Categories _ | Postdoms | Postdoms_minus _ | Rec_pred | Dmt -> polyflow
+let for_policy p =
+  match (Pf_core.Policy.descriptor p).machine with
+  | One_task -> superscalar
+  | Polyflow { tracker } -> { polyflow with mem_tracker = tracker }
 
 type presence = Required | Defaulted | Non_default
 

@@ -93,18 +93,10 @@ val superscalar : t
 (** PolyFlow: the superscalar plus 8 task contexts. *)
 val polyflow : t
 
-(** {!polyflow} with the memory-dependence tracker on — the default
-    configuration of the [Adaptive] policy. *)
-val adaptive : t
-
-(** The default configuration of the [Doacross] policy: {!polyflow}
-    with the memory-dependence tracker on (far carries speculate under
-    it) and the default one-task near-carry sync window. *)
-val doacross : t
-
-(** The machine a policy runs on when no config is given: {!superscalar}
-    for [No_spawn], {!adaptive} for [Adaptive], {!doacross} for
-    [Doacross] and {!polyflow} for every other policy. *)
+(** The machine a policy runs on when no config is given, the
+    [machine] column of its {!Pf_core.Policy.descriptor}: {!superscalar}
+    for one task, else {!polyflow} with [mem_tracker] on or off
+    ([Adaptive] and [Doacross] turn it on). *)
 val for_policy : Pf_core.Policy.t -> t
 
 (** {1 Field table} *)

@@ -4,10 +4,7 @@ type input = {
   flat : Pf_trace.Flat_trace.t;
   occurrence : Pf_trace.Occurrence.t;
   hints : Pf_core.Hint_cache.t;
-  use_rec_pred : bool;
-  use_dmt : bool;
-  use_doacross : bool;
-  safety : Pf_core.Safety_filter.t option;
+  speculation : Pf_core.Safety_filter.t Pf_core.Policy.speculation;
   sink : Pf_obs.Sink.t;
   counters : Pf_obs.Counters.t option;
 }
@@ -293,12 +290,16 @@ let simulate input =
      [use_tracker] guards every touch point, so engine-3 timing is
      bit-exact with the tracker disabled. *)
   let use_tracker = cfg.Config.mem_tracker in
-  (* DOACROSS near-carry synchronisation (docs/ENGINE.md): when on, a
-     cross-task load whose producing store lies within
+  (* The policy's speculation descriptor (docs/ENGINE.md), unpacked
+     once: the run-time spawn source, and the DOACROSS near-carry sync —
+     a cross-task load whose producing store lies within
      [doacross_sync_distance] immediately-preceding live tasks is
      force-synchronised at dispatch; far carries speculate under the
-     tracker. Off for every other policy, so timing is untouched. *)
-  let use_doacross = input.use_doacross in
+     tracker. *)
+  let dynamic : Pf_core.Policy.dynamic_spawns =
+    match input.speculation with Speculate d -> d | _ -> No_dynamic
+  in
+  let near_carry_sync = input.speculation = Near_carry_sync in
   let tracker =
     if use_tracker then
       Mem_tracker.create ~max_tasks:cfg.Config.max_tasks
@@ -583,7 +584,7 @@ let simulate input =
         decr rob_count;
         decr budget;
         progress := true;
-        if input.use_rec_pred then
+        if dynamic = Reconvergence then
           Pf_predict.Reconvergence.retire recpred ~pc:pc.(i)
             ~instr:dyns.(i).Pf_trace.Dyn.instr;
         let t = owner_task i in
@@ -931,7 +932,7 @@ let simulate input =
                  predictor *)
               if
                 t.level = 1
-                || (use_doacross
+                || (near_carry_sync
                    && memsrc.(i)
                       >= (ring_at
                             (max 0 (k - cfg.Config.doacross_sync_distance)))
@@ -1026,11 +1027,11 @@ let simulate input =
                  verdict on the target region picks the speculation
                  level of the would-be task *)
               let lvl =
-                match input.safety with
-                | None -> 2
-                | Some f ->
+                match input.speculation with
+                | Safety_levels f ->
                     Pf_core.Safety_filter.code f
                       ~at_pc:sp.Pf_core.Spawn_point.at_pc
+                | Speculate _ | Near_carry_sync -> 2
               in
               if lvl = 0 then begin
                 cinc m_level_bypass;
@@ -1043,12 +1044,12 @@ let simulate input =
                     Sink.r_spawn_overhead sp.Pf_core.Spawn_point.at_pc lvl
                     t.history t.ras
                 in
-                (match input.safety with
-                | None -> ()
-                | Some _ ->
+                (match input.speculation with
+                | Safety_levels _ ->
                     cinc
                       (if lvl = 1 then m_level_conservative
-                       else m_level_optimistic));
+                       else m_level_optimistic)
+                | Speculate _ | Near_carry_sync -> ());
                 let sid = sp_id sp.Pf_core.Spawn_point.at_pc in
                 sp_spawned.(sid) <- sp_spawned.(sid) + 1;
                 incr next_task_id;
@@ -1077,31 +1078,34 @@ let simulate input =
   let spawn_candidates_at i =
     let static = Pf_core.Hint_cache.find input.hints ~pc:pc.(i) in
     let dyn =
-      if input.use_rec_pred then
-        match kind.(i) with
-        | k when k = k_branch || k = k_ind_jump -> (
-            match Pf_predict.Reconvergence.predict recpred ~branch_pc:pc.(i) with
-            | Some r ->
-                [ { Pf_core.Spawn_point.at_pc = pc.(i); target_pc = r;
-                    category = Pf_core.Spawn_point.Other } ]
-            | None -> [])
-        | k when k = k_call || k = k_ind_call -> fall_through_of i
-        | _ -> []
-      else if input.use_dmt then
-        (* Dynamic Multi-Threading heuristics (Akkary and Driscoll,
-           Section 5 of the paper): the static address after a backward
-           branch approximates the loop fall-through; the return address
-           of a call is the procedure fall-through. *)
-        match kind.(i) with
-        | k when k = k_branch ->
-            if Bytes.get backward i = '\001' then
-              [ { Pf_core.Spawn_point.at_pc = pc.(i);
-                  target_pc = pc.(i) + Pf_isa.Instr.bytes_per_instr;
-                  category = Pf_core.Spawn_point.Loop_ft } ]
-            else []
-        | k when k = k_call || k = k_ind_call -> fall_through_of i
-        | _ -> []
-      else []
+      match dynamic with
+      | No_dynamic -> []
+      | Reconvergence -> (
+          match kind.(i) with
+          | k when k = k_branch || k = k_ind_jump -> (
+              match
+                Pf_predict.Reconvergence.predict recpred ~branch_pc:pc.(i)
+              with
+              | Some r ->
+                  [ { Pf_core.Spawn_point.at_pc = pc.(i); target_pc = r;
+                      category = Pf_core.Spawn_point.Other } ]
+              | None -> [])
+          | k when k = k_call || k = k_ind_call -> fall_through_of i
+          | _ -> [])
+      | Dmt_heuristics -> (
+          (* Dynamic Multi-Threading heuristics (Akkary and Driscoll,
+             Section 5 of the paper): the static address after a
+             backward branch approximates the loop fall-through; the
+             return address of a call is the procedure fall-through. *)
+          match kind.(i) with
+          | k when k = k_branch ->
+              if Bytes.get backward i = '\001' then
+                [ { Pf_core.Spawn_point.at_pc = pc.(i);
+                    target_pc = pc.(i) + Pf_isa.Instr.bytes_per_instr;
+                    category = Pf_core.Spawn_point.Loop_ft } ]
+              else []
+          | k when k = k_call || k = k_ind_call -> fall_through_of i
+          | _ -> [])
     in
     (* the common case — no dynamic candidate — reuses the hint cache's
        stored list instead of copying it through (@) *)

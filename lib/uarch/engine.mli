@@ -9,8 +9,8 @@
       containing the branch} — younger control-equivalent tasks keep
       fetching, which is where PolyFlow's advantage comes from;
     - the Task Spawn Unit: when the tail task fetches a PC with a hint
-      (static hint cache, or the reconvergence predictor under the
-      dynamic policy), a new task starts at the next dynamic occurrence
+      (static hint cache, or a run-time source named by the input's
+      [speculation]), a new task starts at the next dynamic occurrence
       of the target PC (located with the trace, as in Section 3.2);
     - backend: shared ROB/scheduler/FUs; inter-task register consumers
       are diverted until their producers dispatch (divert queue);
@@ -51,24 +51,18 @@ type input = {
           between every simulation of that window (docs/ENGINE.md) *)
   occurrence : Pf_trace.Occurrence.t;
   hints : Pf_core.Hint_cache.t;     (** static spawn points *)
-  use_rec_pred : bool;              (** add dynamic reconvergence spawns *)
-  use_dmt : bool;                   (** add DMT fall-through heuristics
-                                        (Section 5 related work) *)
-  use_doacross : bool;
-      (** DOACROSS near-carry sync (the [doacross] policy): cross-task
-          loads whose producing store lies within
-          [Config.doacross_sync_distance] immediately-preceding live
-          tasks are force-synchronised at dispatch (the classic
-          post/wait on near iteration carries); carries from further
-          back speculate under the memory-dependence tracker. [false]
-          leaves dispatch timing untouched for every other policy. *)
-  safety : Pf_core.Safety_filter.t option;
-      (** when present (the [adaptive] policy), every spawn target is
-          classified before spawning: bypass regions are never spawned,
-          conservative tasks synchronise all cross-task loads, and
-          optimistic tasks run under the memory-dependence tracker.
-          [None] reproduces the fixed single-level speculation of every
-          other policy byte-for-byte. *)
+  speculation : Pf_core.Safety_filter.t Pf_core.Policy.speculation;
+      (** the policy's row of the {!Pf_core.Policy.descriptor} table,
+          with the filter built: [Speculate d] runs every task at one
+          level and adds [d]'s run-time spawn candidates;
+          [Safety_levels f] classifies every spawn target through [f]
+          (bypass regions are never spawned, conservative tasks
+          synchronise every cross-task load, optimistic tasks run under
+          the memory-dependence tracker); [Near_carry_sync]
+          force-synchronises at dispatch each cross-task load whose
+          producing store lies within [Config.doacross_sync_distance]
+          immediately-preceding live tasks, and carries from further
+          back speculate under the tracker. *)
   sink : Pf_obs.Sink.t;
       (** event hooks, called at every pipeline boundary plus once per
           cycle per task slot with a cycle-accounting reason code. Pass

@@ -32,30 +32,31 @@ let prepare ?store program ~setup ~fast_forward ~window =
   let all_spawns = Pf_core.Classify.spawn_points program in
   { program; trace; flat; occurrence; all_spawns }
 
-(* build one engine input against the shared prepared window *)
+(* build one engine input against the shared prepared window: the
+   policy's descriptor row, with its safety filter built from the
+   config's thresholds *)
 let to_input ~sink ~counters ~config prepared ~policy =
   let config =
     match config with Some c -> c | None -> Config.for_policy policy
   in
   let selected = Pf_core.Policy.select policy prepared.all_spawns in
-  let safety =
-    if Pf_core.Policy.uses_safety_filter policy then
-      Some
-        (Pf_core.Safety_filter.of_spawns prepared.program selected
-           ~store_pct:config.Config.safety_store_pct
-           ~branch_pct:config.Config.safety_branch_pct
-           ~serial_ops:config.Config.safety_serial_ops)
-    else None
+  let speculation : _ Pf_core.Policy.speculation =
+    match (Pf_core.Policy.descriptor policy).speculation with
+    | Speculate d -> Speculate d
+    | Near_carry_sync -> Near_carry_sync
+    | Safety_levels () ->
+        Safety_levels
+          (Pf_core.Safety_filter.of_spawns prepared.program selected
+             ~store_pct:config.Config.safety_store_pct
+             ~branch_pct:config.Config.safety_branch_pct
+             ~serial_ops:config.Config.safety_serial_ops)
   in
   { Engine.config;
     trace = prepared.trace;
     flat = prepared.flat;
     occurrence = prepared.occurrence;
     hints = Pf_core.Hint_cache.of_spawns selected;
-    use_rec_pred = Pf_core.Policy.uses_reconvergence_predictor policy;
-    use_dmt = Pf_core.Policy.uses_dmt_heuristics policy;
-    use_doacross = Pf_core.Policy.uses_doacross_sync policy;
-    safety;
+    speculation;
     sink;
     counters }
 

@@ -34,10 +34,11 @@ val prepare :
   window:int ->
   prepared
 
-(** Simulate one policy. [config] defaults to the policy's machine,
-    {!Config.for_policy}. For [Policy.Adaptive] the spawn points are
-    additionally classified by a {!Pf_core.Safety_filter} built from
-    the config's safety thresholds.
+(** Simulate one policy: its {!Pf_core.Policy.descriptor} row becomes
+    the engine input's [speculation]. [config] defaults to the policy's
+    machine, {!Config.for_policy}. Under the [Safety_levels] discipline
+    the selected spawn points are classified by a
+    {!Pf_core.Safety_filter} built from the config's safety thresholds.
     [sink] (default {!Pf_obs.Sink.null}) attaches observability hooks
     and [counters] a registry for the engine's named event counts — see
     {!Engine.input} for both contracts. *)

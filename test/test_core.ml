@@ -138,10 +138,33 @@ let test_policy_select () =
   Alcotest.(check int) "postdoms minus hammock" 2
     (count (Policy.Postdoms_minus Spawn_point.Hammock));
   Alcotest.(check int) "rec_pred static part empty" 0 (count Policy.Rec_pred);
-  Alcotest.(check bool) "rec_pred is dynamic" true
-    (Policy.uses_reconvergence_predictor Policy.Rec_pred);
-  Alcotest.(check bool) "postdoms is static" false
-    (Policy.uses_reconvergence_predictor Policy.Postdoms)
+  (* the descriptor table, one row per policy class, and the default
+     machine each row names *)
+  let module Config = Pf_uarch.Config in
+  let tracker = { Config.polyflow with Config.mem_tracker = true } in
+  let rows :
+      (Policy.t * unit Policy.speculation * Policy.machine * Config.t) list =
+    [ (No_spawn, Speculate No_dynamic, One_task, Config.superscalar);
+      ( Categories [ Spawn_point.Hammock ], Speculate No_dynamic,
+        Polyflow { tracker = false }, Config.polyflow );
+      (Postdoms, Speculate No_dynamic, Polyflow { tracker = false },
+       Config.polyflow);
+      ( Postdoms_minus Spawn_point.Hammock, Speculate No_dynamic,
+        Polyflow { tracker = false }, Config.polyflow );
+      (Rec_pred, Speculate Reconvergence, Polyflow { tracker = false },
+       Config.polyflow);
+      (Dmt, Speculate Dmt_heuristics, Polyflow { tracker = false },
+       Config.polyflow);
+      (Adaptive, Safety_levels (), Polyflow { tracker = true }, tracker);
+      (Doacross, Near_carry_sync, Polyflow { tracker = true }, tracker) ]
+  in
+  List.iter
+    (fun (p, speculation, machine, config) ->
+      Alcotest.(check bool) (Policy.name p ^ " descriptor row") true
+        (Policy.descriptor p = { Policy.speculation; machine });
+      Alcotest.(check bool) (Policy.name p ^ " default machine") true
+        (Config.for_policy p = config))
+    rows
 
 let test_policy_names () =
   Alcotest.(check string) "postdoms" "postdoms" (Policy.name Policy.Postdoms);

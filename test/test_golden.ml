@@ -44,8 +44,8 @@ let cases =
        subsystem landed *)
     ("adaptive", Pf_core.Policy.Adaptive, None);
     (* back-edge-only spawning with distance-aware memory sync (its
-       per-policy default, Config.doacross) — recorded when the
-       loop-nest family landed *)
+       per-policy default config) — recorded when the loop-nest family
+       landed *)
     ("doacross", Pf_core.Policy.Doacross, None) ]
 
 let golden =
@@ -98,7 +98,7 @@ let actual_line prep workload (label, policy, config) =
     | None -> Run.simulate prep ~policy
   in
   Printf.sprintf "%s|%s|%s" workload label
-    (Pf_report.Json.to_string (Pf_report.Codec.metrics_to_json metrics))
+    (Pf_json.Json.to_string (Pf_report.Codec.metrics_to_json metrics))
 
 let check_against ~cases ~golden workload () =
   let prep = prepare workload in

@@ -10,7 +10,7 @@ module Sink = Pf_obs.Sink
 module Counters = Pf_obs.Counters
 module Cpi_stack = Pf_obs.Cpi_stack
 module Chrome_trace = Pf_obs.Chrome_trace
-module Json = Pf_report.Json
+module Json = Pf_json.Json
 
 let case name f = Alcotest.test_case name `Quick f
 

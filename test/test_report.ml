@@ -4,6 +4,7 @@
 
 open Pf_report
 open Pf_uarch
+module Json = Pf_json.Json
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -134,15 +135,15 @@ let test_config_roundtrip () =
     [ Config.superscalar;
       Config.polyflow;
       { Config.polyflow with Config.max_tasks = 3; split_spawning = true };
-      Config.adaptive;
-      { Config.adaptive with
+      Config.for_policy Adaptive;
+      { (Config.for_policy Adaptive) with
         Config.tracker_entries = 16;
         mem_sync_threshold = 3;
         safety_store_pct = 10;
         safety_branch_pct = 50;
         safety_serial_ops = 4 };
-      Config.doacross;
-      { Config.doacross with Config.doacross_sync_distance = 4 } ];
+      Config.for_policy Doacross;
+      { (Config.for_policy Doacross) with Config.doacross_sync_distance = 4 } ];
   (* the tracker fields are additive: a default-valued config must
      serialize without them, so documents and run-cache digests written
      before the subsystem existed stay byte-identical *)
@@ -158,7 +159,7 @@ let test_config_roundtrip () =
       Alcotest.(check bool)
         (Printf.sprintf "%s present for the adaptive config" f)
         (f = "mem_tracker")
-        (List.mem f (field_names (Codec.config_to_json Config.adaptive))))
+        (List.mem f (field_names (Codec.config_to_json (Config.for_policy Adaptive)))))
     [ "mem_tracker"; "tracker_entries"; "mem_sync_threshold";
       "safety_store_pct"; "safety_branch_pct"; "safety_serial_ops";
       "doacross_sync_distance" ]

@@ -3,8 +3,8 @@
    sharding / eviction-order behaviour, scheduler coalescing, no_cache,
    a hit checked against its spec's workload and label, prep sharing
    (also under concurrent first requests) and the deterministic timeout
-   path, and integration cases
-   against a live server: the socket protocol, the request size limit,
+   path, and integration cases against a live server: the socket
+   protocol, the request size limit, the refused [no_event_skip] switch,
    concurrent clients checked byte for byte against a direct sweep, the
    HTTP shim, stopping after the socket file is gone, and shutdown
    followed by a second boot over the persisted trace store. *)
@@ -292,10 +292,55 @@ let run_request ?(id = Json.Null) ?label ?window ?timeout_ms ?(no_cache = false)
     timeout_ms;
     no_cache }
 
+(* With event skipping off the engine steps every cycle, and these
+   depths make one gzip run at window 2,000 take months: a daemon that
+   accepted this config would lose a worker to it. *)
+let stepped_config =
+  Pf_report.Codec.config_to_json
+    { Pf_uarch.Config.polyflow with
+      Pf_uarch.Config.no_event_skip = true;
+      frontend_depth = 1_000_000_000_000;
+      max_cycles_per_instr = 1_000_000_000_000_000 }
+
+let mistyped_width =
+  match Pf_report.Codec.config_to_json Pf_uarch.Config.polyflow with
+  | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, v) -> (k, if k = "width" then Json.String "x" else v))
+           fields)
+  | _ -> assert false
+
+(* Run [f] on its own thread: whether it returned within [secs]. A
+   shutdown that joins a worker stuck in a run that never ends fails
+   its case this way instead of hanging the suite. *)
+let returns_within secs f =
+  let finished = Atomic.make false in
+  ignore
+    (Thread.create
+       (fun () ->
+         f ();
+         Atomic.set finished true)
+       ());
+  let deadline = Unix.gettimeofday () +. secs in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Atomic.get finished
+
 let with_scheduler ?cache ?trace_store ?(jobs = 1) f =
   let counters = Counters.create () in
   let sched = Scheduler.create ?cache ?trace_store ~jobs ~counters () in
-  Fun.protect ~finally:(fun () -> Scheduler.shutdown sched) (fun () -> f sched counters)
+  let shutdown () = returns_within 30. (fun () -> Scheduler.shutdown sched) in
+  match f sched counters with
+  | v ->
+      Alcotest.(check bool) "Scheduler.shutdown returned within 30 s" true
+        (shutdown ());
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (shutdown ());
+      Printexc.raise_with_backtrace e bt
 
 let counter counters name = List.assoc name (Counters.to_alist counters)
 
@@ -326,24 +371,37 @@ let test_scheduler_resolution_errors () =
       (match Scheduler.run sched (run_request ~window:0 "gzip" "postdoms") with
       | Protocol.Error_reply { code = Protocol.Bad_request; _ } -> ()
       | _ -> Alcotest.fail "window 0 not rejected");
+      (* the deadline turns a config that is wrongly accepted into a
+         timeout reply rather than a wait as long as its run *)
       let with_config ?(window = 2_000) ?(policy = "postdoms") config =
-        { (run_request ~window "gzip" policy) with
-          Protocol.config = Some (Pf_report.Codec.config_to_json config) }
+        { (run_request ~window ~timeout_ms:200 "gzip" policy) with
+          Protocol.config = Some config }
       in
       let bad_config field message =
         Test_cfg.contains ~needle:(Printf.sprintf "bad \"config\": %S" field)
           message
       in
+      (* out of range, stepped cycle by cycle, or mistyped: each is
+         refused naming its member *)
       List.iter
         (fun (field, config) ->
           match Scheduler.run sched (with_config config) with
           | Protocol.Error_reply { code = Protocol.Bad_request; message; _ }
             when bad_config field message ->
               ()
-          | _ -> Alcotest.failf "%s out of range not rejected" field)
-        Test_uarch.hostile_configs;
+          | _ -> Alcotest.failf "bad %s not rejected" field)
+        (List.map
+           (fun (field, c) -> (field, Pf_report.Codec.config_to_json c))
+           Test_uarch.hostile_configs
+        @ [ ("no_event_skip", stepped_config); ("width", mistyped_width) ]);
+      (match Scheduler.run sched (with_config mistyped_width) with
+      | Protocol.Error_reply { message; _ } ->
+          Alcotest.(check string) "a mistyped member is named"
+            {|bad "config": "width": expected int, got string|} message
+      | _ -> Alcotest.fail "mistyped width not rejected");
       (* the order stays workload, policy, config, window *)
       let field, hostile = List.hd Test_uarch.hostile_configs in
+      let hostile = Pf_report.Codec.config_to_json hostile in
       (match Scheduler.run sched (with_config ~policy:"no-such" hostile) with
       | Protocol.Error_reply { code = Protocol.Unknown_policy; _ } -> ()
       | _ -> Alcotest.fail "a bad policy does not come before a bad config");
@@ -742,24 +800,46 @@ let test_server_bounds_request_size () =
       close_conn c)
 
 (* A daemon whose socket file is deleted under it (by a tmp cleaner,
-   say) must still stop. [Server.stop] runs on its own thread, so that
-   a hang fails the case instead of hanging the suite. *)
+   say) must still stop. *)
 let test_server_stops_after_unlink () =
   let server, cfg = boot (temp_dir ()) in
   Unix.unlink cfg.Server.socket_path;
-  let stopped = Atomic.make false in
-  ignore
-    (Thread.create
-       (fun () ->
-         Server.stop server;
-         Atomic.set stopped true)
-       ());
-  let deadline = Unix.gettimeofday () +. 5. in
-  while (not (Atomic.get stopped)) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.01
-  done;
   Alcotest.(check bool) "Server.stop returned within 5 s" true
-    (Atomic.get stopped)
+    (returns_within 5. (fun () -> Server.stop server))
+
+(* The stepped-config request is refused before it reaches the one
+   worker, so a valid run sent next on the same connection is answered
+   at once. Every wait is bounded: replies by a 5 s receive timeout, and
+   the stop by [returns_within], since a worker stuck in a stepped run
+   would hold it forever. *)
+let test_server_refuses_no_event_skip () =
+  let server, cfg = boot (temp_dir ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (returns_within 5. (fun () -> Server.stop server)))
+    (fun () ->
+      let ((fd, _, _) as c) = connect cfg.Server.socket_path in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.;
+      let stepped =
+        rpc c
+          (Json.to_string
+             (Json.Obj
+                [ ("workload", Json.String "gzip");
+                  ("window", Json.Int 2_000);
+                  ("timeout_ms", Json.Int 200);
+                  ("config", stepped_config) ]))
+      in
+      Alcotest.(check string) "refused" "bad_request" (str "code" stepped);
+      Alcotest.(check bool) "names the switch" true
+        (Test_cfg.contains ~needle:{|"no_event_skip"|} (str "message" stepped));
+      let t0 = Unix.gettimeofday () in
+      let next = rpc c {|{"workload":"gzip","window":2000}|} in
+      let took = Unix.gettimeofday () -. t0 in
+      Alcotest.(check string) "the next run is served" "ok" (str "status" next);
+      Alcotest.(check bool)
+        (Printf.sprintf "within 1 s (took %.3f s)" took)
+        true (took < 1.);
+      close_conn c)
 
 (* three workloads x three policy classes over one small window *)
 let mix_window = 2_000
@@ -1015,6 +1095,7 @@ let suite =
         case "oversized request line" test_server_bounds_request_size;
         case "stops after its socket file is deleted"
           test_server_stops_after_unlink;
+        case "no_event_skip is refused" test_server_refuses_no_event_skip;
         case "concurrent clients match a direct sweep"
           test_server_concurrent_clients;
         case "HTTP shim" test_server_http_shim;

@@ -10,7 +10,7 @@ module Trace_store = Pf_trace.Trace_store
 module Workload = Pf_workloads.Workload
 module Run = Pf_uarch.Run
 module Sweep = Pf_report.Sweep
-module Json = Pf_report.Json
+module Json = Pf_json.Json
 
 let case name f = Alcotest.test_case name `Quick f
 
