@@ -381,10 +381,7 @@ let run_c =
       value
       & opt string "postdoms"
       & info [ "p"; "policy" ] ~docv:"POLICY"
-          ~doc:
-            "Spawn policy: superscalar, loop, loopFT, procFT, hammock, other, \
-             postdoms, rec_pred, dmt, adaptive, postdoms-<category>, or a + \
-             combination.")
+          ~doc:("Spawn policy: " ^ Pf_core.Policy.syntax ^ "."))
   in
   let all_policies_t =
     Arg.(

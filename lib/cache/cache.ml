@@ -33,16 +33,16 @@ let create ~size_bytes ~assoc ~line_bytes () =
 let line_bytes t = 1 lsl t.line_shift
 
 (* the way holding [tag] in [set], or -1: an int result (rather than an
-   option) keeps the per-access path of the simulator's hottest callee
-   allocation-free *)
+   option) and a loop (rather than a local recursive function, a closure
+   over [t], [base] and [tag] allocated per call) keep the per-access
+   path of the simulator's hottest callee allocation-free *)
 let find_way t set tag =
   let base = set * t.assoc in
-  let rec go w =
-    if w >= t.assoc then -1
-    else if t.tags.(base + w) = tag then w
-    else go (w + 1)
-  in
-  go 0
+  let w = ref 0 in
+  while !w < t.assoc && t.tags.(base + !w) <> tag do
+    incr w
+  done;
+  if !w < t.assoc then !w else -1
 
 let probe t addr =
   let line = addr lsr t.line_shift in

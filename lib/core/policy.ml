@@ -63,30 +63,35 @@ let name = function
   | Adaptive -> "adaptive"
   | Doacross -> "doacross"
 
+(* the names that parse as a whole to a policy other than a category
+   set; every category name parses too (Categories), and combines with
+   '+' or follows "postdoms-" *)
+let whole_names =
+  [ ("superscalar", No_spawn); ("baseline", No_spawn); ("postdoms", Postdoms);
+    ("rec_pred", Rec_pred); ("dmt", Dmt); ("adaptive", Adaptive);
+    ("doacross", Doacross) ]
+
+let names =
+  List.map fst whole_names
+  @ List.map Spawn_point.category_name Spawn_point.all_categories
+
+let syntax =
+  String.concat ", " names
+  ^ ", postdoms-<category>, or a + combination such as loop+loopFT"
+
 let of_string s =
   let cat = Spawn_point.category_of_name in
-  match s with
-  | "superscalar" | "baseline" -> Ok No_spawn
-  | "postdoms" -> Ok Postdoms
-  | "rec_pred" -> Ok Rec_pred
-  | "dmt" -> Ok Dmt
-  | "adaptive" -> Ok Adaptive
-  | "doacross" -> Ok Doacross
-  | _ when String.length s > 9 && String.sub s 0 9 = "postdoms-" -> (
+  match List.assoc_opt s whole_names with
+  | Some p -> Ok p
+  | None when String.length s > 9 && String.sub s 0 9 = "postdoms-" -> (
       match cat (String.sub s 9 (String.length s - 9)) with
       | Some c -> Ok (Postdoms_minus c)
       | None -> Error (Printf.sprintf "unknown category in %S" s))
-  | _ -> (
+  | None -> (
       let cats = List.map cat (String.split_on_char '+' s) in
       if cats <> [] && List.for_all Option.is_some cats then
         Ok (Categories (List.filter_map Fun.id cats))
-      else
-        Error
-          (Printf.sprintf
-             "unknown policy %S (try: superscalar, loop, loopFT, procFT, \
-              hammock, other, postdoms, rec_pred, dmt, adaptive, doacross, \
-              postdoms-<cat>, or combinations like loop+loopFT)"
-             s))
+      else Error (Printf.sprintf "unknown policy %S (try: %s)" s syntax))
 
 let figure9_policies =
   [ Categories [ Spawn_point.Loop_iter ];

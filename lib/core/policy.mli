@@ -88,11 +88,19 @@ val uses_safety_filter : t -> bool
 (** Short display name, e.g. ["postdoms"], ["loop+loopFT"]. *)
 val name : t -> string
 
-(** Parse a {!name}-style policy string: ["superscalar"] (or
-    ["baseline"]), ["postdoms"], ["rec_pred"], ["dmt"], ["adaptive"],
-    ["doacross"], ["postdoms-<category>"], a category name, or a
-    [+]-joined category combination. [Error] carries a usage message
-    listing the accepted forms. *)
+(** Every policy name {!of_string} accepts on its own: ["superscalar"]
+    (and its alias ["baseline"]), ["postdoms"], ["rec_pred"], ["dmt"],
+    ["adaptive"], ["doacross"] and each category name. *)
+val names : string list
+
+(** The accepted forms in one line, for help and error texts: {!names},
+    then ["postdoms-<category>"] and [+]-joined category combinations. *)
+val syntax : string
+
+(** Parse a {!name}-style policy string: one of {!names},
+    ["postdoms-<category>"], or a [+]-joined category combination.
+    [Error] carries a usage message listing the accepted forms
+    ({!syntax}). *)
 val of_string : string -> (t, string) result
 
 (** The policy line-ups of each figure. *)

@@ -5,9 +5,10 @@ type t
 
 val create : unit -> t
 
-(** Predicted target of the indirect jump at [pc]; [None] before any
-    training. *)
-val predict : t -> pc:int -> int option
+(** Predicted target of the indirect jump at [pc]; [-1] before any
+    training (an int, not an option, so a prediction allocates
+    nothing). *)
+val predict : t -> pc:int -> int
 
 val update : t -> pc:int -> target:int -> unit
 

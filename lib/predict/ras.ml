@@ -17,11 +17,11 @@ let push t return_pc =
   t.count <- min t.depth (t.count + 1)
 
 let pop t =
-  if t.count = 0 then None
+  if t.count = 0 then -1
   else begin
     t.top <- (t.top + t.depth - 1) mod t.depth;
     t.count <- t.count - 1;
-    Some t.entries.(t.top)
+    t.entries.(t.top)
   end
 
 let copy t =

@@ -9,8 +9,9 @@ val create : ?depth:int -> unit -> t
 (** Record a call whose return address is [return_pc]. *)
 val push : t -> int -> unit
 
-(** Predict the target of a return; [None] when the stack is empty. *)
-val pop : t -> int option
+(** Predict the target of a return; [-1] when the stack is empty (an
+    int, not an option, so a return's prediction allocates nothing). *)
+val pop : t -> int
 
 val copy : t -> t
 val reset : t -> unit

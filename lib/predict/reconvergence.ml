@@ -5,59 +5,81 @@ type entry = {
   mutable monitored : bool;  (* a monitor for this branch is open *)
 }
 
-type monitor = {
-  entry : entry;
-  depth0 : int;
-  mutable remaining : int;
-}
-
+(* The open monitors live in three preallocated arrays, slots
+   [0 .. n_monitors-1], compacted in place as monitors close, so running
+   and opening monitors allocates nothing. Each monitor touches only its own
+   entry (an entry has at most one open monitor), so the order in which
+   they are run never changes a result. *)
 type t = {
   window : int;
   confidence : int;
   max_monitors : int;
   entries : (int, entry) Hashtbl.t;
-  mutable monitors : monitor list;
+  mon_entry : entry array;
+  mon_depth0 : int array;
+  mon_remaining : int array;
+  mutable n_monitors : int;
   mutable depth : int;
 }
 
 let create ?(window = 256) ?(confidence = 2) ?(max_monitors = 64) () =
+  let unused = { branch_pc = -1; cand = 0; confidence = 0; monitored = false } in
   { window; confidence; max_monitors;
-    entries = Hashtbl.create 256; monitors = []; depth = 0 }
+    entries = Hashtbl.create 256;
+    mon_entry = Array.make max_monitors unused;
+    mon_depth0 = Array.make max_monitors 0;
+    mon_remaining = Array.make max_monitors 0;
+    n_monitors = 0;
+    depth = 0 }
+
+(* Run monitor [k] over the retired [pc]: the decisive event is the
+   first retired PC at-or-above the candidate at the branch's call
+   depth. Equal confirms the candidate, higher pushes it upward (the
+   true join lies on every path, so it can never be skipped). Returns
+   whether the monitor stays open. *)
+let keep t pc k =
+  let e = t.mon_entry.(k) in
+  let depth0 = t.mon_depth0.(k) in
+  if t.depth > depth0 then true (* inside a call: skip *)
+  else if t.depth < depth0 then begin
+    (* returned past the branch before reconverging: inconclusive *)
+    e.monitored <- false;
+    false
+  end
+  else if pc = e.cand then begin
+    e.confidence <- min 8 (e.confidence + 1);
+    e.monitored <- false;
+    false
+  end
+  else if pc > e.cand then begin
+    e.cand <- pc;
+    e.confidence <- 0;
+    e.monitored <- false;
+    false
+  end
+  else begin
+    t.mon_remaining.(k) <- t.mon_remaining.(k) - 1;
+    if t.mon_remaining.(k) <= 0 then begin
+      e.monitored <- false;
+      false
+    end
+    else true
+  end
 
 let retire t ~pc ~instr =
-  (* 1. run every open monitor over this instruction. The decisive event
-     is the first retired PC at-or-above the candidate at the branch's
-     call depth: equal confirms the candidate, higher pushes it upward
-     (the true join lies on every path, so it can never be skipped). *)
-  let keep m =
-    let e = m.entry in
-    if t.depth > m.depth0 then true (* inside a call: skip *)
-    else if t.depth < m.depth0 then begin
-      (* returned past the branch before reconverging: inconclusive *)
-      e.monitored <- false;
-      false
+  (* 1. run every open monitor over this instruction *)
+  let w = ref 0 in
+  for k = 0 to t.n_monitors - 1 do
+    if keep t pc k then begin
+      if !w <> k then begin
+        t.mon_entry.(!w) <- t.mon_entry.(k);
+        t.mon_depth0.(!w) <- t.mon_depth0.(k);
+        t.mon_remaining.(!w) <- t.mon_remaining.(k)
+      end;
+      incr w
     end
-    else if pc = e.cand then begin
-      e.confidence <- min 8 (e.confidence + 1);
-      e.monitored <- false;
-      false
-    end
-    else if pc > e.cand then begin
-      e.cand <- pc;
-      e.confidence <- 0;
-      e.monitored <- false;
-      false
-    end
-    else begin
-      m.remaining <- m.remaining - 1;
-      if m.remaining <= 0 then begin
-        e.monitored <- false;
-        false
-      end
-      else true
-    end
-  in
-  t.monitors <- List.filter keep t.monitors;
+  done;
+  t.n_monitors <- !w;
   (* 2. maintain the call-depth counter *)
   if Pf_isa.Instr.is_call instr then t.depth <- t.depth + 1
   else if Pf_isa.Instr.is_return instr then t.depth <- max 0 (t.depth - 1);
@@ -66,9 +88,9 @@ let retire t ~pc ~instr =
   if Pf_isa.Instr.is_cond_branch instr || Pf_isa.Instr.is_indirect_jump instr
   then begin
     let e =
-      match Hashtbl.find_opt t.entries pc with
-      | Some e -> e
-      | None ->
+      match Hashtbl.find t.entries pc with
+      | e -> e
+      | exception Not_found ->
           let e =
             { branch_pc = pc;
               cand = pc + Pf_isa.Instr.bytes_per_instr;
@@ -78,10 +100,13 @@ let retire t ~pc ~instr =
           Hashtbl.replace t.entries pc e;
           e
     in
-    if (not e.monitored) && List.length t.monitors < t.max_monitors then begin
+    if (not e.monitored) && t.n_monitors < t.max_monitors then begin
       e.monitored <- true;
-      t.monitors <-
-        { entry = e; depth0 = t.depth; remaining = t.window } :: t.monitors
+      let k = t.n_monitors in
+      t.mon_entry.(k) <- e;
+      t.mon_depth0.(k) <- t.depth;
+      t.mon_remaining.(k) <- t.window;
+      t.n_monitors <- k + 1
     end
   end
 
@@ -99,5 +124,5 @@ let observed_branches t = Hashtbl.length t.entries
 
 let reset t =
   Hashtbl.clear t.entries;
-  t.monitors <- [];
+  t.n_monitors <- 0;
   t.depth <- 0

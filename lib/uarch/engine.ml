@@ -79,7 +79,9 @@ type task = {
    the same domain simply misses and allocates; a scratch lost to an
    escaping exception is re-made on the next call. Only immediate-value
    (int/byte) arrays live here: refilling them carries no write barrier,
-   and none of them escapes [simulate] (sinks receive scalars). *)
+   and none of them escapes [simulate] (sinks receive scalars). The
+   wakeup lists and dispatch sequence numbers hold 32-bit cells, so
+   their 16 bytes per instruction cost what two int arrays would. *)
 module Scratch = struct
   type t = {
     n : int;
@@ -88,9 +90,9 @@ module Scratch = struct
     fetch_c : int array;       (* 0 *)
     complete_c : int array;    (* max_int *)
     tstart : int array;        (* 0 *)
-    ready_at : int array;      (* 0 *)
-    drain_blocker : int array; (* -1 *)
     owner_slot : int array;    (* 0 = the initial task's slot *)
+    wake : Wakeq.t;            (* empty; lists: producers, then buckets *)
+    dseq : Bytes.t;            (* 32-bit; written at every divert *)
     src1 : int array;          (* blitted from the flat trace before use *)
     src2 : int array;
     (* spawn-statistic arrays are sized by the static code footprint
@@ -111,9 +113,9 @@ module Scratch = struct
       fetch_c = Array.make n 0;
       complete_c = Array.make n max_int;
       tstart = Array.make n 0;
-      ready_at = Array.make n 0;
-      drain_blocker = Array.make n (-1);
       owner_slot = Array.make n 0;
+      wake = Wakeq.create ~entries:n ~lists:(n + wheel_size);
+      dseq = Bytes.create (4 * n);
       src1 = Array.make n 0;
       src2 = Array.make n 0;
       sp_len = 0;
@@ -147,9 +149,8 @@ module Scratch = struct
     Array.fill s.fetch_c 0 s.n 0;
     Array.fill s.complete_c 0 s.n max_int;
     Array.fill s.tstart 0 s.n 0;
-    Array.fill s.ready_at 0 s.n 0;
-    Array.fill s.drain_blocker 0 s.n (-1);
-    Array.fill s.owner_slot 0 s.n 0
+    Array.fill s.owner_slot 0 s.n 0;
+    Wakeq.reset s.wake
 
   (* The pool holds up to [max_pooled] scratches so a domain that
      alternates window sizes (a window-sensitivity sweep, a daemon
@@ -444,6 +445,25 @@ let simulate input =
      and FIFO divert queue (dependence order) *)
   let scheduler = Readyq.create ~capacity:cfg.Config.scheduler_entries () in
   let divertq = Readyq.create ~capacity:cfg.Config.divert_entries () in
+  (* Wakeup lists (docs/ENGINE.md): the queues above hold only awake
+     entries. A sleeping entry is on the list of the producer it waits
+     for (lists 0 .. n-1) or, once that producer has issued, on the
+     bucket of its completion cycle (lists n .. n + wheel_size - 1,
+     indexed like the cycle wheel). *)
+  let wake = scratch.Scratch.wake in
+  let bucket c = n + (c land wheel_mask) in
+  (* The divert queue is kept in dispatch order, so an entry woken
+     back into it is placed by its dispatch sequence number: 32-bit
+     cells compared by wrapped difference, exact while the queued
+     entries were diverted fewer than 2^31 diverts apart. *)
+  let dseq = scratch.Scratch.dseq in
+  let next_dseq = ref 0 in
+  let divert_before a b =
+    Int32.to_int
+      (Int32.sub (Bytes.get_int32_ne dseq (4 * a))
+         (Bytes.get_int32_ne dseq (4 * b)))
+    < 0
+  in
   let retire_ptr = ref 0 in
   let now = ref 0 in
   (* [m_max_live] is a high-water mark, not monotonic, so it is not a
@@ -526,6 +546,8 @@ let simulate input =
           if s >= s_divert && s <> s_retired then decr rob_count;
           if s = s_divert then decr divert_count;
           if s = s_sched then decr sched_count;
+          (* a sleeper leaves its list with it *)
+          if s = s_divert || s = s_sched then Wakeq.remove wake i;
           if s <> s_retired then begin
             set_state i s_none;
             complete_c.(i) <- max_int;
@@ -646,51 +668,82 @@ let simulate input =
   in
 
   (* ---- issue ---- *)
-  let reg_ready p = p < 0 || completed p in
   let issue_budget = ref 0 in
   let squashed_during_sweep = ref false in
   (* start_idx of the oldest live task during this issue sweep: loads
      it owns are non-speculative and stay out of the tracker CAM *)
   let issue_oldest_start = ref max_int in
-  (* Most scheduler entries visited by a sweep are waiting on producer
-     latency.  [ready_at.(i)] caches a lower bound on the first cycle
-     entry [i] could act (issue or raise a violation), so later sweeps
-     dismiss it with one compare instead of re-reading all its producer
-     states.  The bound is sound because producers complete exactly at
-     their recorded [complete_c] (set once at issue, only reset by a
-     squash that also evicts every consumer), and a producer that has
-     not issued yet cannot complete before next cycle — issue happens
-     once per cycle and every latency is at least 1.  Entries are reset
-     to 0 whenever they (re-)enter the scheduler. *)
-  let ready_at = scratch.Scratch.ready_at in
-  (* earliest cycle pending producer [p] can be complete: its recorded
-     completion once issued, next cycle otherwise (hoisted so the
-     not-ready path of [issue_step] stays allocation-free) *)
-  let pend p =
-    if p < 0 || completed p then 0
-    else if get_state p >= s_issued then Array.unsafe_get complete_c p
-    else !now + 1
+  (* The first producer scheduler entry [i] still waits for, or -1: an
+     incomplete register source, or the producing store of a load that
+     must wait for it (same task, or synchronised). A speculative
+     cross-task load waits only for its registers. *)
+  let unmet i =
+    let r1 = Array.unsafe_get eff_src1 i in
+    if r1 >= 0 && not (completed r1) then r1
+    else
+      let r2 = Array.unsafe_get eff_src2 i in
+      if r2 >= 0 && not (completed r2) then r2
+      else
+        let m = Array.unsafe_get memsrc i in
+        if
+          Array.unsafe_get kind i = k_load
+          && m >= 0
+          && ((not (cross i m)) || Bytes.unsafe_get synced i = '\001')
+          && not (completed m)
+        then m
+        else -1
+  in
+  (* Put scheduler entry [i] to sleep until producer [p] completes: on
+     [p]'s list until it issues, then in the bucket of its completion
+     cycle. A completion the wheel cannot hold (it also turned event
+     skipping off) keeps [i] awake instead. Returns whether [i] stays in
+     the scheduler queue. *)
+  let sleep_sched i p =
+    if get_state p = s_issued then begin
+      let c = Array.unsafe_get complete_c p in
+      if c - !now < wheel_size then begin
+        Wakeq.add wake (bucket c) i;
+        false
+      end
+      else true
+    end
+    else begin
+      Wakeq.add wake p i;
+      false
+    end
+  in
+  (* [p] issued, completing at [c]: its scheduler waiters move to the
+     bucket of [c] (or, when the wheel cannot hold [c], back into the
+     queue, among the entries this sweep has yet to visit), its divert
+     waiters back into the divert queue, where this cycle's drain visits
+     them in dispatch order *)
+  let wake_issued p c =
+    let w = ref (Wakeq.pop wake p) in
+    while !w >= 0 do
+      let i = !w in
+      if get_state i = s_sched then
+        if c - !now < wheel_size then Wakeq.add wake (bucket c) i
+        else Readyq.add_sorted scheduler i
+      else Readyq.insert divertq ~before:divert_before i;
+      w := Wakeq.pop wake p
+    done
   in
   let issue_step i =
     if get_state i <> s_sched then false (* squashed, drop *)
-    else if !now < Array.unsafe_get ready_at i then true
-    else if !issue_budget = 0 then true
-    else begin
-      let m = Array.unsafe_get memsrc i in
-      let mem_ready, violation =
-        if Array.unsafe_get kind i <> k_load || m < 0 then (true, false)
-        else if not (cross i m) then (completed m, false)
-        else if Bytes.unsafe_get synced i = '\001' then (completed m, false)
-        else if completed m then (true, false)
-        else (true, true) (* speculative load beat its producer *)
-      in
-      if
-        reg_ready (Array.unsafe_get eff_src1 i)
-        && reg_ready (Array.unsafe_get eff_src2 i)
-        && mem_ready
-      then begin
-        if violation then begin
-          (* dependence violation: train and squash from this task *)
+    else
+      let p = unmet i in
+      if p >= 0 then sleep_sched i p
+      else if !issue_budget = 0 then true
+      else begin
+        let m = Array.unsafe_get memsrc i in
+        if
+          Array.unsafe_get kind i = k_load
+          && m >= 0 && cross i m
+          && not (completed m)
+        then begin
+          (* a speculative load beat its producer (an unsynchronised
+             one, or [unmet] would have returned [m]): dependence
+             violation — train and squash from this task *)
           Pf_predict.Store_sets.train_violation store_sets ~load_pc:pc.(i)
             ~store_pc:pc.(m);
           squash_from ~reason:Sink.r_squash_recovery (owner_task i);
@@ -718,6 +771,7 @@ let simulate input =
           let c = !now + latency in
           Array.unsafe_set complete_c i c;
           note_completion c;
+          wake_issued i c;
           (* tracker: remember the speculative cross-task read so a
              later-retiring older store can catch it. Only unsynced
              loads of optimistic-level tasks that are not the oldest
@@ -746,24 +800,16 @@ let simulate input =
           false
         end
       end
-      else begin
-        (* not ready: record when the unmet gates could open next.  A
-           violation needs only the register gates (mem_ready is true on
-           that path), so caching the register bound never delays it. *)
-        let b1 = pend (Array.unsafe_get eff_src1 i) in
-        let b2 = pend (Array.unsafe_get eff_src2 i) in
-        let bm = if mem_ready then 0 else pend m in
-        let b = !now + 1 in
-        let b = if b1 > b then b1 else b in
-        let b = if b2 > b then b2 else b in
-        let b = if bm > b then bm else b in
-        Array.unsafe_set ready_at i b;
-        true
-      end
-    end
   in
   let keep_sched i = get_state i = s_sched in
   let issue () =
+    (* wake the entries whose producer completes this cycle *)
+    let b = bucket !now in
+    let w = ref (Wakeq.pop wake b) in
+    while !w >= 0 do
+      Readyq.add_sorted scheduler !w;
+      w := Wakeq.pop wake b
+    done;
     (* the scheduler queue is ascending by construction, so this sweep
        visits candidates oldest-first without sorting *)
     issue_budget := cfg.Config.fus;
@@ -804,58 +850,67 @@ let simulate input =
   (* a cross-task consumer is released once its producer has begun
      executing — it reaches the scheduler just in time for wakeup;
      chains whose head is still parked stay in the FIFO *)
-  let ok_producer i p =
-    p < 0
-    || (((not cfg.Config.divert_chains) || get_state p <> s_divert)
-       && ((not (cross i p)) || get_state p >= s_issued))
-  in
-  let drain_budget = ref 0 in
-  let drain_oldest_start = ref max_int in
-  (* The divert FIFO is dominated by chains parked behind one producer.
-     [drain_blocker.(i)] remembers the producer whose gate kept entry
-     [i] parked on its last full evaluation; while that gate still
-     blocks (it is re-read from live state on every visit), the sweep
-     keeps [i] after two loads instead of re-testing budget, scheduler
-     share and all three producer gates.  A blocked gate is a false
-     conjunct of the full release condition, so the short-circuit never
-     changes a decision; gates only open monotonically between squashes,
-     and a squash evicts the consumer along with its producer.  Reset on
-     (re-)entry to the queue. *)
-  let drain_blocker = scratch.Scratch.drain_blocker in
   let blocked_gate i p =
     (cfg.Config.divert_chains && get_state p = s_divert)
     || (cross i p && get_state p < s_issued)
   in
+  (* the first producer whose gate keeps divert entry [i] parked, or
+     -1. A gate opens once: a cross-task producer's when it issues, a
+     same-task chain head's when it leaves the divert queue; a squash
+     evicts the consumer along with its producer. *)
+  let blocker i =
+    let r1 = Array.unsafe_get eff_src1 i in
+    if r1 >= 0 && blocked_gate i r1 then r1
+    else
+      let r2 = Array.unsafe_get eff_src2 i in
+      if r2 >= 0 && blocked_gate i r2 then r2
+      else
+        let m = Array.unsafe_get memsrc i in
+        if
+          Array.unsafe_get kind i = k_load
+          && m >= 0
+          && Bytes.unsafe_get synced i = '\001'
+          && blocked_gate i m
+        then m
+        else -1
+  in
+  let drain_budget = ref 0 in
+  let drain_oldest_start = ref max_int in
+  (* [p] left the divert queue: its same-task divert waiters come after
+     it in dispatch order, so they go back among the entries this sweep
+     has yet to visit; cross-task and scheduler waiters wait on for
+     [p]'s issue *)
+  let wake_released p =
+    let w = ref (Wakeq.first wake p) in
+    while !w >= 0 do
+      let i = !w in
+      w := Wakeq.next wake i;
+      if get_state i = s_divert && not (cross i p) then begin
+        Wakeq.remove wake i;
+        Readyq.insert divertq ~before:divert_before i
+      end
+    done
+  in
   let drain_step i =
     if get_state i <> s_divert then false
-    else if
-      (let b = Array.unsafe_get drain_blocker i in
-       b >= 0 && blocked_gate i b)
-    then true
-    else begin
-      (* the oldest task's entries may use the reserved scheduler band,
-         otherwise its drain could deadlock behind younger consumers *)
-      let sched_limit =
-        if Array.unsafe_get tstart i = !drain_oldest_start then
-          cfg.Config.scheduler_entries
-        else young_sched_limit
-      in
-      let m = Array.unsafe_get memsrc i in
-      let mem_ok =
-        Array.unsafe_get kind i <> k_load
-        || m < 0
-        || Bytes.unsafe_get synced i <> '\001'
-        || ok_producer i m
-      in
-      if
-        !drain_budget > 0
-        && !sched_count < sched_limit
-        && ok_producer i (Array.unsafe_get eff_src1 i)
-        && ok_producer i (Array.unsafe_get eff_src2 i)
-        && mem_ok
-      then begin
+    else
+      let p = blocker i in
+      if p >= 0 then begin
+        Wakeq.add wake p i;
+        false
+      end
+      else if !drain_budget = 0 then true
+      else if
+        (* the oldest task's entries may use the reserved scheduler
+           band, otherwise its drain could deadlock behind younger
+           consumers *)
+        !sched_count
+        >= (if Array.unsafe_get tstart i = !drain_oldest_start then
+              cfg.Config.scheduler_entries
+            else young_sched_limit)
+      then true
+      else begin
         set_state i s_sched;
-        Array.unsafe_set ready_at i 0;
         Readyq.add_sorted scheduler i;
         incr sched_count;
         decr divert_count;
@@ -864,23 +919,9 @@ let simulate input =
         cinc m_divert_released;
         if observe then
           sink.Sink.on_divert_release ~cycle:!now ~slot:owner_slot.(i) ~index:i;
+        wake_released i;
         false
       end
-      else begin
-        (* only producer gates persist across cycles; budget and share
-           pressure clear on their own, so cache a blocker only when a
-           gate really was the reason *)
-        if !drain_budget > 0 && !sched_count < sched_limit then begin
-          let r1 = Array.unsafe_get eff_src1 i
-          and r2 = Array.unsafe_get eff_src2 i in
-          Array.unsafe_set drain_blocker i
-            (if r1 >= 0 && blocked_gate i r1 then r1
-             else if r2 >= 0 && blocked_gate i r2 then r2
-             else m)
-        end;
-        true
-      end
-    end
   in
   let drain_divert () =
     (* FIFO (= dependence) order, so a ready chain drains up to [width]
@@ -892,13 +933,9 @@ let simulate input =
 
   (* ---- dispatch ---- *)
   (* an instruction diverts when a producer is in an earlier task and
-     not yet completed, or is itself still parked in the divert queue
+     not yet issued, or is itself still parked in the divert queue
      (dependent chains follow their head into the FIFO) *)
-  let blocked_producer i p =
-    p >= 0
-    && ((cfg.Config.divert_chains && get_state p = s_divert)
-       || (cross i p && get_state p < s_issued))
-  in
+  let blocked_producer i p = p >= 0 && blocked_gate i p in
   let dispatch () =
     let budget = ref cfg.Config.width in
     for k = 0 to !live - 1 do
@@ -958,7 +995,8 @@ let simulate input =
           if reg_divert || mem_divert then begin
             if !divert_count < cfg.Config.divert_entries then begin
               set_state i s_divert;
-              drain_blocker.(i) <- -1;
+              Bytes.set_int32_ne dseq (4 * i) (Int32.of_int !next_dseq);
+              incr next_dseq;
               Readyq.push divertq i;
               incr divert_count;
               incr rob_count;
@@ -975,7 +1013,6 @@ let simulate input =
           end
           else if !sched_count < sched_limit then begin
             set_state i s_sched;
-            ready_at.(i) <- 0;
             Readyq.add_sorted scheduler i;
             incr sched_count;
             incr rob_count;
@@ -1259,11 +1296,11 @@ let simulate input =
               Pf_predict.Ras.push t.ras (pc.(i) + Pf_isa.Instr.bytes_per_instr);
               continue_ := false
           | k when k = k_return ->
-              (match Pf_predict.Ras.pop t.ras with
-              | Some target when target = next_pc.(i) -> ()
-              | Some _ | None ->
-                  cinc m_ret_mp;
-                  t.blocked_branch <- i);
+              let target = Pf_predict.Ras.pop t.ras in
+              if target < 0 || target <> next_pc.(i) then begin
+                cinc m_ret_mp;
+                t.blocked_branch <- i
+              end;
               continue_ := false
           | k when k = k_ind_jump || k = k_ind_call ->
               if k = k_ind_call then
@@ -1271,11 +1308,10 @@ let simulate input =
               let predicted = Pf_predict.Indirect.predict indirect ~pc:pc.(i) in
               Pf_predict.Indirect.update indirect ~pc:pc.(i)
                 ~target:next_pc.(i);
-              (match predicted with
-              | Some tg when tg = next_pc.(i) -> ()
-              | Some _ | None ->
-                  cinc m_ind_mp;
-                  t.blocked_branch <- i);
+              if predicted < 0 || predicted <> next_pc.(i) then begin
+                cinc m_ind_mp;
+                t.blocked_branch <- i
+              end;
               continue_ := false
           | _ -> ())
         end
@@ -1307,6 +1343,77 @@ let simulate input =
              "Engine self-check failed: unretired instruction %d below the \
               retire pointer %d"
              i !retire_ptr)
+    done;
+    (* the wakeup invariant: every scheduler and divert entry is awake in
+       its queue (the divert queue in dispatch order) or asleep on
+       exactly one list whose wake event has not fired, so no cycle in
+       which it could act passes without a visit *)
+    Wakeq.check wake;
+    let fail fmt =
+      Printf.ksprintf (fun m -> failwith ("Engine self-check failed: " ^ m)) fmt
+    in
+    let seen = Bytes.make n '\000' in
+    let see i =
+      if Bytes.get seen i <> '\000' then fail "entry %d queued twice" i;
+      Bytes.set seen i '\001'
+    in
+    Readyq.iter scheduler (fun i ->
+        if get_state i <> s_sched then fail "scheduler holds entry %d" i;
+        see i);
+    let last = ref (-1) in
+    Readyq.iter divertq (fun i ->
+        if get_state i <> s_divert then fail "divert queue holds entry %d" i;
+        if !last >= 0 && not (divert_before !last i) then
+          fail "divert entry %d out of dispatch order" i;
+        last := i;
+        see i);
+    let waits_for i p =
+      p = eff_src1.(i) || p = eff_src2.(i) || p = memsrc.(i)
+    in
+    for p = 0 to n - 1 do
+      let w = ref (Wakeq.first wake p) in
+      while !w >= 0 do
+        let i = !w in
+        let st = get_state i in
+        let asleep =
+          waits_for i p
+          &&
+          if st = s_sched then get_state p < s_issued
+          else
+            st = s_divert
+            &&
+            if cross i p then get_state p < s_issued
+            else cfg.Config.divert_chains && get_state p = s_divert
+        in
+        if not asleep then
+          fail "entry %d (state %d) sleeps on producer %d (state %d)" i st p
+            (get_state p);
+        see i;
+        w := Wakeq.next wake i
+      done
+    done;
+    for b = 0 to wheel_size - 1 do
+      let w = ref (Wakeq.first wake (n + b)) in
+      while !w >= 0 do
+        let i = !w in
+        let pending p =
+          p >= 0 && get_state p = s_issued
+          && complete_c.(p) land wheel_mask = b
+          && complete_c.(p) >= !now
+          && complete_c.(p) < !now + wheel_size
+        in
+        if not (get_state i = s_sched
+                && (pending eff_src1.(i) || pending eff_src2.(i)
+                    || pending memsrc.(i)))
+        then fail "entry %d sleeps in bucket %d with no completion due" i b;
+        see i;
+        w := Wakeq.next wake i
+      done
+    done;
+    for i = 0 to n - 1 do
+      let st = get_state i in
+      if (st = s_sched || st = s_divert) && Bytes.get seen i = '\000' then
+        fail "entry %d (state %d) neither queued nor asleep" i st
     done;
     if !live < 0 || !live > cap then
       failwith "Engine self-check failed: live-task counter out of range";

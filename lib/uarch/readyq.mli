@@ -9,11 +9,11 @@
     one backing array.
 
     A queue stores raw [int] indices. Order is determined by how
-    elements are inserted: {!push} appends (FIFO — the divert queue's
-    dependence order), {!add_sorted} inserts at the index's sorted
+    elements are inserted: {!add_sorted} inserts at the index's sorted
     position (ascending program order — the scheduler's oldest-first
-    issue priority). A single queue must use only one of the two
-    insertion functions.
+    issue priority); {!push} appends and {!insert} places an element by
+    a caller's order (the divert queue's dispatch order, where [push]
+    appends the newest element). A single queue keeps one order.
 
     Not thread-safe; every queue is private to one engine run. *)
 
@@ -33,15 +33,26 @@ val push : t -> int -> unit
     dispatch walks tasks in program order). *)
 val add_sorted : t -> int -> unit
 
+(** [insert q ~before i] inserts [i] ahead of the first element [e]
+    with [before i e], keeping a queue sorted by [before] sorted. *)
+val insert : t -> before:(int -> int -> bool) -> int -> unit
+
 (** [sweep q f] visits every element in queue order and keeps exactly
-    those for which [f] returns [true], compacting in place. [f] must
-    not modify [q] (it may freely modify {e other} queues — the engine's
-    divert drain moves entries into the scheduler this way). *)
+    those for which [f] returns [true], compacting in place. [f] may
+    modify other queues (the engine's divert drain moves entries into
+    the scheduler this way) and may insert into [q] itself: the three
+    insertions then place the element among those not yet visited, so
+    the sweep visits it later, and it must belong after the element
+    being visited (the divert drain wakes a released entry's chain this
+    way). An exception escaping [f] leaves [q] unusable. *)
 val sweep : t -> (int -> bool) -> unit
 
 (** Same contract as {!sweep}; alias used where the intent is pruning
     stale entries rather than a per-cycle visit. *)
 val filter : t -> (int -> bool) -> unit
+
+(** [iter q f] applies [f] to every element in queue order. *)
+val iter : t -> (int -> unit) -> unit
 
 (** Remove all elements. *)
 val clear : t -> unit

@@ -86,6 +86,32 @@ let test_hierarchy_miss_counters () =
   Alcotest.(check int) "l1i misses" 1 (Hierarchy.l1i_misses h);
   Alcotest.(check int) "l2 misses" 2 (Hierarchy.l2_misses h)
 
+(* The engine calls these once per issued load or store, so they must not
+   allocate: the minor-heap words over [calls] calls, divided per call,
+   must round down to 0 (a closure or an option costs at least 2 words
+   per call). *)
+let calls = 10_000
+
+let words_per_call f =
+  let before = Gc.minor_words () in
+  for k = 1 to calls do
+    f k
+  done;
+  int_of_float ((Gc.minor_words () -. before) /. float_of_int calls)
+
+let test_lookups_allocate_nothing () =
+  let c = Cache.create ~size_bytes:1024 ~assoc:4 ~line_bytes:64 () in
+  let hit _ = ignore (Cache.access c 0x40) in
+  let miss k = ignore (Cache.access c (k * 4096)) in
+  Alcotest.(check int) "Cache.access hit" 0 (words_per_call hit);
+  Alcotest.(check int) "Cache.access miss" 0 (words_per_call miss);
+  let h = Hierarchy.create () in
+  let l1_hit _ = ignore (Hierarchy.data_latency h 0x80) in
+  (* a new 8 KiB-strided line per call misses L1 and L2 alike *)
+  let miss k = ignore (Hierarchy.data_latency h (k * 8192)) in
+  Alcotest.(check int) "data_latency L1 hit" 0 (words_per_call l1_hit);
+  Alcotest.(check int) "data_latency miss" 0 (words_per_call miss)
+
 let suite =
   [ ( "cache.cache",
       [ case "cold miss then hit" test_cold_miss_then_hit;
@@ -97,4 +123,5 @@ let suite =
     ( "cache.hierarchy",
       [ case "latencies" test_hierarchy_latencies;
         case "shared L2" test_hierarchy_l2_shared;
-        case "miss counters" test_hierarchy_miss_counters ] ) ]
+        case "miss counters" test_hierarchy_miss_counters;
+        case "lookups allocate nothing" test_lookups_allocate_nothing ] ) ]

@@ -174,6 +174,26 @@ let test_policy_names () =
     (Policy.name (Policy.Postdoms_minus Spawn_point.Hammock));
   Alcotest.(check string) "baseline" "superscalar" (Policy.name Policy.No_spawn)
 
+(* the help and error texts are built from [Policy.names], so every
+   name they list must parse, and print back as itself unless it is the
+   superscalar's alias *)
+let test_policy_names_parse () =
+  List.iter
+    (fun s ->
+      match Policy.of_string s with
+      | Ok p ->
+          Alcotest.(check string) (s ^ " round-trips")
+            (if s = "baseline" then "superscalar" else s)
+            (Policy.name p)
+      | Error e -> Alcotest.failf "%s does not parse: %s" s e)
+    Policy.names;
+  Alcotest.(check bool) "doacross listed" true (List.mem "doacross" Policy.names);
+  match Policy.of_string "nope" with
+  | Ok _ -> Alcotest.fail "nope parsed"
+  | Error e ->
+      Alcotest.(check bool) "error text lists the syntax" true
+        (String.ends_with ~suffix:(Policy.syntax ^ ")") e)
+
 let test_figure_lineups () =
   Alcotest.(check int) "figure 9 has 6 policies" 6 (List.length Policy.figure9_policies);
   Alcotest.(check int) "figure 10 has 4" 4 (List.length Policy.figure10_policies);
@@ -313,6 +333,7 @@ let suite =
     ( "core.policy",
       [ case "select" test_policy_select;
         case "names" test_policy_names;
+        case "every listed name parses" test_policy_names_parse;
         case "figure line-ups" test_figure_lineups ] );
     ( "core.hint_cache",
       [ case "install and find" test_hint_cache;

@@ -96,37 +96,37 @@ let test_ras_lifo () =
   let r = Ras.create () in
   Ras.push r 0x100;
   Ras.push r 0x200;
-  Alcotest.(check (option int)) "pop 2" (Some 0x200) (Ras.pop r);
-  Alcotest.(check (option int)) "pop 1" (Some 0x100) (Ras.pop r);
-  Alcotest.(check (option int)) "empty" None (Ras.pop r)
+  Alcotest.(check int) "pop 2" 0x200 (Ras.pop r);
+  Alcotest.(check int) "pop 1" 0x100 (Ras.pop r);
+  Alcotest.(check int) "empty" (-1) (Ras.pop r)
 
 let test_ras_overflow_wraps () =
   let r = Ras.create ~depth:4 () in
   for k = 1 to 6 do Ras.push r (k * 0x10) done;
   (* pushes 5 and 6 overwrote 1 and 2 *)
-  Alcotest.(check (option int)) "top" (Some 0x60) (Ras.pop r);
-  Alcotest.(check (option int)) "next" (Some 0x50) (Ras.pop r);
-  Alcotest.(check (option int)) "next" (Some 0x40) (Ras.pop r);
-  Alcotest.(check (option int)) "next" (Some 0x30) (Ras.pop r);
-  Alcotest.(check (option int)) "then empty" None (Ras.pop r)
+  Alcotest.(check int) "top" 0x60 (Ras.pop r);
+  Alcotest.(check int) "next" 0x50 (Ras.pop r);
+  Alcotest.(check int) "next" 0x40 (Ras.pop r);
+  Alcotest.(check int) "next" 0x30 (Ras.pop r);
+  Alcotest.(check int) "then empty" (-1) (Ras.pop r)
 
 let test_ras_copy_independent () =
   let r = Ras.create () in
   Ras.push r 1;
   let r2 = Ras.copy r in
   ignore (Ras.pop r);
-  Alcotest.(check (option int)) "copy unaffected" (Some 1) (Ras.pop r2)
+  Alcotest.(check int) "copy unaffected" 1 (Ras.pop r2)
 
 (* ------------------------------------------------------------------ *)
 (* Indirect                                                            *)
 
 let test_indirect_last_target () =
   let p = Indirect.create () in
-  Alcotest.(check (option int)) "cold" None (Indirect.predict p ~pc:0x500);
+  Alcotest.(check int) "cold" (-1) (Indirect.predict p ~pc:0x500);
   Indirect.update p ~pc:0x500 ~target:0x900;
-  Alcotest.(check (option int)) "warm" (Some 0x900) (Indirect.predict p ~pc:0x500);
+  Alcotest.(check int) "warm" 0x900 (Indirect.predict p ~pc:0x500);
   Indirect.update p ~pc:0x500 ~target:0xA00;
-  Alcotest.(check (option int)) "last target wins" (Some 0xA00)
+  Alcotest.(check int) "last target wins" 0xA00
     (Indirect.predict p ~pc:0x500)
 
 (* ------------------------------------------------------------------ *)

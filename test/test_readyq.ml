@@ -53,6 +53,34 @@ let test_sweep_consumes_prefix () =
       else true);
   Alcotest.(check (list int)) "two oldest issued" [ 3; 4; 5 ] (contents q)
 
+let test_insert_by_key () =
+  (* the divert queue's discipline: order by an external key (here the
+     key is the element's remainder mod 10), newest-key appends *)
+  let q = Readyq.create ~capacity:2 () in
+  let before a b = a mod 10 < b mod 10 in
+  List.iter (Readyq.push q) [ 11; 23; 37 ];
+  List.iter (Readyq.insert q ~before) [ 45; 2; 59 ];
+  Alcotest.(check (list int)) "by key" [ 11; 2; 23; 45; 37; 59 ] (contents q)
+
+let test_insert_during_sweep () =
+  (* the divert drain: releasing an element wakes a later one, which the
+     same sweep visits in its place; one that stays is kept in order *)
+  let q = Readyq.create ~capacity:2 () in
+  List.iter (Readyq.push q) [ 10; 30; 50 ];
+  let visited = ref [] in
+  Readyq.sweep q (fun i ->
+      visited := i :: !visited;
+      if i = 10 then Readyq.insert q ~before:( < ) 20;
+      if i = 20 then Readyq.insert q ~before:( < ) 40;
+      if i = 30 then Readyq.add_sorted q 60;
+      i mod 20 = 0);
+  Alcotest.(check (list int)) "woken elements visited in order"
+    [ 10; 20; 30; 40; 50; 60 ] (List.rev !visited);
+  Alcotest.(check (list int)) "kept in order" [ 20; 40; 60 ] (contents q);
+  Readyq.insert q ~before:( < ) 30;
+  Alcotest.(check (list int)) "insert after a sweep sees the whole queue"
+    [ 20; 30; 40; 60 ] (contents q)
+
 let test_clear () =
   let q = Readyq.create () in
   List.iter (Readyq.push q) [ 1; 2; 3 ];
@@ -147,6 +175,8 @@ let suite =
         case "add_sorted sorts" test_add_sorted_sorts;
         case "filter keeps FIFO order" test_filter_keeps_fifo_order;
         case "sweep consumes a prefix" test_sweep_consumes_prefix;
+        case "insert orders by a key" test_insert_by_key;
+        case "insert during a sweep" test_insert_during_sweep;
         case "clear empties and stays usable" test_clear;
         Prop.to_alcotest prop_sorted_by_construction;
         Prop.to_alcotest prop_fifo_preserved;

@@ -1,6 +1,6 @@
 (* Skip parity: the event-skipping cycle loop (stall-skip to the next
-   scheduled event, plus the ready_at / drain_blocker sweep caches) is a
-   pure optimisation. [Config.no_event_skip] forces the engine back to
+   scheduled event, which must never jump past a wakeup-list bucket) is
+   a pure optimisation. [Config.no_event_skip] forces the engine back to
    one-cycle-at-a-time stepping; against that reference build the
    optimised loop must produce bit-identical
 

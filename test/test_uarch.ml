@@ -301,7 +301,8 @@ let test_self_check_mode () =
           Alcotest.(check int) "retires everything"
             (Pf_trace.Tracer.length prep.Run.trace)
             m.Metrics.instructions)
-        [ Pf_core.Policy.No_spawn; Pf_core.Policy.Postdoms; Pf_core.Policy.Rec_pred ])
+        Pf_core.Policy.
+          [ No_spawn; Postdoms; Rec_pred; Dmt; Adaptive; Doacross ])
 
 (* Property: the engine completes and retires exactly the window under
    randomly drawn (but legal) machine configurations. *)

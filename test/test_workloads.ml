@@ -293,10 +293,15 @@ let test_all_workloads_simulate () =
         (Printf.sprintf "%s baseline IPC %.2f plausible" w.Workload.name ipc)
         true
         (ipc > 0.1 && ipc < 8.0);
-      let pd = Pf_uarch.Run.simulate prep ~policy:Pf_core.Policy.Postdoms in
-      Alcotest.(check int)
-        (Printf.sprintf "%s postdoms retires the window" w.Workload.name)
-        base.Pf_uarch.Metrics.instructions pd.Pf_uarch.Metrics.instructions)
+      List.iter
+        (fun policy ->
+          let m = Pf_uarch.Run.simulate prep ~policy in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s retires the window" w.Workload.name
+               (Pf_core.Policy.name policy))
+            base.Pf_uarch.Metrics.instructions
+            m.Pf_uarch.Metrics.instructions)
+        Pf_core.Policy.[ Postdoms; Adaptive ])
     all
 
 (* Cross-module invariant: no simulated configuration can exceed the
