@@ -30,7 +30,8 @@ loopnest-smoke:
 bench-engine:
 	dune exec bench/engine_bench.exe -- $(ARGS)
 # Simulation-as-a-service (docs/SERVING.md): boots the daemon on SOCKET
-# (flags pass through ARGS, e.g. `make serve ARGS=--http-port\ 8080`).
+# (flags pass through ARGS, e.g. `make serve ARGS=--jobs\ 4`); the python
+# client in docs/SERVING.md talks to the socket.
 SOCKET ?= polyflow.sock
 serve:
 	dune exec bin/polyflow_serve.exe -- --socket $(SOCKET) $(ARGS)

@@ -260,6 +260,9 @@ let measure_shared ~window_override (wl : Pf_workloads.Workload.t) =
    3-workload subset *)
 let shared_workloads = [ "gzip"; "mcf"; "twolf" ]
 
+(* rounds of [measure_shared] behind the smoke's B=4 gate *)
+let shared_rounds = 9
+
 let print_shared_row s =
   List.iter
     (fun r ->
@@ -452,10 +455,18 @@ let run_smoke () =
   check "deterministic re-simulation"
     (fingerprint a = fingerprint (List.hd rows));
   (* the cold-sweep speedup of sharing one prepared window: B=4 runs
-     from one prepare vs 4 fresh prepare+simulate pairs *)
-  let shared_gzip = measure_shared ~window_override:(Some 4_000) wl in
-  let size4 = List.find (fun r -> r.size = 4) shared_gzip.s_sizes in
-  check "shared-prepare cold speedup >= 2x at B=4" (shared_speedup size4 >= 2.0);
+     from one prepare vs 4 fresh prepare+simulate pairs. One round times
+     about 5 ms per side, so the gate reads the median of
+     [shared_rounds] rounds. The artifact keeps the first round, the
+     one measurement CI's shared-prepare floor was recorded against *)
+  let shared_runs =
+    List.init shared_rounds (fun _ ->
+        measure_shared ~window_override:(Some 4_000) wl)
+  in
+  let speedup_4 s = shared_speedup (List.find (fun r -> r.size = 4) s.s_sizes) in
+  check "shared-prepare cold speedup >= 2x at B=4"
+    (B.median (List.map speedup_4 shared_runs) >= 2.0);
+  let shared_gzip = List.hd shared_runs in
   (* the trace store's claim: a warm preparation (store hit, which
      skips machine set-up, fast-forward, capture and the dependence
      pass) must beat a cold one by 3x or more even on the smoke grid,

@@ -6,13 +6,12 @@
    warm engine scratch. Window preparation goes through the persistent
    trace store (--trace-store), so a daemon restarted over a populated
    store loads its windows from disk instead of preparing them again.
-   An optional HTTP/1.1 shim on 127.0.0.1 carries the same requests for
-   curl and health checks.
+   docs/SERVING.md has a python client for the socket.
 
    Examples:
      polyflow_serve --socket /tmp/polyflow.sock
      polyflow_serve --socket /tmp/polyflow.sock --jobs 4 --cache-cap 256
-     polyflow_serve --socket /tmp/polyflow.sock --http-port 8080 \
+     polyflow_serve --socket /tmp/polyflow.sock \
        --prewarm 4000,30000 --timeout-ms 60000 *)
 
 let parse_prewarm s =
@@ -28,7 +27,7 @@ let parse_prewarm s =
            (String.split_on_char ',' s))
     with _ -> Error (Printf.sprintf "bad --prewarm %S: expected N[,N...]" s)
 
-let serve socket_path http_port jobs cache_dir no_cache cache_cap
+let serve socket_path jobs cache_dir no_cache cache_cap
     trace_store_dir no_trace_store trace_store_cap timeout_ms prewarm
     no_shutdown verbose =
   match parse_prewarm prewarm with
@@ -41,7 +40,6 @@ let serve socket_path http_port jobs cache_dir no_cache cache_cap
       else
         let cfg =
           { (Pf_serve.Server.default_config ~socket_path) with
-            http_port;
             jobs;
             cache_dir = (if no_cache then None else Some cache_dir);
             cache_cap;
@@ -66,10 +64,7 @@ let serve socket_path http_port jobs cache_dir no_cache cache_cap
             Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
             (* scripts (CI's serve-smoke job) wait for this line before
                sending requests *)
-            Printf.printf "polyflow_serve: ready on %s%s\n%!" socket_path
-              (match Pf_serve.Server.http_port t with
-              | Some p -> Printf.sprintf " (http 127.0.0.1:%d)" p
-              | None -> "");
+            Printf.printf "polyflow_serve: ready on %s\n%!" socket_path;
             Pf_serve.Server.run t;
             Printf.printf "polyflow_serve: stopped\n%!";
             `Ok ())
@@ -82,16 +77,6 @@ let socket_t =
     & opt string "polyflow.sock"
     & info [ "s"; "socket" ] ~docv:"PATH"
         ~doc:"Unix-domain socket to listen on.")
-
-let http_port_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "http-port" ] ~docv:"PORT"
-        ~doc:
-          "Also serve the HTTP/1.1 shim on 127.0.0.1:$(docv) (0 picks a \
-           free port). POST /run, GET /stats, GET /healthz; shutdown is \
-           never reachable over HTTP.")
 
 let jobs_t =
   Arg.(
@@ -183,8 +168,8 @@ let cmd =
        ~doc:"PolyFlow simulation-as-a-service daemon (docs/SERVING.md)")
     Term.(
       ret
-        (const serve $ socket_t $ http_port_t $ jobs_t $ cache_dir_t
-       $ no_cache_t $ cache_cap_t $ trace_store_dir_t $ no_trace_store_t
+        (const serve $ socket_t $ jobs_t $ cache_dir_t $ no_cache_t
+       $ cache_cap_t $ trace_store_dir_t $ no_trace_store_t
        $ trace_store_cap_t $ timeout_ms_t $ prewarm_t $ no_shutdown_t
        $ verbose_t))
 

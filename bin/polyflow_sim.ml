@@ -49,15 +49,19 @@ let run_cmd name policy_str all_policies window trace_store_dir
   let resolve policy =
     Pf_report.Sweep.resolve (Pf_report.Sweep.spec ?window name policy)
   in
-  match resolve Pf_core.Policy.No_spawn with
+  (* every argument is checked before a window is prepared *)
+  match
+    (Pf_core.Policy.of_string policy_str, resolve Pf_core.Policy.No_spawn)
+  with
   | _ when all_policies && chrome_out <> None ->
       `Error (false, "--chrome-trace records one run; drop --all-policies")
-  | Error Pf_report.Sweep.Unknown_workload ->
+  | Error m, _ -> `Error (false, m)
+  | _, Error Pf_report.Sweep.Unknown_workload ->
       `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
-  | Error (Pf_report.Sweep.Bad_config msg) -> `Error (false, msg)
-  | Error (Pf_report.Sweep.Non_positive_window n) ->
+  | _, Error (Pf_report.Sweep.Bad_config msg) -> `Error (false, msg)
+  | _, Error (Pf_report.Sweep.Non_positive_window n) ->
       `Error (false, Printf.sprintf "--window must be positive (got %d)" n)
-  | Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->
+  | Ok policy, Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->
       let store =
         Option.map
           (fun dir -> Pf_trace.Trace_store.create ~dir ())
@@ -142,35 +146,26 @@ let run_cmd name policy_str all_policies window trace_store_dir
       (* --chrome-trace records the requested policy's run; when that is
          the superscalar itself, the baseline run carries the sink *)
       let trace_baseline =
-        chrome_out <> None
-        && Pf_core.Policy.of_string policy_str = Ok Pf_core.Policy.No_spawn
+        chrome_out <> None && policy = Pf_core.Policy.No_spawn
       in
       let base = run_one ~record_trace:trace_baseline Pf_core.Policy.No_spawn in
-      let result =
-        if all_policies then begin
-          let policies =
-            Pf_core.Policy.figure9_policies
-            @ [ Pf_core.Policy.Rec_pred; Pf_core.Policy.Dmt;
-                Pf_core.Policy.Adaptive; Pf_core.Policy.Doacross ]
-            @ List.filter
-                (fun p -> p <> Pf_core.Policy.Postdoms)
-                Pf_core.Policy.figure10_policies
-            @ Pf_core.Policy.figure11_policies
-          in
-          List.iter (fun p -> ignore (run_one ~base p)) policies;
-          `Ok ()
-        end
-        else
-          match Pf_core.Policy.of_string policy_str with
-          | Ok Pf_core.Policy.No_spawn -> `Ok () (* already printed *)
-          | Ok policy ->
-              ignore
-                (run_one ~base ~record_trace:(chrome_out <> None) policy);
-              `Ok ()
-          | Error m -> `Error (false, m)
-      in
-      (match (result, json_out) with
-      | `Ok (), Some path ->
+      if all_policies then begin
+        let policies =
+          Pf_core.Policy.figure9_policies
+          @ [ Pf_core.Policy.Rec_pred; Pf_core.Policy.Dmt;
+              Pf_core.Policy.Adaptive; Pf_core.Policy.Doacross ]
+          @ List.filter
+              (fun p -> p <> Pf_core.Policy.Postdoms)
+              Pf_core.Policy.figure10_policies
+          @ Pf_core.Policy.figure11_policies
+        in
+        List.iter (fun p -> ignore (run_one ~base p)) policies
+      end
+      else if policy <> Pf_core.Policy.No_spawn then
+        (* the superscalar is the baseline, already printed *)
+        ignore (run_one ~base ~record_trace:(chrome_out <> None) policy);
+      (match json_out with
+      | Some path ->
           let doc =
             Pf_report.Sweep.document
               ~tool:(String.concat " " (Array.to_list Sys.argv))
@@ -182,8 +177,8 @@ let run_cmd name policy_str all_policies window trace_store_dir
           Format.printf "wrote %d runs to %s (schema %d)@."
             (List.length doc.Pf_report.Sweep.runs)
             path Pf_report.Manifest.schema_version
-      | _ -> ());
-      result
+      | None -> ());
+      `Ok ()
 
 (* ---- report ---- *)
 

@@ -46,8 +46,3 @@ let data_latency t addr =
 let l1i_misses t = Cache.misses t.l1i
 let l1d_misses t = Cache.misses t.l1d
 let l2_misses t = Cache.misses t.l2
-
-let reset t =
-  Cache.reset t.l1i;
-  Cache.reset t.l1d;
-  Cache.reset t.l2

@@ -34,4 +34,3 @@ val data_latency : t -> int -> int
 val l1i_misses : t -> int
 val l1d_misses : t -> int
 val l2_misses : t -> int
-val reset : t -> unit

@@ -59,7 +59,6 @@ let st4 addr value = Store (I.W, addr, value)
 let st1 addr value = Store (I.B, addr, value)
 
 let idx8 base e = base +: (e <<: i 3)
-let idx4 base e = base +: (e <<: i 2)
 
 let for_ var ~init ~cond ~step body =
   [ Let (var, init); While (cond, body @ [ Set (var, step) ]) ]

@@ -86,8 +86,6 @@ val st1 : expr -> expr -> stmt
     8-byte-element array at [base]. *)
 val idx8 : expr -> expr -> expr
 
-val idx4 : expr -> expr -> expr
-
 (** [for_ var ~init ~cond ~step body] expands to the canonical
     guard + bottom-tested loop using [Let]/[While]-free primitives:
     [Let (var, init); While (cond, body @ [Set (var, step)])]. *)

@@ -22,10 +22,6 @@ let reason_name r =
   reason_names.(r)
 
 type t = {
-  on_fetch : cycle:int -> slot:int -> index:int -> unit;
-  on_dispatch : cycle:int -> slot:int -> index:int -> diverted:bool -> unit;
-  on_divert_release : cycle:int -> slot:int -> index:int -> unit;
-  on_issue : cycle:int -> slot:int -> index:int -> latency:int -> unit;
   on_retire : cycle:int -> slot:int -> index:int -> unit;
   on_task_start : cycle:int -> slot:int -> task:int -> parent_slot:int ->
     at_pc:int -> unit;
@@ -35,11 +31,7 @@ type t = {
 }
 
 let null =
-  { on_fetch = (fun ~cycle:_ ~slot:_ ~index:_ -> ());
-    on_dispatch = (fun ~cycle:_ ~slot:_ ~index:_ ~diverted:_ -> ());
-    on_divert_release = (fun ~cycle:_ ~slot:_ ~index:_ -> ());
-    on_issue = (fun ~cycle:_ ~slot:_ ~index:_ ~latency:_ -> ());
-    on_retire = (fun ~cycle:_ ~slot:_ ~index:_ -> ());
+  { on_retire = (fun ~cycle:_ ~slot:_ ~index:_ -> ());
     on_task_start = (fun ~cycle:_ ~slot:_ ~task:_ ~parent_slot:_ ~at_pc:_ -> ());
     on_task_end = (fun ~cycle:_ ~slot:_ ~task:_ -> ());
     on_squash = (fun ~cycle:_ ~slot:_ ~tasks:_ ~instrs:_ -> ());
@@ -48,23 +40,7 @@ let null =
 let is_null s = s == null
 
 let tee a b =
-  { on_fetch =
-      (fun ~cycle ~slot ~index ->
-        a.on_fetch ~cycle ~slot ~index;
-        b.on_fetch ~cycle ~slot ~index);
-    on_dispatch =
-      (fun ~cycle ~slot ~index ~diverted ->
-        a.on_dispatch ~cycle ~slot ~index ~diverted;
-        b.on_dispatch ~cycle ~slot ~index ~diverted);
-    on_divert_release =
-      (fun ~cycle ~slot ~index ->
-        a.on_divert_release ~cycle ~slot ~index;
-        b.on_divert_release ~cycle ~slot ~index);
-    on_issue =
-      (fun ~cycle ~slot ~index ~latency ->
-        a.on_issue ~cycle ~slot ~index ~latency;
-        b.on_issue ~cycle ~slot ~index ~latency);
-    on_retire =
+  { on_retire =
       (fun ~cycle ~slot ~index ->
         a.on_retire ~cycle ~slot ~index;
         b.on_retire ~cycle ~slot ~index);

@@ -1,12 +1,11 @@
 (** The engine-facing event sink: a flat record of hooks.
 
-    [Pf_uarch.Engine] calls these at its pipeline boundaries — fetch,
-    dispatch (including the divert decision), divert-queue release,
-    issue, retire, task spawn/reclaim, squash — plus once per cycle per
-    task slot with a cycle-accounting {e reason} code. A sink is just a
-    record of closures; the provided implementations ({!Cpi_stack},
-    {!Chrome_trace}) build one with [{ Sink.null with on_... }] so that
-    hooks they do not care about stay free.
+    [Pf_uarch.Engine] calls these at retire, task spawn/reclaim and
+    squash, plus once per cycle per task slot with a cycle-accounting
+    {e reason} code. A sink is just a record of closures; the provided
+    implementations ({!Cpi_stack}, {!Chrome_trace}) build one with
+    [{ Sink.null with on_... }] so that hooks they do not care about
+    stay free.
 
     {2 The zero-overhead-when-off contract}
 
@@ -75,12 +74,6 @@ val reason_name : int -> string
 (** {1 The hook record} *)
 
 type t = {
-  on_fetch : cycle:int -> slot:int -> index:int -> unit;
-  on_dispatch : cycle:int -> slot:int -> index:int -> diverted:bool -> unit;
-  on_divert_release : cycle:int -> slot:int -> index:int -> unit;
-      (** a diverted instruction's producers completed; it moved to the
-          scheduler *)
-  on_issue : cycle:int -> slot:int -> index:int -> latency:int -> unit;
   on_retire : cycle:int -> slot:int -> index:int -> unit;
   on_task_start : cycle:int -> slot:int -> task:int -> parent_slot:int ->
     at_pc:int -> unit;

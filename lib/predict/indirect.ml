@@ -6,5 +6,3 @@ let predict t ~pc =
   match Hashtbl.find t pc with v -> v | exception Not_found -> -1
 
 let update t ~pc ~target = Hashtbl.replace t pc target
-
-let reset t = Hashtbl.clear t

@@ -11,5 +11,3 @@ val create : unit -> t
 val predict : t -> pc:int -> int
 
 val update : t -> pc:int -> target:int -> unit
-
-val reset : t -> unit

@@ -26,7 +26,3 @@ let pop t =
 
 let copy t =
   { entries = Array.copy t.entries; depth = t.depth; top = t.top; count = t.count }
-
-let reset t =
-  t.top <- 0;
-  t.count <- 0

@@ -14,4 +14,3 @@ val push : t -> int -> unit
 val pop : t -> int
 
 val copy : t -> t
-val reset : t -> unit

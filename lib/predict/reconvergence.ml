@@ -121,8 +121,3 @@ let learned_branches t =
     t.entries 0
 
 let observed_branches t = Hashtbl.length t.entries
-
-let reset t =
-  Hashtbl.clear t.entries;
-  t.n_monitors <- 0;
-  t.depth <- 0

@@ -42,5 +42,3 @@ val learned_branches : t -> int
 
 (** Total branches ever observed. *)
 val observed_branches : t -> int
-
-val reset : t -> unit

@@ -33,5 +33,3 @@ let synced_loads t =
   Hashtbl.fold
     (fun _ e acc -> if e.confidence >= t.sync_threshold then acc + 1 else acc)
     t.loads 0
-
-let reset t = Hashtbl.clear t.loads

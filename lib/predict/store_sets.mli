@@ -25,5 +25,3 @@ val train_no_conflict : t -> load_pc:int -> unit
 
 (** Number of distinct load PCs currently predicted to synchronise. *)
 val synced_loads : t -> int
-
-val reset : t -> unit

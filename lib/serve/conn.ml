@@ -1,8 +1,8 @@
-(* Connection plumbing shared by the socket listener (server.ml) and
-   the HTTP shim (http.ml). *)
+(* The socket listener's connection plumbing (server.ml): a bounded
+   line reader and the accept loop. *)
 
-(* The most either front end reads of one request line (socket) or of
-   one head line or body (HTTP); the largest valid request is < 1 KiB. *)
+(* The most the daemon reads of one request line; the largest valid
+   request is < 1 KiB. *)
 let max_request_bytes = 65_536
 
 (* holds at most one chunk plus [max_request_bytes] of a line *)
@@ -43,16 +43,6 @@ let rec read_line r =
     Buffer.clear r.line;
     `Line line
   end
-
-let read_exactly r n =
-  let b = Buffer.create n in
-  while Buffer.length b < n do
-    if r.lo = r.hi && not (refill r) then raise End_of_file;
-    let k = min (n - Buffer.length b) (r.hi - r.lo) in
-    Buffer.add_subbytes b r.chunk r.lo k;
-    r.lo <- r.lo + k
-  done;
-  Buffer.contents b
 
 (* serves each connection on its own thread until [stop] is set or
    accept fails, as it does after [wake] *)

@@ -1,7 +1,7 @@
 (** The polyflow_serve wire protocol: newline-delimited JSON objects,
     one request per line in, one response per line out, over a
-    Unix-domain socket (or as HTTP bodies through the shim — see
-    docs/SERVING.md for the normative field tables).
+    Unix-domain socket (see docs/SERVING.md for the normative field
+    tables).
 
     Both directions are implemented here — the daemon decodes requests
     and encodes responses; clients (the tests, pfbench) do the

@@ -1,8 +1,6 @@
 (* The polyflow_serve daemon core: a Unix-domain-socket listener
    speaking newline-delimited JSON (protocol.mli), one systhread per
-   connection, all run requests funnelled into one Scheduler. The
-   optional HTTP shim shares the same dispatch function, so both front
-   ends behave identically.
+   connection, all run requests funnelled into one Scheduler.
 
    Failure discipline: a connection may only ever hurt itself. Every
    decode error becomes an error reply on that connection; an I/O error
@@ -15,7 +13,6 @@ module Run_cache = Pf_report.Run_cache
 
 type config = {
   socket_path : string;
-  http_port : int option;
   jobs : int;
   cache_dir : string option;
   cache_cap : int;
@@ -24,13 +21,11 @@ type config = {
   default_timeout_ms : int;
   prewarm_windows : int list;
   allow_shutdown : bool;
-  socket_mode : int;
   verbose : bool;
 }
 
 let default_config ~socket_path =
   { socket_path;
-    http_port = None;
     jobs = max 1 (min 8 (Domain.recommended_domain_count () - 1));
     cache_dir = Some "_cache";
     cache_cap = 0;
@@ -39,19 +34,15 @@ let default_config ~socket_path =
     default_timeout_ms = 0;
     prewarm_windows = [];
     allow_shutdown = true;
-    socket_mode = 0o600;
     verbose = false;
   }
 
 type t = {
   cfg : config;
-  counters : Counters.t;
-  cache : Run_cache.t option;
   sched : Scheduler.t;
   listen_fd : Unix.file_descr;
   started : float;
   stop_requested : bool Atomic.t;
-  mutable http : Http.t option;
   mutable acceptor : Thread.t option;
   mutable torn_down : bool;
   teardown_mutex : Mutex.t;
@@ -64,10 +55,6 @@ let log t fmt =
   if t.cfg.verbose then
     Printf.eprintf ("polyflow_serve: " ^^ fmt ^^ "\n%!")
   else Printf.ifprintf stderr fmt
-
-let counters t = t.counters
-let cache t = t.cache
-let http_port t = Option.map Http.port t.http
 
 let stats_json t =
   Json.Obj
@@ -162,7 +149,8 @@ let bind_socket cfg =
               cfg.socket_path));
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind fd (Unix.ADDR_UNIX cfg.socket_path);
-  Unix.chmod cfg.socket_path cfg.socket_mode;
+  (* only the socket's owner can connect *)
+  Unix.chmod cfg.socket_path 0o600;
   Unix.listen fd 64;
   fd
 
@@ -192,13 +180,10 @@ let start cfg =
   let listen_fd = bind_socket cfg in
   let t =
     { cfg;
-      counters;
-      cache;
       sched;
       listen_fd;
       started = Unix.gettimeofday ();
       stop_requested = Atomic.make false;
-      http = None;
       acceptor = None;
       torn_down = false;
       teardown_mutex = Mutex.create ();
@@ -206,17 +191,13 @@ let start cfg =
       c_requests;
       c_malformed }
   in
-  t.http <- Option.map (fun port -> Http.start ~port ~dispatch:(dispatch t)) cfg.http_port;
   t.acceptor <-
     Some (Conn.acceptor ~stop:t.stop_requested listen_fd (handle_conn t));
-  log t "listening on %s (jobs %d, cache %s%s, trace store %s)%s"
+  log t "listening on %s (jobs %d, cache %s%s, trace store %s)"
     cfg.socket_path cfg.jobs
     (match cfg.cache_dir with None -> "off" | Some d -> d)
     (if cfg.cache_cap > 0 then Printf.sprintf ", cap %d" cfg.cache_cap else "")
-    (match cfg.trace_store_dir with None -> "off" | Some d -> d)
-    (match http_port t with
-    | Some p -> Printf.sprintf ", http 127.0.0.1:%d" p
-    | None -> "");
+    (match cfg.trace_store_dir with None -> "off" | Some d -> d);
   t
 
 let teardown t =
@@ -229,7 +210,6 @@ let teardown t =
     Conn.wake t.listen_fd;
     Option.iter Thread.join t.acceptor;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-    Option.iter Http.stop t.http;
     (* drain: every accepted request finishes (and lands in the cache)
        before the workers join *)
     Scheduler.shutdown t.sched;

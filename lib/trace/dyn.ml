@@ -27,7 +27,6 @@ let of_event (ev : Pf_isa.Machine.event) =
     src2 = -1;
     memsrc = -1 }
 
-let is_cond_branch d = Pf_isa.Instr.is_cond_branch d.instr
 let is_load d = Pf_isa.Instr.is_load d.instr
 let is_store d = Pf_isa.Instr.is_store d.instr
 

@@ -18,7 +18,6 @@ type t = {
 
 val of_event : Pf_isa.Machine.event -> t
 
-val is_cond_branch : t -> bool
 val is_load : t -> bool
 val is_store : t -> bool
 

@@ -791,9 +791,6 @@ let simulate input =
                 ~slot:(Array.unsafe_get owner_slot i)
                 ~addr:(Array.unsafe_get addr i) ~pc:pc.(i)
           end;
-          if observe then
-            sink.Sink.on_issue ~cycle:!now ~slot:owner_slot.(i) ~index:i
-              ~latency;
           (* no per-access decay: as in classic store sets, learned
              pairs stay synchronised (decay would oscillate between
              speculating and re-squashing on steady conflicts) *)
@@ -917,8 +914,6 @@ let simulate input =
         decr drain_budget;
         progress := true;
         cinc m_divert_released;
-        if observe then
-          sink.Sink.on_divert_release ~cycle:!now ~slot:owner_slot.(i) ~index:i;
         wake_released i;
         false
       end
@@ -1004,10 +999,7 @@ let simulate input =
               cinc m_diverted;
               t.dispatch_ptr <- i + 1;
               decr budget;
-              progress := true;
-              if observe then
-                sink.Sink.on_dispatch ~cycle:!now ~slot:t.slot ~index:i
-                  ~diverted:true
+              progress := true
             end
             else continue_ := false (* divert queue full: stall this task *)
           end
@@ -1019,10 +1011,7 @@ let simulate input =
             t.rob_used <- t.rob_used + 1;
             t.dispatch_ptr <- i + 1;
             decr budget;
-            progress := true;
-            if observe then
-              sink.Sink.on_dispatch ~cycle:!now ~slot:t.slot ~index:i
-                ~diverted:false
+            progress := true
           end
           else continue_ := false (* scheduler full *)
         end
@@ -1250,7 +1239,6 @@ let simulate input =
           tstart.(i) <- t.start_idx;
           owner_slot.(i) <- t.slot;
           progress := true;
-          if observe then sink.Sink.on_fetch ~cycle:!now ~slot:t.slot ~index:i;
           (* control-equivalent sp: cross-task sp sources are ready.
              [eff_mutable] (not just [sp_hint]) so the guard provably
              never writes through an aliased flat trace *)

@@ -177,12 +177,12 @@ let test_sink_null_and_tee () =
   let hits = ref 0 in
   let s =
     { Sink.null with
-      on_fetch = (fun ~cycle:_ ~slot:_ ~index:_ -> incr hits) }
+      on_retire = (fun ~cycle:_ ~slot:_ ~index:_ -> incr hits) }
   in
   Alcotest.(check bool) "derived sink is not null" false (Sink.is_null s);
   let t = Sink.tee s s in
   Alcotest.(check bool) "tee is not null" false (Sink.is_null t);
-  t.Sink.on_fetch ~cycle:0 ~slot:0 ~index:0;
+  t.Sink.on_retire ~cycle:0 ~slot:0 ~index:0;
   Alcotest.(check int) "tee forwards to both" 2 !hits;
   (* every reason code has a distinct name *)
   let names = List.init Sink.n_reasons Sink.reason_name in

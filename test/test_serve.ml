@@ -5,9 +5,9 @@
    (also under concurrent first requests) and the deterministic timeout
    path, and integration cases against a live server: the socket
    protocol, the request size limit, the refused [no_event_skip] switch,
-   concurrent clients checked byte for byte against a direct sweep, the
-   HTTP shim, stopping after the socket file is gone, and shutdown
-   followed by a second boot over the persisted trace store. *)
+   concurrent clients checked byte for byte against a direct sweep,
+   stopping after the socket file is gone, and shutdown followed by a
+   second boot over the persisted trace store. *)
 
 open Pf_serve
 module Json = Pf_json.Json
@@ -705,13 +705,12 @@ let rpc (_, ic, oc) line =
 
 (* A daemon over [dir] with its run cache in [dir/cache], its trace
    store in [dir/tstore] and one worker. *)
-let boot ?(cache = "cache") ?(http = false) dir =
+let boot ?(cache = "cache") dir =
   let cfg =
     { (Server.default_config ~socket_path:(Filename.concat dir "s.sock")) with
       Server.jobs = 1;
       cache_dir = Some (Filename.concat dir cache);
-      trace_store_dir = Some (Filename.concat dir "tstore");
-      http_port = (if http then Some 0 else None) }
+      trace_store_dir = Some (Filename.concat dir "tstore") }
   in
   (Server.start cfg, cfg)
 
@@ -952,74 +951,6 @@ let test_server_concurrent_clients () =
             (Json.to_string (Sweep.run_to_json run)))
         mix direct)
 
-(* one request to the HTTP shim on 127.0.0.1: the status code and the
-   JSON body (the shim closes every connection after its reply) *)
-let http port request =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
-      output_string oc request;
-      flush oc;
-      let code = Scanf.sscanf (input_line ic) "HTTP/1.1 %d" Fun.id in
-      let rec body () =
-        if String.trim (input_line ic) = "" then In_channel.input_all ic
-        else body ()
-      in
-      (code, Json.of_string (body ())))
-
-let http_get port path =
-  http port (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path)
-
-let http_post port path body =
-  http port
-    (Printf.sprintf
-       "POST %s HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n%s"
-       path (String.length body) body)
-
-let test_server_http_shim () =
-  let dir = temp_dir () in
-  let server, cfg = boot ~http:true dir in
-  Fun.protect
-    ~finally:(fun () -> Server.stop server)
-    (fun () ->
-      let spec = List.hd mix in
-      let c = connect cfg.Server.socket_path in
-      let fresh = rpc c (run_line spec) in
-      close_conn c;
-      let port = Option.get (Server.http_port server) in
-      let code, health = http_get port "/healthz" in
-      Alcotest.(check int) "healthz status" 200 code;
-      Alcotest.(check string) "healthz body" "ok" (str "status" health);
-      let code, hit = http_post port "/run" (run_line spec) in
-      Alcotest.(check int) "run status" 200 code;
-      Alcotest.(check bool) "run served from the cache" true (is_cached hit);
-      Alcotest.(check string) "run byte-identical to the socket reply"
-        (run_bytes fresh) (run_bytes hit);
-      let code, bad = http_post port "/run" "{]" in
-      Alcotest.(check int) "malformed body status" 400 code;
-      Alcotest.(check string) "malformed body code" "parse_error"
-        (str "code" bad);
-      (* answered from the headers alone: no body is sent *)
-      let code, big =
-        http port
-          (Printf.sprintf
-             "POST /run HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\n\r\n"
-             (Conn.max_request_bytes + 1))
-      in
-      Alcotest.(check int) "oversized body status" 400 code;
-      Alcotest.(check string) "oversized body code" "bad_request"
-        (str "code" big);
-      let code, stats = http_get port "/stats" in
-      Alcotest.(check int) "stats status" 200 code;
-      Alcotest.(check string) "stats body" "ok" (str "status" stats);
-      let code, _ = http_get port "/nope" in
-      Alcotest.(check int) "unknown path status" 404 code)
-
 let test_server_shutdown_and_second_boot () =
   let dir = temp_dir () in
   (* [shutdown] over the socket ends [Server.run]; [finally] tears the
@@ -1098,6 +1029,5 @@ let suite =
         case "no_event_skip is refused" test_server_refuses_no_event_skip;
         case "concurrent clients match a direct sweep"
           test_server_concurrent_clients;
-        case "HTTP shim" test_server_http_shim;
         case "shutdown, then a second boot on the trace store"
           test_server_shutdown_and_second_boot ] ) ]
