@@ -4,15 +4,13 @@ all:
 	dune build @all
 test:
 	dune runtest
-# Everything CI runs: full build, full test suite (unit + qcheck +
-# expect, including the fixed-seed fuzz smoke), then the dedicated fuzz
-# smoke entry point and the two end-to-end smoke sweeps.
-ci: all test fuzz-smoke bench-smoke loopnest-smoke
+# What CI's build jobs run: full build and full test suite (unit +
+# qcheck + expect). `dune runtest` already runs and diffs the fuzz and
+# loop-nest smokes (test/dune), so `fuzz-smoke` and `loopnest-smoke`
+# below are for local use.
+ci: all test
 bench:
 	dune exec bench/main.exe
-# Tiny 2x2 sweep that validates the JSON pipeline end to end (~seconds).
-bench-smoke:
-	dune exec bench/main.exe -- --smoke
 # Dependence-distance figure over the loop-nest family (DOACROSS vs
 # postdominance vs adaptive; see EXPERIMENTS.md). Flags pass through
 # ARGS, e.g. `make bench-loopnest ARGS=--no-cache`.
@@ -51,9 +49,8 @@ clean:
 help:
 	@echo "make all          build everything"
 	@echo "make test         run the test suite (dune runtest)"
-	@echo "make ci           what CI runs: all + test + fuzz-smoke + smoke sweeps"
+	@echo "make ci           what CI's build jobs run: all + test"
 	@echo "make bench        full figure-reproduction sweep (minutes)"
-	@echo "make bench-smoke  tiny end-to-end sweep self-check (~seconds)"
 	@echo "make bench-loopnest  dependence-distance figure -> JSON (ARGS)"
 	@echo "make loopnest-smoke  self-checking loop-nest sweep (~seconds)"
 	@echo "make bench-engine engine microbenchmark -> BENCH_engine.json"
@@ -62,4 +59,4 @@ help:
 	@echo "make fuzz         randomized fuzz campaign (FUZZ_SEED, FUZZ_COUNT)"
 	@echo "make doc          build the odoc API docs"
 	@echo "make clean        remove _build"
-.PHONY: all test ci bench bench-smoke bench-loopnest loopnest-smoke bench-engine serve fuzz fuzz-smoke doc clean help
+.PHONY: all test ci bench bench-loopnest loopnest-smoke bench-engine serve fuzz fuzz-smoke doc clean help

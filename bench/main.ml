@@ -21,7 +21,8 @@
    spawning, window sensitivity).
 
    Set PF_BENCH_WINDOW to override the per-workload window (useful for a
-   quick smoke run), or use --smoke for the self-checking mini-sweep. *)
+   quick smoke run), or use --smoke for the self-checking loop-nest
+   sweep. *)
 
 open Pf_uarch
 module Sweep = Pf_report.Sweep
@@ -46,10 +47,11 @@ let () =
   Arg.parse
     [ ("--jobs", Arg.Set_int jobs, "N  worker domains for the sweep (default: cores, max 8)");
       ("--json", Arg.Set_string json_out, "FILE  save the sweep as a report document");
-      ("--smoke", Arg.Set smoke, "  2-workload x 2-policy self-checking mini-sweep");
+      ("--smoke", Arg.Set smoke,
+       "  the loop-nest sweep at smoke scale, asserting the DOACROSS trend");
       ("--loopnest", Arg.Set loopnest,
        "  sweep the loop-nest dependence-distance family instead of the paper \
-        grid (with --smoke: self-checking DOACROSS trend assertions)");
+        grid");
       ("--no-cache", Arg.Set no_cache,
        "  bypass the sweep result cache and resimulate everything");
       ("--cache", Arg.Set_string cache_dir,
@@ -526,125 +528,6 @@ let window_sensitivity ctx =
     sensitivity_workloads
 
 (* ------------------------------------------------------------------ *)
-(* Smoke mode: a tiny sweep that checks the report pipeline end to     *)
-(* end with byte-deterministic output (the expect test in test/ diffs  *)
-(* it against test/smoke.expected).                                    *)
-
-let smoke_specs =
-  List.concat_map
-    (fun w ->
-      [ Sweep.spec w Pf_core.Policy.No_spawn ~window:4_000;
-        Sweep.spec w Pf_core.Policy.Postdoms ~window:4_000;
-        Sweep.spec w Pf_core.Policy.Adaptive ~window:4_000 ])
-    [ "gzip"; "mcf" ]
-
-let metrics_fingerprint (runs : Sweep.run list) =
-  String.concat "\n"
-    (List.map
-       (fun (r : Sweep.run) ->
-         Pf_json.Json.to_string (Pf_report.Codec.metrics_to_json r.Sweep.metrics))
-       runs)
-
-let run_smoke () =
-  let check name ok detail =
-    Printf.printf "%s: %s\n" name (if ok then "ok" else "FAIL " ^ detail);
-    ok
-  in
-  Printf.printf "smoke sweep: 2 workloads x 3 policies, window 4000\n";
-  let t0 = Unix.gettimeofday () in
-  let runs, _ = Sweep.execute ~jobs:4 smoke_specs in
-  let doc =
-    Sweep.document ~tool:"bench/main.exe --smoke" ~jobs:4
-      ~wall_s:(Unix.gettimeofday () -. t0)
-      runs
-  in
-  Printf.printf "schema_version %d, runs %d\n"
-    doc.Sweep.manifest.Pf_report.Manifest.schema_version
-    (List.length doc.Sweep.runs);
-  let reparsed =
-    Sweep.of_json (Pf_json.Json.of_string (Pf_json.Json.to_string_pretty (Sweep.to_json doc)))
-  in
-  let round_trip_ok =
-    List.for_all2
-      (fun (a : Sweep.run) (b : Sweep.run) ->
-        a.Sweep.metrics = b.Sweep.metrics
-        && a.Sweep.config = b.Sweep.config
-        && a.Sweep.workload = b.Sweep.workload
-        && a.Sweep.label = b.Sweep.label)
-      doc.Sweep.runs reparsed.Sweep.runs
-  in
-  let csv = Sweep.to_csv doc in
-  let arity line = List.length (String.split_on_char ',' line) in
-  let csv_lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' csv) in
-  let csv_ok =
-    match csv_lines with
-    | header :: rows ->
-        List.length rows = List.length runs
-        && List.for_all (fun r -> arity r = arity header) rows
-    | [] -> false
-  in
-  let runs_seq, _ = Sweep.execute ~jobs:1 smoke_specs in
-  let det_ok = metrics_fingerprint runs = metrics_fingerprint runs_seq in
-  (* observability: sinks must not perturb timing, and the cycle
-     accounting must be exact (docs/OBSERVABILITY.md) *)
-  let gzip = Option.get (Pf_workloads.Suite.find "gzip") in
-  let prep =
-    Run.prepare gzip.Pf_workloads.Workload.program
-      ~setup:gzip.Pf_workloads.Workload.setup
-      ~fast_forward:gzip.Pf_workloads.Workload.fast_forward ~window:4_000
-  in
-  let plain = Run.simulate prep ~policy:Pf_core.Policy.Postdoms in
-  let stack = Pf_obs.Cpi_stack.create () in
-  let chrome = Pf_obs.Chrome_trace.create () in
-  let counters = Pf_obs.Counters.create () in
-  let sink =
-    Pf_obs.Sink.tee (Pf_obs.Cpi_stack.sink stack)
-      (Pf_obs.Chrome_trace.sink chrome)
-  in
-  let observed =
-    Run.simulate ~sink ~counters prep ~policy:Pf_core.Policy.Postdoms
-  in
-  let parity_ok = plain = observed in
-  let cpi_ok =
-    Pf_obs.Cpi_stack.slots stack = Config.polyflow.Config.max_tasks
-    && (let ok = ref true in
-        for s = 0 to Pf_obs.Cpi_stack.slots stack - 1 do
-          if Pf_obs.Cpi_stack.slot_total stack s <> observed.Metrics.cycles
-          then ok := false
-        done;
-        !ok)
-  in
-  let trace_json =
-    Pf_obs.Chrome_trace.to_json chrome ~cycles:observed.Metrics.cycles
-  in
-  let obs_ok =
-    Pf_obs.Chrome_trace.spans chrome = observed.Metrics.tasks_spawned + 1
-    && (match trace_json with
-       | Pf_json.Json.List evs ->
-           List.length evs > Pf_obs.Chrome_trace.spans chrome
-           && Pf_json.Json.of_string (Pf_json.Json.to_string trace_json)
-              = trace_json
-       | _ -> false)
-    && Pf_obs.Counters.find counters "squashes"
-       = Some observed.Metrics.squashes
-    && Pf_obs.Counters.find counters "branch_mispredicts"
-       = Some observed.Metrics.branch_mispredicts
-  in
-  let ok1 = check "json round-trip" round_trip_ok "(reparsed document differs)" in
-  let ok2 = check "csv arity" csv_ok "(header/row arity mismatch)" in
-  let ok3 = check "determinism jobs=1 vs jobs=4" det_ok "(metric values differ)" in
-  let ok4 = check "sink parity" parity_ok "(metrics changed with sinks attached)" in
-  let ok5 = check "cpi accounting" cpi_ok "(slot rows do not sum to cycles)" in
-  let ok6 =
-    check "chrome trace + counters" obs_ok
-      "(span/event/counter bookkeeping broken)"
-  in
-  let all_ok = ok1 && ok2 && ok3 && ok4 && ok5 && ok6 in
-  if !json_out <> "" then Sweep.save !json_out doc;
-  Printf.printf "smoke: %s\n" (if all_ok then "PASS" else "FAIL");
-  exit (if all_ok then 0 else 1)
-
-(* ------------------------------------------------------------------ *)
 (* The loop-nest / DOACROSS dependence-distance figure: the Loopnest   *)
 (* family swept across carry spans (and stride/depth variants) under   *)
 (* superscalar, postdoms, doacross and adaptive. EXPERIMENTS.md has    *)
@@ -932,6 +815,6 @@ let run_full () =
   Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t_start)
 
 let () =
-  if !loopnest then if !smoke then run_loopnest_smoke () else run_loopnest ()
-  else if !smoke then run_smoke ()
+  if !smoke then run_loopnest_smoke ()
+  else if !loopnest then run_loopnest ()
   else run_full ()

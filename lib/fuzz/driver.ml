@@ -13,13 +13,6 @@ let sub_seed ~seed ~index =
   let z = logxor z (shift_right_logical z 31) in
   to_int (logor (logand z 0x3FFFFFFFFFFFFFFL) 1L)
 
-let with_pf_check f =
-  let old = Sys.getenv_opt "PF_CHECK" in
-  Unix.putenv "PF_CHECK" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PF_CHECK" (Option.value old ~default:""))
-    f
-
 let check_one ~gen ?policies ~loopnest ~shrink_budget s =
   match (gen : Repro.gen_kind) with
   | Repro.Mini -> (
@@ -51,31 +44,30 @@ let run ~gen ~seed ~count ?policies ?(mini_loopnest = false) ?corpus_dir
     | None -> false
     | Some b -> Unix.gettimeofday () -. t0 > b
   in
-  with_pf_check (fun () ->
-      let findings = ref [] in
-      let executed = ref 0 in
-      (try
-         for index = 0 to count - 1 do
-           if over_budget () then raise Exit;
-           let s = sub_seed ~seed ~index in
-           (match
-              check_one ~gen ?policies ~loopnest:mini_loopnest ~shrink_budget s
-            with
-           | None -> ()
-           | Some (f, program_text) ->
-               let repro =
-                 { Repro.gen; seed; index; oracle = f.Oracle.oracle;
-                   detail = f.Oracle.detail; program_text }
-               in
-               let path =
-                 Option.map (fun dir -> Repro.save ~dir repro) corpus_dir
-               in
-               findings := { repro; path } :: !findings);
-           incr executed;
-           Option.iter (fun p -> p index) progress
-         done
-       with Exit -> ());
-      { executed = !executed; findings = List.rev !findings })
+  let findings = ref [] in
+  let executed = ref 0 in
+  (try
+     for index = 0 to count - 1 do
+       if over_budget () then raise Exit;
+       let s = sub_seed ~seed ~index in
+       (match
+          check_one ~gen ?policies ~loopnest:mini_loopnest ~shrink_budget s
+        with
+       | None -> ()
+       | Some (f, program_text) ->
+           let repro =
+             { Repro.gen; seed; index; oracle = f.Oracle.oracle;
+               detail = f.Oracle.detail; program_text }
+           in
+           let path =
+             Option.map (fun dir -> Repro.save ~dir repro) corpus_dir
+           in
+           findings := { repro; path } :: !findings);
+       incr executed;
+       Option.iter (fun p -> p index) progress
+     done
+   with Exit -> ());
+  { executed = !executed; findings = List.rev !findings }
 
 let replay ?policies path =
   match Repro.load path with
@@ -85,13 +77,12 @@ let replay ?policies path =
       | Repro.Mini when String.trim r.Repro.program_text <> "" -> (
           match Mini_text.parse r.Repro.program_text with
           | Error e -> Error ("bad program text: " ^ e)
-          | Ok p ->
-              Ok (r, with_pf_check (fun () -> Oracle.check_mini ?policies p)))
+          | Ok p -> Ok (r, Oracle.check_mini ?policies p))
       | Repro.Mini ->
           let s = sub_seed ~seed:r.Repro.seed ~index:r.Repro.index in
           let p = Gen_mini.generate ~seed:s () in
-          Ok (r, with_pf_check (fun () -> Oracle.check_mini ?policies p))
+          Ok (r, Oracle.check_mini ?policies p)
       | Repro.Asm ->
           let s = sub_seed ~seed:r.Repro.seed ~index:r.Repro.index in
           let p = Gen_asm.generate ~seed:s in
-          Ok (r, with_pf_check (fun () -> Oracle.check_asm ?policies p)))
+          Ok (r, Oracle.check_asm ?policies p))

@@ -3,8 +3,9 @@
     A campaign runs [count] programs derived from one [seed] — each
     program [index] gets an independent sub-seed via a splitmix-style
     hash, so [(seed, index)] identifies a program without replaying
-    anything before it. Engine self-checks ([PF_CHECK=1]) are forced on
-    for the duration of the campaign and restored afterwards.
+    anything before it. The oracles self-check the engine's run of
+    every policy ({!Pf_uarch.Engine.mode}), in campaigns and replays
+    alike.
 
     Mini findings are minimised with {!Shrink} (preserving the oracle
     name) before being written to the corpus; Asm findings store their

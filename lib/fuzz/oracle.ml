@@ -3,6 +3,7 @@ module Tracer = Pf_trace.Tracer
 module Policy = Pf_core.Policy
 module Spawn_point = Pf_core.Spawn_point
 module Run = Pf_uarch.Run
+module Config = Pf_uarch.Config
 module Metrics = Pf_uarch.Metrics
 module Sink = Pf_obs.Sink
 module Cpi_stack = Pf_obs.Cpi_stack
@@ -62,7 +63,7 @@ let check_one_policy prep ~n ~policy =
           (fun ~cycle:_ ~slot:_ ~task:_ ~parent_slot:_ ~at_pc:_ -> incr starts);
         on_task_end = (fun ~cycle:_ ~slot:_ ~task:_ -> incr ends) }
   in
-  let m = Run.simulate ~sink ~counters prep ~policy in
+  let m = Run.simulate ~sink ~counters ~mode:Self_checked prep ~policy in
   if m.Metrics.instructions <> n then
     raise
       (Stop
@@ -111,6 +112,20 @@ let check_one_policy prep ~n ~policy =
                      name v metric })
       | _ -> ())
     (counter_fields m);
+  (* each cycle retires at most [retire_width] instructions and fetches
+     at most [width], so no run takes fewer than n / either of them
+     cycles, rounded up *)
+  let { Config.width; retire_width; _ } = Config.for_policy policy in
+  let narrowest = min width retire_width in
+  if m.Metrics.cycles < (n + narrowest - 1) / narrowest then
+    raise
+      (Stop
+         { oracle = "engine-width-bound";
+           detail =
+             Printf.sprintf
+               "policy %s: %d cycles for %d instructions at width %d, \
+                retire width %d"
+               pname m.Metrics.cycles n width retire_width });
   (* memory-tracker oracles, read off the policy's descriptor row. The
      safety filter belongs to the [Safety_levels] discipline alone: its
      level counters must be zero for every other policy. The tracker
@@ -119,10 +134,9 @@ let check_one_policy prep ~n ~policy =
      keep [mem_violations] at zero too. For the tracker policies the CPI
      stack must still sum exactly to run cycles with the [mem_violation]
      row included (the obs-cpi-sum check above already walked every
-     row), every violation must have produced a squash, and a PF_CHECK'd
-     re-run must reproduce the same metrics while the engine self-check
-     validates the CAM's live counts and that freed task slots hold no
-     stale entries after each squash. *)
+     row), and every violation must have produced a squash; the
+     self-checked run above validated the CAM's live counts, and that
+     freed task slots hold no stale entries after each squash. *)
   let counter name = Option.value ~default:0 (Counters.find counters name) in
   let row = Policy.descriptor policy in
   let uses_tracker = row.machine = Polyflow { tracker = true } in
@@ -152,26 +166,11 @@ let check_one_policy prep ~n ~policy =
              detail =
                Printf.sprintf
                  "policy %s: %d memory violations but only %d squashes" pname
-                 (counter "mem_violations") m.Metrics.squashes });
-    let old = Sys.getenv_opt "PF_CHECK" in
-    Unix.putenv "PF_CHECK" "1";
-    let m_checked =
-      Fun.protect
-        ~finally:(fun () ->
-          Unix.putenv "PF_CHECK" (Option.value old ~default:""))
-        (fun () -> Run.simulate prep ~policy)
-    in
-    if m <> m_checked then
-      raise
-        (Stop
-           { oracle = "mem-tracker-check";
-             detail =
-               Printf.sprintf
-                 "policy %s: metrics differ under PF_CHECK (cycles %d vs %d)"
-                 pname m.Metrics.cycles m_checked.Metrics.cycles })
+                 (counter "mem_violations") m.Metrics.squashes })
   end;
-  (* a second, sink-less run: proves determinism and that observability
-     never feeds back into timing *)
+  (* a second run, without the sink or the self-check: proves
+     determinism, and that neither observing nor checking a run feeds
+     back into its timing *)
   let counters2 = Counters.create () in
   let m2 = Run.simulate ~counters:counters2 prep ~policy in
   if m <> m2 then
@@ -180,8 +179,8 @@ let check_one_policy prep ~n ~policy =
          { oracle = "engine-determinism";
            detail =
              Printf.sprintf
-               "policy %s: metrics differ between a sinked and a bare run \
-                (cycles %d vs %d)"
+               "policy %s: metrics differ between a sinked, self-checked \
+                run and a bare one (cycles %d vs %d)"
                pname m.Metrics.cycles m2.Metrics.cycles });
   if Counters.to_alist counters <> Counters.to_alist counters2 then
     raise
@@ -232,7 +231,7 @@ let engine_checks program ~setup ~policies ~window =
       match List.map (fun policy -> check_one_policy prep ~n ~policy) policies with
       | exception Stop f -> Fail f
       | exception Failure m ->
-          (* engine watchdog or PF_CHECK self-check *)
+          (* engine watchdog or self-check *)
           fail "engine-check" "%s" m
       | sequential -> (
           match jobs_parity prep ~policies ~sequential with

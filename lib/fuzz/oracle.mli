@@ -10,7 +10,9 @@
       captured window, in order, under {e every} policy class;
     - the engine vs itself — metrics and named counters must be
       deterministic across repeated runs, with and without an attached
-      sink, and across domains ([--jobs 1] vs [--jobs N]).
+      sink and the engine's self-check ({!Pf_uarch.Engine.mode}), and
+      across domains ([--jobs 1] vs [--jobs N]); and no run may beat
+      the machine's fetch or retire width.
 
     Plus the pf_obs invariants: every CPI-stack slot row sums to the
     run's cycles, task-slot starts balance ends, and the counter
@@ -24,7 +26,8 @@ type failure = { oracle : string; detail : string }
 type outcome = Pass | Fail of failure
 
 (** One representative of every {!Pf_core.Policy.t} class: [No_spawn],
-    [Categories], [Postdoms], [Postdoms_minus], [Rec_pred], [Dmt]. *)
+    [Postdoms], [Postdoms_minus], [Categories], [Rec_pred], [Dmt],
+    [Adaptive], [Doacross]. *)
 val all_policies : Pf_core.Policy.t list
 
 (** [check_mini p] compiles [p], interprets it, runs the compiled code

@@ -18,7 +18,6 @@ let add c n =
   c.v <- c.v + n
 
 let value c = c.v
-let name c = c.cname
 let to_alist t = List.rev_map (fun c -> (c.cname, c.v)) t.rev
 
 let find t name =

@@ -29,7 +29,6 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val value : counter -> int
-val name : counter -> string
 
 (** All counters in registration order. *)
 val to_alist : t -> (string * int) list

@@ -1,8 +1,5 @@
 open Pf_uarch
 
-let all_categories = Pf_core.Spawn_point.all_categories
-let category_of_name = Pf_core.Spawn_point.category_of_name
-
 (* ---- metrics ---- *)
 
 let metrics_to_json (m : Metrics.t) =
@@ -37,7 +34,7 @@ let metrics_to_json (m : Metrics.t) =
 
 let spawn_of_json j =
   let name = Json.to_str (Json.member "category" j) in
-  match category_of_name name with
+  match Pf_core.Spawn_point.category_of_name name with
   | Some c -> (c, Json.to_int (Json.member "count" j))
   | None -> raise (Json.Decode_error (Printf.sprintf "unknown spawn category %S" name))
 
@@ -72,29 +69,37 @@ let counters_of_json j =
 
 (* ---- config: walks of [Config.fields] ---- *)
 
+let member_value (f : Config.field) v =
+  if f.flag then Json.Bool (v = 1) else Json.Int v
+
 let config_to_json (c : Config.t) =
   Json.Obj
     (List.filter_map
        (fun (f : Config.field) ->
          let v = f.get c in
          if f.presence = Non_default && v = f.get Config.superscalar then None
-         else Some (f.name, if f.flag then Json.Bool (v = 1) else Json.Int v))
+         else Some (f.name, member_value f v))
        Config.fields)
 
 let config_of_json j =
   List.fold_left
     (fun c (f : Config.field) ->
+      let bad msg =
+        raise (Json.Decode_error (Printf.sprintf "%S: %s" f.name msg))
+      in
       match
         if f.presence = Required then Some (Json.member f.name j)
         else Json.member_opt f.name j
       with
       | None -> c
       | Some v -> (
-          try
-            f.set c
-              (if f.flag then Bool.to_int (Json.to_bool v) else Json.to_int v)
-          with Json.Decode_error msg ->
-            raise (Json.Decode_error (Printf.sprintf "%S: %s" f.name msg))))
+          match
+            if f.flag then Bool.to_int (Json.to_bool v) else Json.to_int v
+          with
+          | v when f.presence = Constant && v <> f.get c ->
+              bad ("must be " ^ Json.to_string (member_value f (f.get c)))
+          | v -> f.set c v
+          | exception Json.Decode_error msg -> bad msg))
     Config.superscalar Config.fields
 
 (* ---- run records ----
@@ -156,7 +161,7 @@ let metrics_csv_header =
     "stall_divert"; "stall_sched"; "stall_exec" ]
   @ List.map
       (fun c -> "spawns_" ^ Pf_core.Spawn_point.category_name c)
-      all_categories
+      Pf_core.Spawn_point.all_categories
 
 let metrics_csv_cells (m : Metrics.t) =
   let spawn_count c =
@@ -175,4 +180,6 @@ let metrics_csv_cells (m : Metrics.t) =
         m.Metrics.l1i_misses; m.Metrics.l1d_misses; m.Metrics.l2_misses;
         m.Metrics.stall_frontend; m.Metrics.stall_divert;
         m.Metrics.stall_sched; m.Metrics.stall_exec ]
-  @ List.map (fun c -> string_of_int (spawn_count c)) all_categories
+  @ List.map
+      (fun c -> string_of_int (spawn_count c))
+      Pf_core.Spawn_point.all_categories

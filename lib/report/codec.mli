@@ -9,11 +9,6 @@
     its default, and an absent ["counters"] of {!run_of_json} as [[]].
     Every round trip is exact: [metrics_of_json (metrics_to_json m) = m]. *)
 
-(** {1 Spawn categories} *)
-
-(** Inverse of [Pf_core.Spawn_point.category_name]. *)
-val category_of_name : string -> Pf_core.Spawn_point.category option
-
 (** {1 Metrics} *)
 
 (** Serializes every counter plus a derived ["ipc"] field (for
@@ -45,7 +40,9 @@ val config_to_json : Pf_uarch.Config.t -> Json.t
 (** An absent optional member reads as its [Config.superscalar] value.
     Types are checked, ranges are not: that is [Config.check]'s job. A
     mistyped member raises {!Json.Decode_error} naming it:
-    [{"width": "x"}] gives ["width": expected int, got string]. *)
+    [{"width": "x"}] gives ["width": expected int, got string]. So does
+    a [Config.Constant] member with any value but its own, saying which
+    (["…": must be false]). *)
 val config_of_json : Json.t -> Pf_uarch.Config.t
 
 (** {1 Run records} *)

@@ -14,7 +14,8 @@
    Spawn categories are their index in [Spawn_point.all_categories].
    Any truncation, checksum or length mismatch, foreign magic or
    version, an entry filed under another digest, or an out-of-range
-   field decodes to [Error]; Cache_store then counts a miss and the
+   field (a flag other than 0 or 1, a [Constant] member other than its
+   value) decodes to [Error]; Cache_store then counts a miss and the
    fresh result is published over the bad entry. *)
 
 module Cache_store = Pf_cache_store.Cache_store
@@ -153,6 +154,8 @@ let config rd =
     (fun c (f : Config.field) ->
       let v = int rd in
       if f.flag && v <> 0 && v <> 1 then raise (Corrupt "bad flag");
+      if f.presence = Constant && v <> f.get c then
+        raise (Corrupt ("bad " ^ f.name));
       f.set c v)
     Config.superscalar Config.fields
 

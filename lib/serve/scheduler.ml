@@ -66,18 +66,13 @@ type t = {
    A request wrong in several ways gets the first error of: workload,
    policy, config, window. So a bad policy or config still goes through
    [Sweep.resolve], with a stand-in, to learn whether the workload is
-   known. A config that turns event skipping off is refused: the
-   stepped path walks every simulated cycle, and [Config.check] admits
-   configs whose cycle count has no practical bound. *)
+   known. *)
 
 let resolve (r : Protocol.run_request) =
   let policy = Pf_core.Policy.of_string r.policy in
   let config =
-    match Option.map Pf_report.Codec.config_of_json r.config with
-    | Some c when c.Pf_uarch.Config.no_event_skip ->
-        Error "\"no_event_skip\": the daemon runs with event skip on"
-    | c -> Ok c
-    | exception Json.Decode_error msg -> Error msg
+    try Ok (Option.map Pf_report.Codec.config_of_json r.config)
+    with Json.Decode_error msg -> Error msg
   in
   let spec =
     Sweep.spec ?label:r.label ?window:r.window

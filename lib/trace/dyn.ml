@@ -29,7 +29,3 @@ let of_event (ev : Pf_isa.Machine.event) =
 
 let is_load d = Pf_isa.Instr.is_load d.instr
 let is_store d = Pf_isa.Instr.is_store d.instr
-
-let pp ppf d =
-  Format.fprintf ppf "%04x: %a%s" d.pc Pf_isa.Instr.pp d.instr
-    (if d.addr >= 0 then Printf.sprintf " [@0x%x]" d.addr else "")

@@ -20,5 +20,3 @@ val of_event : Pf_isa.Machine.event -> t
 
 val is_load : t -> bool
 val is_store : t -> bool
-
-val pp : Format.formatter -> t -> unit

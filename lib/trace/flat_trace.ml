@@ -108,5 +108,3 @@ let of_trace (trace : Tracer.t) =
     dyns;
   { n; pc; next_pc; taken; addr; kind; lat; src1; src2; src1_sp; src2_sp;
     memsrc; backward }
-
-let length t = t.n

@@ -55,5 +55,3 @@ val k_ind_call : int
     {!Depinfo.compute} must already have run on it.
     @raise Invalid_argument on an empty trace. *)
 val of_trace : Tracer.t -> t
-
-val length : t -> int

@@ -23,7 +23,6 @@ type t = {
   sp_hint : bool;
   feedback : bool;
   split_spawning : bool;
-  no_event_skip : bool;
   mem_tracker : bool;
   tracker_entries : int;
   mem_sync_threshold : int;
@@ -58,7 +57,6 @@ let superscalar =
     sp_hint = true;
     feedback = true;
     split_spawning = false;
-    no_event_skip = false;
     mem_tracker = false;
     tracker_entries = 64;
     mem_sync_threshold = 1;
@@ -74,7 +72,7 @@ let for_policy p =
   | One_task -> superscalar
   | Polyflow { tracker } -> { polyflow with mem_tracker = tracker }
 
-type presence = Required | Defaulted | Non_default
+type presence = Required | Constant | Non_default
 
 type field = {
   name : string;
@@ -97,7 +95,8 @@ let flag ?(presence = Required) name get set =
 (* Record order. The fields after [split_spawning] came later, so their
    members are optional. The caps bound what a field allocates: the
    tracker's [max_tasks * tracker_entries] words, [ras_depth] words per
-   task, and the two queues. *)
+   task, and the two queues. [no_event_skip] has no field: stepping the
+   cycle loop is [Engine.Stepped], which only tests choose. *)
 let fields =
   [ int "width" (fun c -> c.width) (fun c v -> { c with width = v });
     int "fetch_tasks_per_cycle" (fun c -> c.fetch_tasks_per_cycle)
@@ -143,8 +142,7 @@ let fields =
     flag "feedback" (fun c -> c.feedback) (fun c v -> { c with feedback = v });
     flag "split_spawning" (fun c -> c.split_spawning)
       (fun c v -> { c with split_spawning = v });
-    flag "no_event_skip" ~presence:Defaulted (fun c -> c.no_event_skip)
-      (fun c v -> { c with no_event_skip = v });
+    flag "no_event_skip" ~presence:Constant (fun _ -> false) (fun c _ -> c);
     flag "mem_tracker" ~presence:Non_default (fun c -> c.mem_tracker)
       (fun c v -> { c with mem_tracker = v });
     int "tracker_entries" ~presence:Non_default ~lo:1 ~hi:4_096

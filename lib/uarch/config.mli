@@ -43,12 +43,6 @@ type t = {
           just the tail) to spawn by splitting its own region, so nested
           hammocks can all be spawned past. Off by default — the paper's
           PolyFlow gives each thread a single successor. *)
-  no_event_skip : bool;
-      (** debug flag: force the cycle loop to step one cycle at a time
-          instead of skipping dead stretches to the next scheduled
-          event. Timing and metrics are identical either way (held by
-          test_skip.ml and the goldens); the flag exists so differential
-          tests have a reference build to compare against. *)
   (* The memory-dependence speculation subsystem (docs/ENGINE.md). All
      defaults reproduce engine-3 timing exactly: the tracker is off and
      the safety thresholds are only consulted by the [Adaptive] policy,
@@ -105,7 +99,13 @@ val for_policy : Pf_core.Policy.t -> t
     reads as the field's {!superscalar} value. *)
 type presence =
   | Required
-  | Defaulted  (** always written, optional when read *)
+  | Constant
+      (** a member with no field: always written with its one value,
+          optional when read, and refused with any other. The only one
+          is [no_event_skip], always [false]: stepping the cycle loop is
+          an engine mode that only tests choose ({!Engine.mode}), and
+          the member stays so that documents and run-cache digests keep
+          their bytes *)
   | Non_default
       (** written only when it differs from {!superscalar}, so documents
           and run-cache digests from before the field keep their bytes *)
@@ -123,9 +123,10 @@ type field = {
   set : t -> int -> t;
 }
 
-(** Every field of {!t}, in record order, and the only list of them:
-    [Pf_report]'s JSON codec, run-cache digest and run-cache entry all
-    walk it. A new knob is a record field and an entry here. *)
+(** Every field of {!t}, in record order, with the [Constant] member
+    where its field was, and the only list of them: [Pf_report]'s JSON
+    codec, run-cache digest and run-cache entry all walk it. A new knob
+    is a record field and an entry here. *)
 val fields : field list
 
 (** [Error] naming the first field outside its range. Ints are at least

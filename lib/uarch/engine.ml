@@ -1,3 +1,5 @@
+type mode = Fast | Self_checked | Stepped
+
 type input = {
   config : Config.t;
   trace : Pf_trace.Tracer.t;
@@ -7,6 +9,7 @@ type input = {
   speculation : Pf_core.Safety_filter.t Pf_core.Policy.speculation;
   sink : Pf_obs.Sink.t;
   counters : Pf_obs.Counters.t option;
+  mode : mode;
 }
 
 module Sink = Pf_obs.Sink
@@ -517,7 +520,7 @@ let simulate input =
      it, nothing in the machine can act until a time-based gate opens,
      and the loop jumps [now] straight there (see next_event below). *)
   let progress = ref false in
-  let skip_live = ref (not cfg.Config.no_event_skip) in
+  let skip_live = ref (input.mode <> Stepped) in
   let wheel = Array.make wheel_size (-1) in
   let note_completion c =
     if c - !now < wheel_size then Array.unsafe_set wheel (c land wheel_mask) c
@@ -1308,7 +1311,7 @@ let simulate input =
   in
 
   (* ---- self-check: validate the resource counters against a recount
-     of the pipeline state (enabled with PF_CHECK=1; used by tests) ---- *)
+     of the pipeline state (the [Self_checked] mode; used by tests) ---- *)
   let self_check () =
     let rob = ref 0 and sched = ref 0 and divert = ref 0 in
     for i = 0 to n - 1 do
@@ -1445,9 +1448,7 @@ let simulate input =
                s lv)
       done
   in
-  let checking =
-    match Sys.getenv_opt "PF_CHECK" with Some s when s <> "" -> true | _ -> false
-  in
+  let checking = input.mode = Self_checked in
   (* ---- slot-cycle accounting (runs only with a sink attached) ----
      Attributes each (cycle, slot) pair to exactly one Sink reason code,
      inspected at the top of the cycle before any stage mutates state.

@@ -20,9 +20,9 @@
     - in-order retirement across tasks, which also trains the
       reconvergence predictor.
 
-    With [max_tasks = 1] and no hints this is exactly the superscalar
-    baseline. Wrong-path instructions are modelled as fetch stalls
-    rather than fetched-and-squashed work; see DESIGN.md. *)
+    With [max_tasks = 1] this is exactly the superscalar baseline,
+    whatever the policy. Wrong-path instructions are modelled as fetch
+    stalls rather than fetched-and-squashed work; see DESIGN.md. *)
 
 (** Timing-model version tag. Bumped whenever an engine change could
     legitimately alter cycles or metrics (the golden suite pins the
@@ -41,6 +41,21 @@ val timing_version : string
     different window size simply misses and allocates fresh.
     @raise Invalid_argument if [window <= 0]. *)
 val prewarm_scratch : window:int -> unit
+
+(** How the cycle loop runs. Every mode gives the same metrics, and
+    only tests choose one other than [Fast]. *)
+type mode =
+  | Fast
+      (** jump over stretches of cycles in which nothing can act, to the
+          next scheduled event *)
+  | Self_checked
+      (** [Fast], and every 64 cycles check the engine's running counts
+          and queues against a recount of the pipeline state, the task
+          regions and the memory-dependence tracker; a mismatch raises
+          [Failure]. The fuzz oracles run every policy this way. *)
+  | Stepped
+      (** one cycle at a time: the reference loop that
+          [test/test_skip.ml] holds [Fast] against *)
 
 type input = {
   config : Config.t;
@@ -79,6 +94,7 @@ type input = {
           [load_syncs]). [None] uses a private throwaway registry —
           counting always happens; the option only controls whether the
           caller can read the registry afterwards. *)
+  mode : mode;
 }
 
 (** Run to completion (every window instruction retired).

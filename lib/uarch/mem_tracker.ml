@@ -71,7 +71,7 @@ let reset_slot t slot =
 
 let live t ~slot = t.count.(slot)
 
-(* recount a slot's occupied entries from storage — the PF_CHECK
+(* recount a slot's occupied entries from storage — the engine's
    self-check validates [count] against this *)
 let recount t ~slot =
   let base = slot * t.entries in

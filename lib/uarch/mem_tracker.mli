@@ -36,6 +36,7 @@ val reset_slot : t -> int -> unit
 (** Live entries in a task context's CAM. *)
 val live : t -> slot:int -> int
 
-(** Recount of occupied entries from storage; the PF_CHECK self-check
-    asserts [live = recount] and that freed contexts hold zero. *)
+(** Recount of occupied entries from storage; the engine's
+    [Self_checked] mode asserts [live = recount] and that freed contexts
+    hold zero. *)
 val recount : t -> slot:int -> int

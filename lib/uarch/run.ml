@@ -35,7 +35,7 @@ let prepare ?store program ~setup ~fast_forward ~window =
 (* build one engine input against the shared prepared window: the
    policy's descriptor row, with its safety filter built from the
    config's thresholds *)
-let to_input ~sink ~counters ~config prepared ~policy =
+let to_input ~sink ~counters ~config ~mode prepared ~policy =
   let config =
     match config with Some c -> c | None -> Config.for_policy policy
   in
@@ -58,10 +58,12 @@ let to_input ~sink ~counters ~config prepared ~policy =
     hints = Pf_core.Hint_cache.of_spawns selected;
     speculation;
     sink;
-    counters }
+    counters;
+    mode }
 
-let simulate ?(sink = Pf_obs.Sink.null) ?counters ?config prepared ~policy =
-  Engine.simulate (to_input ~sink ~counters ~config prepared ~policy)
+let simulate ?(sink = Pf_obs.Sink.null) ?counters ?config ?(mode = Engine.Fast)
+    prepared ~policy =
+  Engine.simulate (to_input ~sink ~counters ~config ~mode prepared ~policy)
 
 type batch_run = {
   br_policy : Pf_core.Policy.t;
@@ -81,7 +83,7 @@ let simulate_batch prepared runs =
     (fun b ->
       Engine.simulate
         (to_input ~sink:b.br_sink ~counters:b.br_counters ~config:b.br_config
-           prepared ~policy:b.br_policy))
+           ~mode:Engine.Fast prepared ~policy:b.br_policy))
     runs
 
 let baseline prepared = simulate prepared ~policy:Pf_core.Policy.No_spawn

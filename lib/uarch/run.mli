@@ -41,17 +41,20 @@ val prepare :
     {!Pf_core.Safety_filter} built from the config's safety thresholds.
     [sink] (default {!Pf_obs.Sink.null}) attaches observability hooks
     and [counters] a registry for the engine's named event counts — see
-    {!Engine.input} for both contracts. *)
+    {!Engine.input} for both contracts. [mode] (default [Engine.Fast])
+    is for tests: see {!Engine.mode}. *)
 val simulate :
   ?sink:Pf_obs.Sink.t ->
   ?counters:Pf_obs.Counters.t ->
   ?config:Config.t ->
+  ?mode:Engine.mode ->
   prepared ->
   policy:Pf_core.Policy.t ->
   Metrics.t
 
-(** One member of a same-window batch: a policy with the same optional
-    overrides {!simulate} takes. Build with {!batch_run}. *)
+(** One member of a same-window batch: a policy with the optional
+    overrides {!simulate} takes, bar [mode] (a batch runs [Fast]). Build
+    with {!batch_run}. *)
 type batch_run = {
   br_policy : Pf_core.Policy.t;
   br_config : Config.t option;

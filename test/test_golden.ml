@@ -33,12 +33,8 @@ let cases =
     ( "postdoms@no-rob-shares",
       Pf_core.Policy.Postdoms,
       Some { Config.polyflow with Config.rob_shares = false } );
-    (* the event-skipping debug flag: stepping cycle by cycle must give
-       the same numbers as skipping to the next event, so these lines
-       are verbatim copies of the plain postdoms goldens *)
-    ( "postdoms@no-event-skip",
-      Pf_core.Policy.Postdoms,
-      Some { Config.polyflow with Config.no_event_skip = true } );
+    (* stepped one cycle at a time: see [stepped_labels] *)
+    ("postdoms@no-event-skip", Pf_core.Policy.Postdoms, None);
     (* three-level adaptive speculation with the memory-dependence
        tracker on (its per-policy default config) — recorded when the
        subsystem landed *)
@@ -91,12 +87,14 @@ let prepare name =
     ~setup:wl.Pf_workloads.Workload.setup
     ~fast_forward:wl.Pf_workloads.Workload.fast_forward ~window
 
+(* Stepping cycle by cycle must give the same numbers as skipping to
+   the next event, so these lines are verbatim copies of the plain
+   postdoms goldens. *)
+let stepped_labels = [ "postdoms@no-event-skip" ]
+
 let actual_line prep workload (label, policy, config) =
-  let metrics =
-    match config with
-    | Some config -> Run.simulate ~config prep ~policy
-    | None -> Run.simulate prep ~policy
-  in
+  let mode = if List.mem label stepped_labels then Engine.Stepped else Fast in
+  let metrics = Run.simulate ?config ~mode prep ~policy in
   Printf.sprintf "%s|%s|%s" workload label
     (Pf_json.Json.to_string (Pf_report.Codec.metrics_to_json metrics))
 

@@ -18,6 +18,7 @@ let case name f = Alcotest.test_case name `Quick f
    and a counter registry, all tee'd onto one sink. *)
 type observed = {
   plain : Metrics.t;  (** the same run without any sink *)
+  max_tasks : int;  (** of the machine the run simulated *)
   m : Metrics.t;
   cpi : Cpi_stack.t;
   trace : Chrome_trace.t;
@@ -34,7 +35,8 @@ let observe ?config prepared ~policy =
       [ Cpi_stack.sink cpi; Chrome_trace.sink trace ]
   in
   let m = Run.simulate ~sink ~counters ?config prepared ~policy in
-  { plain; m; cpi; trace; counters }
+  let machine = Option.value config ~default:(Config.for_policy policy) in
+  { plain; max_tasks = machine.Config.max_tasks; m; cpi; trace; counters }
 
 let prep_hammock = lazy (Test_uarch.prepare_hammock ())
 
@@ -62,8 +64,8 @@ let test_sink_parity () =
 
 let test_cpi_rows_sum_to_cycles () =
   iter_cases (fun name o ->
-      Alcotest.(check bool) (name ^ ": at least one slot") true
-        (Cpi_stack.slots o.cpi >= 1);
+      Alcotest.(check int) (name ^ ": one row per task slot") o.max_tasks
+        (Cpi_stack.slots o.cpi);
       for s = 0 to Cpi_stack.slots o.cpi - 1 do
         Alcotest.(check int)
           (Printf.sprintf "%s: slot %d cycles" name s)

@@ -162,7 +162,25 @@ let test_config_roundtrip () =
         (List.mem f (field_names (Codec.config_to_json (Config.for_policy Adaptive)))))
     [ "mem_tracker"; "tracker_entries"; "mem_sync_threshold";
       "safety_store_pct"; "safety_branch_pct"; "safety_serial_ops";
-      "doacross_sync_distance" ]
+      "doacross_sync_distance" ];
+  (* [no_event_skip] has no field: it is written false, and true is
+     refused naming it *)
+  let j = Codec.config_to_json Config.polyflow in
+  Alcotest.(check bool) "no_event_skip written false" true
+    (Json.member "no_event_skip" j = Json.Bool false);
+  match
+    Codec.config_of_json
+      (match j with
+      | Json.Obj fields ->
+          Json.Obj
+            (("no_event_skip", Json.Bool true)
+            :: List.remove_assoc "no_event_skip" fields)
+      | _ -> assert false)
+  with
+  | exception Json.Decode_error msg ->
+      Alcotest.(check string) "no_event_skip true refused"
+        {|"no_event_skip": must be false|} msg
+  | _ -> Alcotest.fail "no_event_skip true accepted"
 
 let test_metrics_decode_is_strict () =
   let j = Codec.metrics_to_json (QCheck.Gen.generate1 (QCheck.gen arbitrary_metrics)) in
@@ -245,8 +263,15 @@ let run_bytes (r : Sweep.run) =
   ^ Json.to_string (Codec.counters_to_json r.Sweep.counters)
 
 let test_sweep_jobs_determinism () =
-  let seq, _ = Sweep.execute ~jobs:1 small_specs in
-  let par, _ = Sweep.execute ~jobs:4 small_specs in
+  (* adaptive brings the memory-dependence tracker and the safety filter *)
+  let specs =
+    small_specs
+    @ List.map
+        (fun w -> Sweep.spec w Pf_core.Policy.Adaptive ~window:3_000)
+        [ "gzip"; "mcf" ]
+  in
+  let seq, _ = Sweep.execute ~jobs:1 specs in
+  let par, _ = Sweep.execute ~jobs:4 specs in
   Alcotest.(check int) "same run count" (List.length seq) (List.length par);
   List.iter2
     (fun (a : Sweep.run) (b : Sweep.run) ->
@@ -465,7 +490,6 @@ let config_off_default =
     sp_hint = not d.Config.sp_hint;
     feedback = not d.Config.feedback;
     split_spawning = not d.Config.split_spawning;
-    no_event_skip = not d.Config.no_event_skip;
     mem_tracker = not d.Config.mem_tracker;
     tracker_entries = 118; mem_sync_threshold = 119; safety_store_pct = 120;
     safety_branch_pct = 121; safety_serial_ops = 122;
@@ -500,11 +524,11 @@ let arbitrary_run =
           max_cycles_per_instr = i.(16); biased_fetch = b.(0);
           shared_history = b.(1); rob_shares = b.(2); divert_chains = b.(3);
           sp_hint = b.(4); feedback = b.(5); split_spawning = b.(6);
-          no_event_skip = b.(7); mem_tracker = b.(8); tracker_entries = i.(17);
+          mem_tracker = b.(7); tracker_entries = i.(17);
           mem_sync_threshold = i.(18); safety_store_pct = i.(19);
           safety_branch_pct = i.(20); safety_serial_ops = i.(21);
           doacross_sync_distance = i.(22) })
-      (array_repeat 23 value) (array_repeat 9 bool)
+      (array_repeat 23 value) (array_repeat 8 bool)
   in
   let gen =
     text >>= fun workload ->
@@ -623,6 +647,28 @@ let test_entry_round_trip () =
          });
         ("hand-built spawns and counters", sample_run) ]
   in
+  (* the entry decoder refuses a [no_event_skip] member that reads 1:
+     it sits at its [Config.fields] index in the config block, after
+     the header, three strings and four 8-byte scalars *)
+  let r = sample_run in
+  let k =
+    Option.get
+      (List.find_index
+         (fun (f : Config.field) -> f.name = "no_event_skip")
+         Config.fields)
+  in
+  let at =
+    40 + 12 + String.length r.workload + String.length r.label
+    + String.length r.policy + 32 + (8 * k)
+  in
+  let entry = Bytes.of_string (Run_cache.encode ~digest:entry_digest r) in
+  Alcotest.(check int64) "no_event_skip written 0" 0L
+    (Bytes.get_int64_le entry at);
+  Bytes.set_int64_le entry at 1L;
+  Alcotest.(check bool) "an entry with no_event_skip 1 is refused" true
+    (Result.is_error
+       (Run_cache.decode ~digest:entry_digest
+          (reseal (Bytes.sub_string entry 0 (Bytes.length entry - 16)))));
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
   List.iter
     (fun (what, r) ->
@@ -777,8 +823,6 @@ let test_cache_digest_sensitivity () =
           ("feedback", { c with Config.feedback = not c.Config.feedback });
           ( "split_spawning",
             { c with Config.split_spawning = not c.Config.split_spawning } );
-          ( "no_event_skip",
-            { c with Config.no_event_skip = not c.Config.no_event_skip } );
           (* memory-dependence tracker fields: serialized (and so
              digested) only when non-default, which is exactly what
              each variant here is *)
@@ -819,16 +863,19 @@ let test_cache_digest_sensitivity () =
    with a new [Engine.timing_version] (key) or [Run_cache.format_version]
    (entry) and a new pin here, never an edit of an old one. The keys are
    gzip's at window 3,000 under each default machine and one machine
-   with every field off its default. *)
+   with every field off its default. That machine's [no_event_skip]
+   member is [false], the one value it still takes; its key and entry
+   pins were recorded with the member [false] while it was still a
+   field, so they hold that no byte moved for a config that exists. *)
 let key_pins =
   [ ( "engine-3",
       [ ("superscalar", "b1b16290ea08b564ceac88bf26ba6ad5");
         ("postdoms", "dadc36435694380cc621d2d9a50699ba");
         ("adaptive", "368dbbd35e6dbd2cec67458950e9ba47");
         ("doacross", "a63e45a17d61a6e4edf365ffbb35ea6f");
-        ("postdoms@off-default", "60015ad4184db478456cdf7db87bfb3a") ] ) ]
+        ("postdoms@off-default", "463904e01d17f7b7aac8b7152a7edec2") ] ) ]
 
-let entry_pins = [ (1, "de03fccf04ffc5f71e83c11333d7d92f") ]
+let entry_pins = [ (1, "e61eca7a2fbbe9fd00593c423a7a1afb") ]
 
 let test_cache_key_and_entry_pinned () =
   let wl = Option.get (Pf_workloads.Suite.find "gzip") in

@@ -4,7 +4,7 @@
    a hit checked against its spec's workload and label, prep sharing
    (also under concurrent first requests) and the deterministic timeout
    path, and integration cases against a live server: the socket
-   protocol, the request size limit, the refused [no_event_skip] switch,
+   protocol, the request size limit, the refused [no_event_skip] member,
    concurrent clients checked byte for byte against a direct sweep,
    stopping after the socket file is gone, and shutdown followed by a
    second boot over the persisted trace store. *)
@@ -292,24 +292,24 @@ let run_request ?(id = Json.Null) ?label ?window ?timeout_ms ?(no_cache = false)
     timeout_ms;
     no_cache }
 
-(* With event skipping off the engine steps every cycle, and these
-   depths make one gzip run at window 2,000 take months: a daemon that
-   accepted this config would lose a worker to it. *)
-let stepped_config =
-  Pf_report.Codec.config_to_json
-    { Pf_uarch.Config.polyflow with
-      Pf_uarch.Config.no_event_skip = true;
-      frontend_depth = 1_000_000_000_000;
-      max_cycles_per_instr = 1_000_000_000_000_000 }
-
-let mistyped_width =
-  match Pf_report.Codec.config_to_json Pf_uarch.Config.polyflow with
+(* [config]'s JSON with member [name] set to [v] *)
+let edited ?(config = Pf_uarch.Config.polyflow) name v =
+  match Pf_report.Codec.config_to_json config with
   | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (fun (k, v) -> (k, if k = "width" then Json.String "x" else v))
-           fields)
+      Json.Obj (List.map (fun (k, x) -> (k, if k = name then v else x)) fields)
   | _ -> assert false
+
+(* Stepped one cycle at a time, these depths would make one gzip run at
+   window 2,000 take months: a daemon that accepted this config would
+   lose a worker to it. *)
+let stepped_config =
+  edited "no_event_skip" (Json.Bool true)
+    ~config:
+      { Pf_uarch.Config.polyflow with
+        frontend_depth = 1_000_000_000_000;
+        max_cycles_per_instr = 1_000_000_000_000_000 }
+
+let mistyped_width = edited "width" (Json.String "x")
 
 (* Run [f] on its own thread: whether it returned within [secs]. A
    shutdown that joins a worker stuck in a run that never ends fails

@@ -1,8 +1,8 @@
 (* Skip parity: the event-skipping cycle loop (stall-skip to the next
    scheduled event, which must never jump past a wakeup-list bucket) is
-   a pure optimisation. [Config.no_event_skip] forces the engine back to
-   one-cycle-at-a-time stepping; against that reference build the
-   optimised loop must produce bit-identical
+   a pure optimisation. [Engine.Stepped] runs the engine one cycle at a
+   time; against that reference loop the [Fast] one must produce
+   bit-identical
 
      - metrics (every field, cycles included),
      - the full retire stream, with per-retire cycle and slot,
@@ -32,7 +32,7 @@ type observed = {
   counters : (string * int) list;
 }
 
-let observe prep ~policy ~config =
+let observe prep ~policy ~mode =
   let retires = Buffer.create 1024 in
   let cpi = Cpi_stack.create () in
   let counters = Counters.create () in
@@ -44,22 +44,18 @@ let observe prep ~policy ~config =
             Buffer.add_string retires
               (Printf.sprintf "%d:%d:%d;" cycle slot index)) }
   in
-  let metrics = Run.simulate ~sink ~counters ~config prep ~policy in
+  let metrics = Run.simulate ~sink ~counters ~mode prep ~policy in
   { metrics;
     retires = Buffer.contents retires;
     cpi_rows = Array.init (Cpi_stack.slots cpi) (Cpi_stack.row cpi);
     counters = Counters.to_alist counters }
 
-(* Compare skipping-on vs the [no_event_skip] reference for one policy;
-   [fail] receives a component name and the two runs' cycle counts. *)
+(* Compare the event-skipping loop against the stepped reference for
+   one policy; [fail] receives a component name and the two runs' cycle
+   counts. *)
 let compare_policy prep ~policy ~(fail : string -> int -> int -> 'a) =
-  (* [Run.simulate]'s per-policy default, made explicit so both runs of
-     the pair share the same base configuration *)
-  let base = Config.for_policy policy in
-  let skip = observe prep ~policy ~config:base in
-  let ref_ =
-    observe prep ~policy ~config:{ base with Config.no_event_skip = true }
-  in
+  let skip = observe prep ~policy ~mode:Engine.Fast in
+  let ref_ = observe prep ~policy ~mode:Engine.Stepped in
   let cycles o = o.metrics.Metrics.cycles in
   let bad what = fail what (cycles skip) (cycles ref_) in
   if skip.metrics <> ref_.metrics then bad "metrics";
@@ -95,7 +91,7 @@ let check_seed ~gen ~seed ~fail =
           fail
             (Printf.sprintf
                "seed %d, policy %s: %s differ between the event-skipping \
-                engine (%d cycles) and no_event_skip (%d cycles)"
+                engine (%d cycles) and the stepped one (%d cycles)"
                seed (Policy.name policy) what c_skip c_ref)))
     all_policies
 
@@ -141,7 +137,7 @@ let test_workload name () =
       compare_policy prep ~policy ~fail:(fun what c_skip c_ref ->
           Alcotest.failf
             "%s, policy %s: %s differ between the event-skipping engine \
-             (%d cycles) and no_event_skip (%d cycles)"
+             (%d cycles) and the stepped one (%d cycles)"
             name (Policy.name policy) what c_skip c_ref))
     all_policies
 

@@ -96,7 +96,29 @@ let test_no_spawn_on_polyflow_config_matches_superscalar_order () =
   let prep = prepare_hammock ~iters:200 ~window:8_000 () in
   let ss = Run.simulate prep ~config:Config.superscalar ~policy:Pf_core.Policy.No_spawn in
   let pf = Run.simulate prep ~config:Config.polyflow ~policy:Pf_core.Policy.No_spawn in
-  Alcotest.(check int) "identical cycles" ss.Metrics.cycles pf.Metrics.cycles
+  Alcotest.(check int) "identical cycles" ss.Metrics.cycles pf.Metrics.cycles;
+  (* and a machine with one task context has nowhere to spawn: every
+     policy class, on every workload, is the superscalar, metric for
+     metric *)
+  List.iter
+    (fun (wl : Pf_workloads.Workload.t) ->
+      let prep =
+        Run.prepare wl.program ~setup:wl.setup ~fast_forward:wl.fast_forward
+          ~window:4_000
+      in
+      let base = Run.baseline prep in
+      List.iter
+        (fun policy ->
+          let config =
+            { (Config.for_policy policy) with Config.max_tasks = 1 }
+          in
+          let m = Run.simulate ~config prep ~policy in
+          if m <> base then
+            Alcotest.failf "%s, %s with one task: %d cycles, superscalar %d"
+              wl.name (Pf_core.Policy.name policy) m.Metrics.cycles
+              base.Metrics.cycles)
+        Pf_fuzz.Oracle.all_policies)
+    (Pf_workloads.Suite.all ())
 
 (* Call-heavy workload for procFT spawning. *)
 let call_workload ~iters =
@@ -288,21 +310,16 @@ let test_task_scaling_monotone () =
     (s8 >= s2 -. 3.0)
 
 let test_self_check_mode () =
-  (* PF_CHECK validates counters and task-region invariants every 64
-     cycles; any accounting bug fails the run loudly *)
-  Unix.putenv "PF_CHECK" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PF_CHECK" "")
-    (fun () ->
-      let prep = prepare_hammock ~iters:400 ~window:15_000 () in
-      List.iter
-        (fun policy ->
-          let m = Run.simulate prep ~policy in
-          Alcotest.(check int) "retires everything"
-            (Pf_trace.Tracer.length prep.Run.trace)
-            m.Metrics.instructions)
-        Pf_core.Policy.
-          [ No_spawn; Postdoms; Rec_pred; Dmt; Adaptive; Doacross ])
+  (* the self-check validates counters and task-region invariants every
+     64 cycles; any accounting bug fails the run loudly *)
+  let prep = prepare_hammock ~iters:400 ~window:15_000 () in
+  List.iter
+    (fun policy ->
+      let m = Run.simulate ~mode:Engine.Self_checked prep ~policy in
+      Alcotest.(check int) "retires everything"
+        (Pf_trace.Tracer.length prep.Run.trace)
+        m.Metrics.instructions)
+    Pf_core.Policy.[ No_spawn; Postdoms; Rec_pred; Dmt; Adaptive; Doacross ]
 
 (* Property: the engine completes and retires exactly the window under
    randomly drawn (but legal) machine configurations. *)
@@ -345,13 +362,11 @@ let test_stall_attribution () =
     (p.Metrics.stall_frontend < b.Metrics.stall_frontend)
 
 let test_split_spawning () =
-  Unix.putenv "PF_CHECK" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "PF_CHECK" "")
-  @@ fun () ->
   let prep = prepare_hammock ~iters:500 ~window:20_000 () in
-  let std = Run.simulate prep ~policy:Pf_core.Policy.Postdoms in
+  let mode = Engine.Self_checked in
+  let std = Run.simulate ~mode prep ~policy:Pf_core.Policy.Postdoms in
   let split =
-    Run.simulate
+    Run.simulate ~mode
       ~config:{ Config.polyflow with Config.split_spawning = true }
       prep ~policy:Pf_core.Policy.Postdoms
   in

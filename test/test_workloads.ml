@@ -278,16 +278,14 @@ let test_all_workloads_match_interpreter () =
 let test_all_workloads_simulate () =
   (* run under the engine's self-check so counter accounting is validated
      across every workload *)
-  Unix.putenv "PF_CHECK" "1";
-  Fun.protect ~finally:(fun () -> Unix.putenv "PF_CHECK" "")
-  @@ fun () ->
+  let simulate = Pf_uarch.Run.simulate ~mode:Pf_uarch.Engine.Self_checked in
   List.iter
     (fun w ->
       let prep =
         Pf_uarch.Run.prepare w.Workload.program ~setup:w.Workload.setup
           ~fast_forward:1_000 ~window:6_000
       in
-      let base = Pf_uarch.Run.baseline prep in
+      let base = simulate prep ~policy:Pf_core.Policy.No_spawn in
       let ipc = Pf_uarch.Metrics.ipc base in
       Alcotest.(check bool)
         (Printf.sprintf "%s baseline IPC %.2f plausible" w.Workload.name ipc)
@@ -295,7 +293,7 @@ let test_all_workloads_simulate () =
         (ipc > 0.1 && ipc < 8.0);
       List.iter
         (fun policy ->
-          let m = Pf_uarch.Run.simulate prep ~policy in
+          let m = simulate prep ~policy in
           Alcotest.(check int)
             (Printf.sprintf "%s %s retires the window" w.Workload.name
                (Pf_core.Policy.name policy))
