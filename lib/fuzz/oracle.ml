@@ -193,14 +193,16 @@ let check_one_policy prep ~n ~policy =
 
 let jobs_parity prep ~policies ~sequential =
   (* the sweep harness's --jobs N: simulate the same prepared window
-     from multiple domains and demand identical metrics *)
+     from multiple domains and demand identical metrics. These runs
+     self-check too: they are the ones that use each domain's own
+     scratch pool *)
   let arr = Array.of_list policies in
   let k = Array.length arr in
   let results = Array.make k None in
   let half = k / 2 in
   let work lo hi =
     for i = lo to hi - 1 do
-      results.(i) <- Some (Run.simulate prep ~policy:arr.(i))
+      results.(i) <- Some (Run.simulate ~mode:Self_checked prep ~policy:arr.(i))
     done
   in
   let d1 = Domain.spawn (fun () -> work 0 half) in
