@@ -5,7 +5,6 @@ type t = {
   assoc : int;
   line_shift : int;
   mutable clock : int;
-  mutable accesses : int;
   mutable misses : int;
 }
 
@@ -27,10 +26,7 @@ let create ~size_bytes ~assoc ~line_bytes () =
     assoc;
     line_shift = log2 line_bytes;
     clock = 0;
-    accesses = 0;
     misses = 0 }
-
-let line_bytes t = 1 lsl t.line_shift
 
 (* the way holding [tag] in [set], or -1: an int result (rather than an
    option) and a loop (rather than a local recursive function, a closure
@@ -53,7 +49,6 @@ let access t addr =
   let set = line land (t.nsets - 1) in
   let tag = line in
   let base = set * t.assoc in
-  t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let w = find_way t set tag in
   if w >= 0 then begin
@@ -79,12 +74,4 @@ let access t addr =
     false
   end
 
-let accesses t = t.accesses
 let misses t = t.misses
-
-let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.lru 0 (Array.length t.lru) 0;
-  t.clock <- 0;
-  t.accesses <- 0;
-  t.misses <- 0

@@ -15,7 +15,5 @@ val access : t -> int -> bool
 (** [probe t addr] — hit test without changing any state. *)
 val probe : t -> int -> bool
 
-val line_bytes : t -> int
-val accesses : t -> int
+(** Misses since [create]; probes are not counted. *)
 val misses : t -> int
-val reset : t -> unit

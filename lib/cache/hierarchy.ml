@@ -20,28 +20,27 @@ let default_params =
     l1_miss_penalty = 10; l2_miss_penalty = 100; l1d_hit_latency = 2 }
 
 type t = {
-  p : params;
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;
 }
 
-let create ?(params = default_params) () =
-  let p = params in
-  { p;
-    l1i = Cache.create ~size_bytes:p.l1i_size ~assoc:p.l1i_assoc ~line_bytes:p.l1i_line ();
+let p = default_params
+
+let create () =
+  { l1i = Cache.create ~size_bytes:p.l1i_size ~assoc:p.l1i_assoc ~line_bytes:p.l1i_line ();
     l1d = Cache.create ~size_bytes:p.l1d_size ~assoc:p.l1d_assoc ~line_bytes:p.l1d_line ();
     l2 = Cache.create ~size_bytes:p.l2_size ~assoc:p.l2_assoc ~line_bytes:p.l2_line () }
 
 let fetch_latency t pc =
   if Cache.access t.l1i pc then 0
-  else if Cache.access t.l2 pc then t.p.l1_miss_penalty
-  else t.p.l1_miss_penalty + t.p.l2_miss_penalty
+  else if Cache.access t.l2 pc then p.l1_miss_penalty
+  else p.l1_miss_penalty + p.l2_miss_penalty
 
 let data_latency t addr =
-  if Cache.access t.l1d addr then t.p.l1d_hit_latency
-  else if Cache.access t.l2 addr then t.p.l1d_hit_latency + t.p.l1_miss_penalty
-  else t.p.l1d_hit_latency + t.p.l1_miss_penalty + t.p.l2_miss_penalty
+  if Cache.access t.l1d addr then p.l1d_hit_latency
+  else if Cache.access t.l2 addr then p.l1d_hit_latency + p.l1_miss_penalty
+  else p.l1d_hit_latency + p.l1_miss_penalty + p.l2_miss_penalty
 
 let l1i_misses t = Cache.misses t.l1i
 let l1d_misses t = Cache.misses t.l1d

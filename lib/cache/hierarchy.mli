@@ -1,7 +1,8 @@
-(** The memory hierarchy of Figure 8: split 8 KB L1I / 16 KB L1D backed
-    by a shared 512 KB L2 and main memory. Latencies are the paper's:
-    L1 hit costs the pipeline nothing extra, an L1 miss adds 10 cycles,
-    an L2 miss adds 100 more. *)
+(** The memory hierarchy of Figure 8, fixed at the paper's values: an
+    8 KB 2-way L1I with 128-byte lines and a 16 KB 4-way L1D with 64-byte
+    lines, backed by a shared 512 KB 8-way L2 with 128-byte lines and
+    main memory. An L1 hit costs a fetch nothing extra and a data access 2
+    cycles, an L1 miss adds 10 cycles, an L2 miss adds 100 more. *)
 
 type t
 
@@ -20,10 +21,11 @@ type params = {
   l1d_hit_latency : int; (** load-to-use latency on an L1D hit *)
 }
 
-(** Figure 8 values. *)
+(** Figure 8 values, the only geometry and latencies a hierarchy has. *)
 val default_params : params
 
-val create : ?params:params -> unit -> t
+(** Cold caches with the {!default_params} geometry. *)
+val create : unit -> t
 
 (** Latency in cycles of an instruction fetch at [pc]. 0 = no stall. *)
 val fetch_latency : t -> int -> int

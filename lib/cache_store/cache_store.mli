@@ -65,9 +65,6 @@ val dir : t -> string
 val cap : t -> int
 val stats : t -> stats
 
-(** Is this a well-formed 32-character lowercase hex digest? *)
-val is_hex_digest : string -> bool
-
 (** The sharded on-disk path of an entry (whether or not it exists). *)
 val path : t -> digest:string -> string
 

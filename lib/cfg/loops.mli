@@ -34,7 +34,4 @@ val depth_of : t -> int -> int
 (** [in_loop t l b] tests membership of [b] in [l]'s body. *)
 val in_loop : loop -> int -> bool
 
-(** [is_back_edge g dom (a, b)] — does the edge close a natural loop? *)
-val is_back_edge : Dominance.t -> int * int -> bool
-
 val pp : Format.formatter -> t -> unit

@@ -21,6 +21,5 @@
 
 val scratch_base : int
 val scratch_slots : int
-val table_base : int
 
 val generate : seed:int -> Pf_isa.Program.t

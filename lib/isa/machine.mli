@@ -40,11 +40,9 @@ val write_i64 : t -> int -> int64 -> unit
 val read_i32 : t -> int -> int32
 val write_i32 : t -> int -> int32 -> unit
 
-(** ALU and branch-comparison semantics, exposed so reference
-    evaluators (e.g. the Mini interpreter) share one definition. *)
+(** ALU semantics, exposed so reference evaluators (e.g. the Mini
+    interpreter) share one definition. *)
 val alu_eval : Instr.alu_op -> int64 -> int64 -> int64
-
-val cond_eval : Instr.cmp -> int64 -> int64 -> bool
 
 (** Execute one instruction. [None] when the machine has halted. *)
 val step : t -> event option

@@ -27,7 +27,6 @@ let s6 = 22
 let s7 = 23
 let t8 = 24
 let t9 = 25
-let gp = 28
 let sp = 29
 let fp = 30
 let ra = 31

@@ -42,7 +42,6 @@ val s5 : t
 val s6 : t
 val s7 : t
 
-val gp : t
 val sp : t
 val fp : t
 

@@ -3,9 +3,13 @@ open Pf_isa
 type compiled = {
   program : Program.t;
   address_of : string -> int;
-  data_base : int;
-  data_end : int;
 }
+
+(* Code starts at [base], globals and switch tables at [data_base], and
+   [__start] calls [entry]. *)
+let base = 0x1000
+let data_base = 0x100000
+let entry = "main"
 
 (* Where a variable lives. *)
 type place =
@@ -321,7 +325,7 @@ let compile_func genv asm (f : Ast.func) =
   Asm.alui asm Instr.Add Reg.sp Reg.sp (Int64.of_int frame);
   Asm.jr asm Reg.ra
 
-let compile ?(base = 0x1000) ?(data_base = 0x100000) ?(entry = "main") p =
+let compile p =
   let genv =
     { globals = Hashtbl.create 16;
       global_sizes = Hashtbl.create 16;
@@ -367,6 +371,4 @@ let compile ?(base = 0x1000) ?(data_base = 0x100000) ?(entry = "main") p =
       (fun name ->
         match Hashtbl.find_opt genv.globals name with
         | Some a -> a
-        | None -> raise Not_found);
-    data_base;
-    data_end = genv.next_data }
+        | None -> raise Not_found) }

@@ -21,14 +21,11 @@ type compiled = {
   program : Pf_isa.Program.t;
   address_of : string -> int;
       (** address of a user global. @raise Not_found for unknown names *)
-  data_base : int;
-  data_end : int; (** first free data address after globals and tables *)
 }
 
-(** [compile ?base ?data_base ?entry p] — [entry] (default ["main"]) names
-    the function [__start] calls.
+(** [compile p] places code from [0x1000] and globals and switch tables
+    from [0x100000]; [__start] calls the function named ["main"].
     @raise Invalid_argument on unknown identifiers, duplicate functions,
-    more than 4 parameters, expression depth beyond the temporary pool,
-    or a [Call] in a nested expression position. *)
-val compile :
-  ?base:int -> ?data_base:int -> ?entry:string -> Ast.program -> compiled
+    a missing [main], more than 4 parameters, expression depth beyond
+    the temporary pool, or a [Call] in a nested expression position. *)
+val compile : Ast.program -> compiled

@@ -1,56 +1,26 @@
-type t = {
-  table : Bytes.t; (* 2-bit counters, one per byte for simplicity *)
-  table_bits : int;
-  history_bits : int;
-  mutable history : int;
-  mutable predictions : int;
-  mutable correct : int;
-}
+let table_bits = 13
+let history_bits = 8
 
-let create ?(table_bits = 13) ?(history_bits = 8) () =
-  { table = Bytes.make (1 lsl table_bits) '\001'; (* weakly not-taken *)
-    table_bits;
-    history_bits;
-    history = 0;
-    predictions = 0;
-    correct = 0 }
+(* 2-bit counters, one per byte for simplicity *)
+type t = Bytes.t
+
+let create () = Bytes.make (1 lsl table_bits) '\001' (* weakly not-taken *)
 
 (* Align the history with the high end of the index so low PC bits and
    history bits overlap as little as possible. *)
-let index_with t ~history ~pc =
-  let mask = (1 lsl t.table_bits) - 1 in
-  (pc lsr 2) lxor (history lsl (t.table_bits - t.history_bits)) land mask
+let index ~history ~pc =
+  let mask = (1 lsl table_bits) - 1 in
+  (pc lsr 2) lxor (history lsl (table_bits - history_bits)) land mask
 
 let initial_history = 0
 
-let predict_with t ~history ~pc =
-  Bytes.get_uint8 t.table (index_with t ~history ~pc) >= 2
+let predict_with t ~history ~pc = Bytes.get_uint8 t (index ~history ~pc) >= 2
 
 let update_with t ~history ~pc ~taken =
-  let i = index_with t ~history ~pc in
-  let c = Bytes.get_uint8 t.table i in
-  let predicted = c >= 2 in
-  t.predictions <- t.predictions + 1;
-  if predicted = taken then t.correct <- t.correct + 1;
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
-  Bytes.set_uint8 t.table i c'
+  let i = index ~history ~pc in
+  let c = Bytes.get_uint8 t i in
+  Bytes.set_uint8 t i (if taken then min 3 (c + 1) else max 0 (c - 1))
 
-let shift t ~history ~taken =
-  let hmask = (1 lsl t.history_bits) - 1 in
+let shift ~history ~taken =
+  let hmask = (1 lsl history_bits) - 1 in
   ((history lsl 1) lor Bool.to_int taken) land hmask
-
-let predict t ~pc = predict_with t ~history:t.history ~pc
-
-let update t ~pc ~taken =
-  update_with t ~history:t.history ~pc ~taken;
-  t.history <- shift t ~history:t.history ~taken
-
-let accuracy t =
-  if t.predictions = 0 then Float.nan
-  else float_of_int t.correct /. float_of_int t.predictions
-
-let reset t =
-  Bytes.fill t.table 0 (Bytes.length t.table) '\001';
-  t.history <- 0;
-  t.predictions <- 0;
-  t.correct <- 0

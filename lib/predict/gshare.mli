@@ -1,41 +1,27 @@
 (** gshare conditional-branch predictor (Figure 8: 16 Kbit table,
     8 bits of global history).
 
-    The table holds [2^table_bits] 2-bit saturating counters indexed by
-    the exclusive-or of the branch PC and the global history register. *)
-
-type t
-
-(** Defaults follow Figure 8: [table_bits = 13] (8192 x 2-bit = 16 Kbit)
-    and [history_bits = 8]. *)
-val create : ?table_bits:int -> ?history_bits:int -> unit -> t
-
-(** Predicted direction for the branch at [pc] under current history. *)
-val predict : t -> pc:int -> bool
-
-(** [update t ~pc ~taken] trains the indexed counter with the real
-    outcome and shifts it into the global history. Call after {!predict}
-    for each dynamic branch. *)
-val update : t -> pc:int -> taken:bool -> unit
-
-(** Fraction of correct predictions so far ([nan] before any update). *)
-val accuracy : t -> float
-
-val reset : t -> unit
-
-(** {1 External-history interface}
+    The table holds 2^13 = 8192 2-bit saturating counters (16 Kbit),
+    indexed by the exclusive-or of the branch PC and an 8-bit global
+    history. Both sizes are the paper's and fixed.
 
     SMT-style use: the counter table is shared but each task keeps its
     own global-history register (a shared register would be scrambled by
-    interleaved fetch). *)
+    interleaved fetch), so every call names the history it runs under. *)
+
+type t
+
+(** A table of weakly-not-taken counters. *)
+val create : unit -> t
 
 (** Empty history value for a new task. *)
 val initial_history : int
 
+(** Predicted direction for the branch at [pc] under [history]. *)
 val predict_with : t -> history:int -> pc:int -> bool
 
 (** Trains the indexed counter only; does not touch any history. *)
 val update_with : t -> history:int -> pc:int -> taken:bool -> unit
 
-(** [shift t ~history ~taken] is the task's next history value. *)
-val shift : t -> history:int -> taken:bool -> int
+(** [shift ~history ~taken] is the task's next history value. *)
+val shift : history:int -> taken:bool -> int

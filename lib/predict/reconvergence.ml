@@ -1,3 +1,10 @@
+(* Monitor window (same-depth instructions examined before giving up),
+   confirmations required before predicting, and the bound on
+   concurrently open monitors. *)
+let window = 256
+let min_confidence = 2
+let max_monitors = 64
+
 type entry = {
   branch_pc : int;
   mutable cand : int;        (* current reconvergence candidate *)
@@ -11,9 +18,6 @@ type entry = {
    entry (an entry has at most one open monitor), so the order in which
    they are run never changes a result. *)
 type t = {
-  window : int;
-  confidence : int;
-  max_monitors : int;
   entries : (int, entry) Hashtbl.t;
   mon_entry : entry array;
   mon_depth0 : int array;
@@ -22,10 +26,9 @@ type t = {
   mutable depth : int;
 }
 
-let create ?(window = 256) ?(confidence = 2) ?(max_monitors = 64) () =
+let create () =
   let unused = { branch_pc = -1; cand = 0; confidence = 0; monitored = false } in
-  { window; confidence; max_monitors;
-    entries = Hashtbl.create 256;
+  { entries = Hashtbl.create 256;
     mon_entry = Array.make max_monitors unused;
     mon_depth0 = Array.make max_monitors 0;
     mon_remaining = Array.make max_monitors 0;
@@ -100,24 +103,25 @@ let retire t ~pc ~instr =
           Hashtbl.replace t.entries pc e;
           e
     in
-    if (not e.monitored) && t.n_monitors < t.max_monitors then begin
+    if (not e.monitored) && t.n_monitors < max_monitors then begin
       e.monitored <- true;
       let k = t.n_monitors in
       t.mon_entry.(k) <- e;
       t.mon_depth0.(k) <- t.depth;
-      t.mon_remaining.(k) <- t.window;
+      t.mon_remaining.(k) <- window;
       t.n_monitors <- k + 1
     end
   end
 
 let predict t ~branch_pc =
   match Hashtbl.find_opt t.entries branch_pc with
-  | Some e when e.confidence >= t.confidence -> Some e.cand
+  | Some e when e.confidence >= min_confidence -> Some e.cand
   | Some _ | None -> None
 
 let learned_branches t =
   Hashtbl.fold
-    (fun _ (e : entry) acc -> if e.confidence >= t.confidence then acc + 1 else acc)
+    (fun _ (e : entry) acc ->
+      if e.confidence >= min_confidence then acc + 1 else acc)
     t.entries 0
 
 let observed_branches t = Hashtbl.length t.entries

@@ -24,11 +24,10 @@
 
 type t
 
-(** [create ()] — [window] is the number of same-depth instructions a
-    monitor examines before giving up (default 256); [confidence] is the
-    number of confirmations required before predicting (default 2);
-    [max_monitors] bounds concurrently open monitors (default 64). *)
-val create : ?window:int -> ?confidence:int -> ?max_monitors:int -> unit -> t
+(** [create ()] — a monitor examines 256 same-depth instructions before
+    giving up, a branch needs 2 confirmations before it is predicted, and
+    at most 64 monitors are open at once. *)
+val create : unit -> t
 
 (** Feed one retired instruction, in program order. *)
 val retire : t -> pc:int -> instr:Pf_isa.Instr.t -> unit

@@ -6,22 +6,19 @@
     in an older task that has not yet executed, the machine squashes and
     calls {!train_violation}. From then on, {!predict_sync} tells the
     rename stage to divert that load until its producer has executed.
-    Confidence decays when synchronisation keeps being applied to loads
-    that no longer conflict ({!train_no_conflict}). *)
+    Confidence never decays: as in classic store sets, a learned load
+    stays synchronised (a decay would oscillate between speculating and
+    re-squashing on steady conflicts). *)
 
 type t
 
+(** [sync_threshold] (default 1) is the confidence at which a trained
+    load is synchronised; each violation adds 2, saturating at 8. *)
 val create : ?sync_threshold:int -> unit -> t
 
 (** Should the load at [load_pc] be synchronised against older-task
     stores? *)
 val predict_sync : t -> load_pc:int -> bool
 
-(** A violation was detected between [load_pc] and [store_pc]. *)
-val train_violation : t -> load_pc:int -> store_pc:int -> unit
-
-(** The synchronised load turned out not to conflict this time. *)
-val train_no_conflict : t -> load_pc:int -> unit
-
-(** Number of distinct load PCs currently predicted to synchronise. *)
-val synced_loads : t -> int
+(** The load at [load_pc] read data an older task had not yet stored. *)
+val train_violation : t -> load_pc:int -> unit

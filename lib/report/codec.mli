@@ -28,8 +28,6 @@ val metrics_of_json : Json.t -> Pf_uarch.Metrics.t
 
 val counters_to_json : (string * int) list -> Json.t
 
-val counters_of_json : Json.t -> (string * int) list
-
 (** {1 Machine configuration} *)
 
 (** One member per [Pf_uarch.Config.fields] entry, in that order, but

@@ -32,7 +32,6 @@ type t = private {
 
 (** Instruction kind codes stored in {!t.kind}. *)
 
-val k_plain : int
 val k_load : int
 val k_store : int
 val k_branch : int

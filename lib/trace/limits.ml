@@ -1,4 +1,7 @@
-let finish_times ~load_latency ~serialize_branches (tr : Tracer.t) =
+(* Every load takes Figure 8's L1D hit latency, the engine's best case. *)
+let load_latency = 2
+
+let finish_times ~serialize_branches (tr : Tracer.t) =
   let dyns = tr.Tracer.dyns in
   let n = Array.length dyns in
   let finish = Array.make n 0 in
@@ -27,8 +30,6 @@ let finish_times ~load_latency ~serialize_branches (tr : Tracer.t) =
 let ipc_of (n, horizon) =
   if horizon = 0 then 0. else float_of_int n /. float_of_int horizon
 
-let dataflow_ipc ?(load_latency = 2) tr =
-  ipc_of (finish_times ~load_latency ~serialize_branches:false tr)
+let dataflow_ipc tr = ipc_of (finish_times ~serialize_branches:false tr)
 
-let single_flow_ipc ?(load_latency = 2) tr =
-  ipc_of (finish_times ~load_latency ~serialize_branches:true tr)
+let single_flow_ipc tr = ipc_of (finish_times ~serialize_branches:true tr)

@@ -472,35 +472,21 @@ let simulate input =
   (* [m_max_live] is a high-water mark, not monotonic, so it is not a
      registry counter *)
   let m_max_live = ref 1 in
-  (* Spawn counts per category, in flat arrays. Metrics.spawns is
-     assembled by replaying the counts into a Hashtbl in first-seen
-     order (see the epilogue): Hashtbl.replace keeps an existing key in
-     place, so the fold order of the replayed table — and therefore the
-     golden-locked Metrics.spawns list order — is exactly what the old
-     per-spawn Hashtbl updates produced. *)
-  let cat_code = function
-    | Pf_core.Spawn_point.Loop_iter -> 0
-    | Pf_core.Spawn_point.Loop_ft -> 1
-    | Pf_core.Spawn_point.Proc_ft -> 2
-    | Pf_core.Spawn_point.Hammock -> 3
-    | Pf_core.Spawn_point.Other -> 4
+  (* Spawn counts per category. Metrics.spawns lists the categories
+     that spawned in one fixed order, the order the goldens pin. *)
+  let spawn_order =
+    Pf_core.Spawn_point.[ Loop_ft; Loop_iter; Other; Hammock; Proc_ft ]
   in
-  let cat_of_code = function
-    | 0 -> Pf_core.Spawn_point.Loop_iter
-    | 1 -> Pf_core.Spawn_point.Loop_ft
-    | 2 -> Pf_core.Spawn_point.Proc_ft
-    | 3 -> Pf_core.Spawn_point.Hammock
-    | _ -> Pf_core.Spawn_point.Other
+  let cat_code = function
+    | Pf_core.Spawn_point.Loop_ft -> 0
+    | Pf_core.Spawn_point.Loop_iter -> 1
+    | Pf_core.Spawn_point.Other -> 2
+    | Pf_core.Spawn_point.Hammock -> 3
+    | Pf_core.Spawn_point.Proc_ft -> 4
   in
   let cat_count = Array.make 5 0 in
-  let cat_seen = Array.make 5 0 in
-  let n_cat_seen = ref 0 in
   let bump_spawn cat =
     let c = cat_code cat in
-    if cat_count.(c) = 0 then begin
-      cat_seen.(!n_cat_seen) <- c;
-      incr n_cat_seen
-    end;
     cat_count.(c) <- cat_count.(c) + 1
   in
   (* The scheduler/divert sweeps below run every cycle over every parked
@@ -639,8 +625,7 @@ let simulate input =
             if lpc >= 0 then begin
               hit := true;
               cinc m_mem_violations;
-              Pf_predict.Store_sets.train_violation store_sets ~load_pc:lpc
-                ~store_pc:pc.(i);
+              Pf_predict.Store_sets.train_violation store_sets ~load_pc:lpc;
               squash_from ~reason:Sink.r_mem_violation ty
               (* stale scheduler entries left by the squash drop out of
                  the next issue sweep (their state is no longer
@@ -747,8 +732,7 @@ let simulate input =
           (* a speculative load beat its producer (an unsynchronised
              one, or [unmet] would have returned [m]): dependence
              violation — train and squash from this task *)
-          Pf_predict.Store_sets.train_violation store_sets ~load_pc:pc.(i)
-            ~store_pc:pc.(m);
+          Pf_predict.Store_sets.train_violation store_sets ~load_pc:pc.(i);
           squash_from ~reason:Sink.r_squash_recovery (owner_task i);
           squashed_during_sweep := true;
           (* i itself is squashed with its task *)
@@ -794,9 +778,6 @@ let simulate input =
                 ~slot:(Array.unsafe_get owner_slot i)
                 ~addr:(Array.unsafe_get addr i) ~pc:pc.(i)
           end;
-          (* no per-access decay: as in classic store sets, learned
-             pairs stay synchronised (decay would oscillate between
-             speculating and re-squashing on steady conflicts) *)
           false
         end
       end
@@ -1268,9 +1249,7 @@ let simulate input =
               in
               Pf_predict.Gshare.update_with gshare ~history ~pc:pc.(i)
                 ~taken:taken.(i);
-              let next =
-                Pf_predict.Gshare.shift gshare ~history ~taken:taken.(i)
-              in
+              let next = Pf_predict.Gshare.shift ~history ~taken:taken.(i) in
               if cfg.Config.shared_history then shared_hist := next
               else t.history <- next;
               spawn_at t i;
@@ -1605,21 +1584,18 @@ let simulate input =
       end
     end
   done;
-  (* Metrics.spawns is golden-locked to the fold order of the old
-     per-spawn Hashtbl; replaying the category counts in first-seen
-     order reproduces that table (and therefore its fold order) exactly. *)
-  let spawn_counts = Hashtbl.create 8 in
-  for k = 0 to !n_cat_seen - 1 do
-    let c = cat_seen.(k) in
-    Hashtbl.replace spawn_counts (cat_of_code c) cat_count.(c)
-  done;
   Scratch.checkin scratch;
   { Metrics.instructions = n;
     cycles = !now;
     branch_mispredicts = cv m_branch_mp;
     indirect_mispredicts = cv m_ind_mp;
     return_mispredicts = cv m_ret_mp;
-    spawns = Hashtbl.fold (fun c v acc -> (c, v) :: acc) spawn_counts [];
+    spawns =
+      List.filter_map
+        (fun cat ->
+          let v = cat_count.(cat_code cat) in
+          if v > 0 then Some (cat, v) else None)
+        spawn_order;
     squashes = cv m_squashes;
     squashed_instrs = cv m_squashed;
     diverted = cv m_diverted;

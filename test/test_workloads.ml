@@ -275,6 +275,9 @@ let test_all_workloads_match_interpreter () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end simulation sanity on a reduced window                    *)
 
+let spawn_order =
+  Pf_core.Spawn_point.[ Loop_ft; Loop_iter; Other; Hammock; Proc_ft ]
+
 let test_all_workloads_simulate () =
   (* run under the engine's self-check so counter accounting is validated
      across every workload *)
@@ -294,11 +297,24 @@ let test_all_workloads_simulate () =
       List.iter
         (fun policy ->
           let m = simulate prep ~policy in
+          let what = w.Workload.name ^ " " ^ Pf_core.Policy.name policy in
           Alcotest.(check int)
-            (Printf.sprintf "%s %s retires the window" w.Workload.name
-               (Pf_core.Policy.name policy))
+            (what ^ " retires the window")
             base.Pf_uarch.Metrics.instructions
-            m.Pf_uarch.Metrics.instructions)
+            m.Pf_uarch.Metrics.instructions;
+          (* Metrics.spawns lists the categories that spawned, each once,
+             in one fixed order *)
+          let spawns = m.Pf_uarch.Metrics.spawns in
+          let cats = List.map fst spawns in
+          Alcotest.(check bool)
+            (what ^ " spawn categories in order")
+            true
+            (cats = List.filter (fun c -> List.mem c cats) spawn_order
+            && List.for_all (fun (_, n) -> n > 0) spawns);
+          Alcotest.(check int)
+            (what ^ " spawns sum to tasks spawned")
+            m.Pf_uarch.Metrics.tasks_spawned
+            (Pf_uarch.Metrics.total_spawns m))
         Pf_core.Policy.[ Postdoms; Adaptive ])
     all
 
