@@ -116,6 +116,7 @@ type prepare_row = {
   p_instructions : int;
   p_cold_s : float;
   p_warm_s : float;
+  p_warm_all_hits : bool; (* warm store: rounds + 1 hits, no miss/store *)
 }
 
 let prepare_speedup p = p.p_cold_s /. p.p_warm_s
@@ -149,12 +150,16 @@ let measure_prepare ~window_override (wl : Pf_workloads.Workload.t) =
         snd (B.time (fun () -> prep := prepare (Some warm_store))))
   in
   let instructions = Pf_trace.Tracer.length !prep.Run.trace in
+  let s = Pf_trace.Trace_store.stats warm_store in
   List.iter B.rm_rf dirs;
   { p_workload = wl.Pf_workloads.Workload.name;
     p_window = window;
     p_instructions = instructions;
     p_cold_s = best colds;
-    p_warm_s = best warms }
+    p_warm_s = best warms;
+    p_warm_all_hits =
+      s.Pf_trace.Trace_store.hits = prepare_rounds + 1
+      && s.misses = 0 && s.stores = 0 }
 
 let print_prepare_row p =
   Printf.printf
@@ -480,6 +485,8 @@ let run_smoke () =
   in
   let _, _, warm_speedup = prepare_totals prep_rows in
   check "warm prepare >= 3x cold via the trace store" (warm_speedup >= 3.0);
+  check "warm prepares are all trace-store hits"
+    (List.for_all (fun p -> p.p_warm_all_hits) prep_rows);
   (* the artifact round-trips through the JSON printer/parser *)
   let doc =
     document ~tool:"engine_bench --smoke" ~wall_s:0. ~rows ~prep_rows

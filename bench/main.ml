@@ -590,18 +590,12 @@ let loopnest_variant_table ctx =
     { ctx with names = loopnest_variant_names }
     (List.tl loopnest_policies)
 
-let run_loopnest () =
-  let t0 = Unix.gettimeofday () in
-  print_endline
-    "PolyFlow loop-nest family: DOACROSS speculation vs cross-iteration \
-     dependence distance";
-  (match window_override with
-  | Some w -> Printf.printf "(window override: %d instructions)\n" w
-  | None -> ());
-  let names = Loopnest.sweep_names @ loopnest_variant_names in
-  let specs = loopnest_specs ~window:window_override names in
-  Printf.printf "\nSweeping %d runs over %d loop nests (%d jobs)...\n%!"
-    (List.length specs) (List.length names) !jobs;
+(* The stores the four flags select: the content-addressed result cache
+   (docs/EXPERIMENTS.md), which replays an unchanged tree's simulations
+   while any engine or config change misses via the digest, and the
+   persistent trace store (docs/ENGINE.md), which reloads each workload's
+   prepared window instead of re-interpreting the fast-forward prefix. *)
+let stores () =
   let cache =
     if !no_cache then None
     else Some (Pf_report.Run_cache.create ~dir:!cache_dir ())
@@ -610,6 +604,34 @@ let run_loopnest () =
     if !no_trace_store then None
     else Some (Pf_trace.Trace_store.create ~dir:!trace_store_dir ())
   in
+  (cache, trace_store)
+
+let announce title =
+  print_endline title;
+  match window_override with
+  | Some w -> Printf.printf "(window override: %d instructions)\n" w
+  | None -> ()
+
+let finish ~t0 doc =
+  if !json_out <> "" then begin
+    Sweep.save !json_out doc;
+    Printf.printf "\nWrote %d runs to %s (schema %d); render with:\n  dune exec \
+                   bin/polyflow_sim.exe -- report %s\n"
+      (List.length doc.Sweep.runs) !json_out Pf_report.Manifest.schema_version
+      !json_out
+  end;
+  Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
+
+let run_loopnest () =
+  let t0 = Unix.gettimeofday () in
+  announce
+    "PolyFlow loop-nest family: DOACROSS speculation vs cross-iteration \
+     dependence distance";
+  let names = Loopnest.sweep_names @ loopnest_variant_names in
+  let specs = loopnest_specs ~window:window_override names in
+  Printf.printf "\nSweeping %d runs over %d loop nests (%d jobs)...\n%!"
+    (List.length specs) (List.length names) !jobs;
+  let cache, trace_store = stores () in
   let runs, _ = Sweep.execute ?cache ?trace_store ~jobs:!jobs specs in
   let doc =
     Sweep.document
@@ -621,14 +643,7 @@ let run_loopnest () =
   let ctx = ctx_of ~names doc in
   loopnest_distance_table ctx;
   loopnest_variant_table ctx;
-  if !json_out <> "" then begin
-    Sweep.save !json_out doc;
-    Printf.printf "\nWrote %d runs to %s (schema %d); render with:\n  dune exec \
-                   bin/polyflow_sim.exe -- report %s\n"
-      (List.length doc.Sweep.runs) !json_out Pf_report.Manifest.schema_version
-      !json_out
-  end;
-  Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t0)
+  finish ~t0 doc
 
 (* Smoke: the distance sweep at a reduced window, with the acceptance
    assertions behind the CI figure gate. Output is byte-deterministic
@@ -713,12 +728,9 @@ let run_loopnest_smoke () =
 
 let run_full () =
   let t_start = Unix.gettimeofday () in
-  print_endline
+  announce
     "PolyFlow reproduction: regenerating the evaluation of \"Exploiting \
      Postdominance for Speculative Parallelization\" (HPCA 2007)";
-  (match window_override with
-  | Some w -> Printf.printf "(window override: %d instructions)\n" w
-  | None -> ());
   let specs = full_specs () in
   Printf.printf "\nSweeping %d runs over %d workloads (%d jobs)...\n%!"
     (List.length specs)
@@ -729,20 +741,7 @@ let run_full () =
     if done_ = total then Printf.eprintf "\n";
     flush stderr
   in
-  (* content-addressed result cache (docs/EXPERIMENTS.md): repeat runs
-     of an unchanged tree replay their simulations from _cache/, and any
-     engine or config change misses automatically via the digest *)
-  let cache =
-    if !no_cache then None
-    else Some (Pf_report.Run_cache.create ~dir:!cache_dir ())
-  in
-  (* persistent trace store (docs/ENGINE.md): repeat sweeps reload each
-     workload's prepared window from _tstore/ instead of re-interpreting
-     the fast-forward prefix *)
-  let trace_store =
-    if !no_trace_store then None
-    else Some (Pf_trace.Trace_store.create ~dir:!trace_store_dir ())
-  in
+  let cache, trace_store = stores () in
   let stats = ref None in
   let runs, _ =
     Sweep.execute ~progress ?cache ?trace_store
@@ -805,14 +804,7 @@ let run_full () =
   ablations ctx;
   future_work ctx;
   if window_override = None then window_sensitivity ctx;
-  if !json_out <> "" then begin
-    Sweep.save !json_out doc;
-    Printf.printf "\nWrote %d runs to %s (schema %d); render with:\n  dune exec \
-                   bin/polyflow_sim.exe -- report %s\n"
-      (List.length doc.Sweep.runs) !json_out Pf_report.Manifest.schema_version
-      !json_out
-  end;
-  Printf.printf "\nTotal bench time: %.1f s\n" (Unix.gettimeofday () -. t_start)
+  finish ~t0:t_start doc
 
 let () =
   if !smoke then run_loopnest_smoke ()

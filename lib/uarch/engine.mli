@@ -51,8 +51,11 @@ type mode =
   | Self_checked
       (** [Fast], and every 64 cycles check the engine's running counts
           and queues against a recount of the pipeline state, the task
-          regions and the memory-dependence tracker; a mismatch raises
-          [Failure]. The fuzz oracles run every policy this way. *)
+          regions and the memory-dependence tracker, and check that every
+          issued instruction completes at least its flat latency (a load:
+          the L1D hit latency) after each producer it waited for. A
+          mismatch raises [Failure]. The fuzz oracles run every policy
+          this way. *)
   | Stepped
       (** one cycle at a time: the reference loop that
           [test/test_skip.ml] holds [Fast] against *)

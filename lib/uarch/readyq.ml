@@ -67,8 +67,6 @@ let sweep q f =
   q.len <- !w;
   q.lo <- 0
 
-let filter = sweep
-
 let iter q f =
   for r = 0 to q.len - 1 do
     f q.a.(r)

@@ -47,10 +47,6 @@ val insert : t -> before:(int -> int -> bool) -> int -> unit
     way). An exception escaping [f] leaves [q] unusable. *)
 val sweep : t -> (int -> bool) -> unit
 
-(** Same contract as {!sweep}; alias used where the intent is pruning
-    stale entries rather than a per-cycle visit. *)
-val filter : t -> (int -> bool) -> unit
-
 (** [iter q f] applies [f] to every element in queue order. *)
 val iter : t -> (int -> unit) -> unit
 

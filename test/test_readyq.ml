@@ -32,11 +32,11 @@ let test_add_sorted_sorts () =
 let test_filter_keeps_fifo_order () =
   let q = Readyq.create () in
   List.iter (Readyq.push q) [ 7; 2; 9; 4; 11; 6 ];
-  Readyq.filter q (fun i -> i mod 2 = 1);
+  Readyq.sweep q (fun i -> i mod 2 = 1);
   Alcotest.(check (list int)) "odd survivors, original order" [ 7; 9; 11 ]
     (contents q);
   (* a second compaction composes *)
-  Readyq.filter q (fun i -> i > 7);
+  Readyq.sweep q (fun i -> i > 7);
   Alcotest.(check (list int)) "composed" [ 9; 11 ] (contents q)
 
 let test_sweep_consumes_prefix () =
@@ -130,7 +130,7 @@ let run_ops ~insert ~model_insert ops =
           insert q n;
           model := model_insert !model n
       | Keep_if (k, r) ->
-          Readyq.filter q (keep (k, r));
+          Readyq.sweep q (keep (k, r));
           model := List.filter (keep (k, r)) !model
       | Clear_all ->
           Readyq.clear q;
@@ -164,7 +164,7 @@ let prop_length_agrees =
       List.iter
         (function
           | Add n -> Readyq.add_sorted q n
-          | Keep_if (k, r) -> Readyq.filter q (keep (k, r))
+          | Keep_if (k, r) -> Readyq.sweep q (keep (k, r))
           | Clear_all -> Readyq.clear q)
         ops;
       Readyq.length q = List.length (contents q))
