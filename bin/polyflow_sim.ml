@@ -17,19 +17,18 @@
      polyflow_sim spawns -w perlbmk
      polyflow_sim cfg -w twolf --proc new_dbox_a --dot *)
 
+(* the message for a spec [Sweep.resolve] refuses *)
+let resolve_error name = function
+  | Pf_report.Sweep.Unknown_workload ->
+      Printf.sprintf "unknown workload %S (try `list')" name
+  | Pf_report.Sweep.Bad_config msg -> msg
+  | Pf_report.Sweep.Non_positive_window n ->
+      Printf.sprintf "--window must be positive (got %d)" n
+
 let with_workload name f =
   match Pf_workloads.Suite.find name with
   | Some w -> f w
-  | None ->
-      `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
-
-let prepare ?store ?window (w : Pf_workloads.Workload.t) =
-  let window =
-    match window with Some n -> n | None -> w.Pf_workloads.Workload.window
-  in
-  Pf_uarch.Run.prepare ?store w.Pf_workloads.Workload.program
-    ~setup:w.Pf_workloads.Workload.setup
-    ~fast_forward:w.Pf_workloads.Workload.fast_forward ~window
+  | None -> `Error (false, resolve_error name Pf_report.Sweep.Unknown_workload)
 
 (* ---- run ---- *)
 
@@ -56,27 +55,26 @@ let run_cmd name policy_str all_policies window trace_store_dir
   | _ when all_policies && chrome_out <> None ->
       `Error (false, "--chrome-trace records one run; drop --all-policies")
   | Error m, _ -> `Error (false, m)
-  | _, Error Pf_report.Sweep.Unknown_workload ->
-      `Error (false, Printf.sprintf "unknown workload %S (try `list')" name)
-  | _, Error (Pf_report.Sweep.Bad_config msg) -> `Error (false, msg)
-  | _, Error (Pf_report.Sweep.Non_positive_window n) ->
-      `Error (false, Printf.sprintf "--window must be positive (got %d)" n)
+  | _, Error e -> `Error (false, resolve_error name e)
   | Ok policy, Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->
-      let store =
+      let trace_store =
         Option.map
           (fun dir -> Pf_trace.Trace_store.create ~dir ())
           trace_store_dir
       in
       let t_start = Unix.gettimeofday () in
-      let prep = prepare ?store ~window:r_window w in
-      let prepare_s = Unix.gettimeofday () -. t_start in
+      (* a fresh slot always prepares, so [built] is [Some] *)
+      let prep, built =
+        Pf_report.Sweep.acquire ?trace_store
+          (Pf_report.Sweep.window_slot w ~window:r_window)
+      in
       Format.printf
         "workload %s: %d instructions in window, %d static spawn points \
          (prepared in %.3f s, shared by every policy)@."
         name
         (Pf_trace.Tracer.length prep.Pf_uarch.Run.trace)
         (List.length prep.Pf_uarch.Run.all_spawns)
-        prepare_s;
+        (Option.value built ~default:0.);
       let records = ref [] in
       let run_one ?base ?(record_trace = false) policy =
         (* the workload and window resolved above, so this cannot fail *)
@@ -288,8 +286,15 @@ let callgraph_cmd workload_name =
 (* ---- limits ---- *)
 
 let limits_cmd workload_name window =
-  with_workload workload_name (fun w ->
-      let prep = prepare ?window w in
+  match
+    Pf_report.Sweep.resolve
+      (Pf_report.Sweep.spec ?window workload_name Pf_core.Policy.No_spawn)
+  with
+  | Error e -> `Error (false, resolve_error workload_name e)
+  | Ok { Pf_report.Sweep.r_workload = w; r_window; _ } ->
+      let prep, _ =
+        Pf_report.Sweep.acquire (Pf_report.Sweep.window_slot w ~window:r_window)
+      in
       let tr = prep.Pf_uarch.Run.trace in
       let sf = Pf_trace.Limits.single_flow_ipc tr in
       let df = Pf_trace.Limits.dataflow_ipc tr in
@@ -297,7 +302,7 @@ let limits_cmd workload_name window =
         "%s: single-flow limit %.2f IPC, control-independence oracle %.2f IPC \
          (%.1fx)@."
         w.Pf_workloads.Workload.name sf df (df /. sf);
-      `Ok ())
+      `Ok ()
 
 (* ---- cfg ---- *)
 

@@ -18,16 +18,6 @@ let error_code_name = function
   | Shutting_down -> "shutting_down"
   | Internal -> "internal"
 
-let error_code_of_name = function
-  | "parse_error" -> Some Parse_error
-  | "bad_request" -> Some Bad_request
-  | "unknown_workload" -> Some Unknown_workload
-  | "unknown_policy" -> Some Unknown_policy
-  | "timeout" -> Some Timeout
-  | "shutting_down" -> Some Shutting_down
-  | "internal" -> Some Internal
-  | _ -> None
-
 type run_request = {
   id : Json.t;
   workload : string;
@@ -184,53 +174,3 @@ let request_of_line line =
       match request_of_json j with
       | Ok r -> Ok r
       | Error msg -> Error (Bad_request, msg))
-
-let response_of_json j =
-  match j with
-  | Json.Obj _ -> (
-      let* status = str_field "status" j in
-      match status with
-      | Some "error" -> (
-          let* code = str_field "code" j in
-          let* message = str_field "message" j in
-          match Option.bind code error_code_of_name with
-          | Some code ->
-              Ok
-                (Error_reply
-                   { er_id = id_of j;
-                     code;
-                     message = Option.value message ~default:"" })
-          | None -> Error "error reply needs a known \"code\"")
-      | Some "ok" -> (
-          let* op = str_field "op" j in
-          match op with
-          | Some "run" -> (
-              let* digest = str_field "digest" j in
-              let* cached = bool_field "cached" j in
-              let* coalesced = bool_field "coalesced" j in
-              let wall_ms =
-                match field "wall_ms" j with
-                | Some (Json.Float f) -> f
-                | Some (Json.Int i) -> float_of_int i
-                | _ -> 0.
-              in
-              match (field "run" j, digest) with
-              | Some run, Some digest ->
-                  Ok
-                    (Run_reply
-                       { rr_id = id_of j;
-                         cached = Option.value cached ~default:false;
-                         coalesced = Option.value coalesced ~default:false;
-                         digest;
-                         wall_ms;
-                         run })
-              | _ -> Error "run reply needs \"run\" and \"digest\" fields")
-          | Some "stats" -> (
-              match field "stats" j with
-              | Some stats -> Ok (Stats_reply { sr_id = id_of j; stats })
-              | None -> Error "stats reply needs a \"stats\" field")
-          | Some "ping" -> Ok (Pong (id_of j))
-          | Some "shutdown" -> Ok (Shutdown_reply (id_of j))
-          | _ -> Error "ok reply needs a known \"op\"")
-      | _ -> Error "reply needs a \"status\" of \"ok\" or \"error\"")
-  | _ -> Error "reply must be a JSON object"

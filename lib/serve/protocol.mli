@@ -3,11 +3,12 @@
     Unix-domain socket (see docs/SERVING.md for the normative field
     tables).
 
-    Both directions are implemented here — the daemon decodes requests
-    and encodes responses; clients (the tests, pfbench) do the
-    reverse — so the codec round-trips by construction and the test
-    suite holds it to that. Request decoding never raises: malformed
-    input becomes an [Error] the server answers with an error reply. *)
+    The daemon decodes requests and encodes responses. Requests also
+    have an encoder, for clients that build them as values (the tests,
+    pfbench), and the test suite holds the request codec to round
+    trips; clients read a reply's JSON members directly, so responses
+    have no decoder. Request decoding never raises: malformed input
+    becomes an [Error] the server answers with an error reply. *)
 
 module Json = Pf_json.Json
 
@@ -23,7 +24,6 @@ type error_code =
   | Internal          (** simulation failed; message carries the details *)
 
 val error_code_name : error_code -> string
-val error_code_of_name : string -> error_code option
 
 (** One run request ([op = "run"]). [id] is echoed verbatim in the reply
     ([Null] when absent). [policy] defaults to ["postdoms"], [label] to
@@ -75,5 +75,3 @@ val request_of_json : Json.t -> (request, string) result
 (** Decode one request line. [Error] pairs the error code the server
     must answer with ([Parse_error] or [Bad_request]) with a message. *)
 val request_of_line : string -> (request, error_code * string) result
-
-val response_of_json : Json.t -> (response, string) result

@@ -7,8 +7,9 @@
      [run]: resolve the request ([Sweep.resolve]), try the cache, then
      either join an in-flight identical job or enqueue a fresh one and
      wait;
-   - worker domains loop over the job queue, sharing prepared windows
-     through the sweep's slots ([Sweep.acquire]) and keeping their
+   - worker domains pop one job at a time, take its prepared window
+     from the sweep's slot ([Sweep.acquire]), so same-window jobs on
+     any number of workers share one preparation, and keep their
      per-domain [Engine.Scratch] pools warm across requests (that reuse
      is why the pool is persistent domains rather than
      domain-per-request);
@@ -47,7 +48,6 @@ type t = {
   c_run_requests : Counters.counter;
   c_coalesced : Counters.counter;
   c_simulations : Counters.counter;
-  c_batched : Counters.counter;
   c_prep_builds : Counters.counter;
   c_prep_reuses : Counters.counter;
   c_timeouts : Counters.counter;
@@ -102,10 +102,8 @@ let resolve (r : Protocol.run_request) =
    immutable, so any number of worker domains may simulate from it
    concurrently (docs/ENGINE.md). *)
 
-let window_key (r : Sweep.resolved) = (r.r_spec.workload, r.r_window)
-
 let acquire_prep t (r : Sweep.resolved) =
-  let key = window_key r in
+  let key = (r.r_spec.workload, r.r_window) in
   let slot =
     Mutex.protect t.mutex (fun () ->
         if not (Hashtbl.mem t.slots key) then
@@ -129,77 +127,27 @@ let cache_find t ~no_cache (r : Sweep.resolved) =
   | Some c when not no_cache -> Sweep.cached c r
   | _ -> None
 
-let publish t job outcome =
-  Mutex.lock t.mutex;
-  job.j_outcome <- Some outcome;
-  Hashtbl.remove t.pending job.j_resolved.r_digest;
-  Mutex.unlock t.mutex
-
-(* ---- same-window groups ----
-
-   A worker drains every queued job that shares the popped job's
-   (workload, window) — up to [max_batch] — and answers them one after
-   another on the one shared prepared window. Each member is a plain
-   solo simulation, so replies and cache entries are exactly what a
-   lone request would get, and a member whose simulation fails answers
-   only its own job with the error. *)
-
-let max_batch = 8
-
-(* called with [t.mutex] held and the queue non-empty *)
-let pop_batch t =
-  let first = Queue.pop t.queue in
-  let key = window_key first.j_resolved in
-  let mates = ref [] in
-  let nmates = ref 0 in
-  let rest = Queue.create () in
-  Queue.iter
-    (fun job ->
-      if !nmates < max_batch - 1 && window_key job.j_resolved = key then begin
-        mates := job :: !mates;
-        incr nmates
-      end
-      else Queue.push job rest)
-    t.queue;
-  Queue.clear t.queue;
-  Queue.transfer rest t.queue;
-  first :: List.rev !mates
-
-let execute_batch t jobs =
-  (* an identical request may have stored a member's result while it
-     sat in the queue; serving it preserves byte-identity and skips
-     work *)
-  let misses =
-    List.filter
-      (fun job ->
-        match cache_find t ~no_cache:job.j_no_cache job.j_resolved with
-        | Some run ->
-            publish t job (Ok (run, true));
-            false
-        | None -> true)
-      jobs
+(* An identical request may have stored the job's result while it sat
+   in the queue; serving that preserves byte-identity and skips work.
+   Otherwise the job takes its window from the slot and simulates, and a
+   failure answers only this job. *)
+let execute t job =
+  let outcome =
+    match cache_find t ~no_cache:job.j_no_cache job.j_resolved with
+    | Some run -> Ok (run, true)
+    | None -> (
+        match
+          Sweep.simulate_run ?cache:t.cache job.j_resolved
+            (acquire_prep t job.j_resolved)
+        with
+        | run ->
+            Counters.incr t.c_simulations;
+            Ok (run, false)
+        | exception e -> Error (Protocol.Internal, Printexc.to_string e))
   in
-  let internal e = Error (Protocol.Internal, Printexc.to_string e) in
-  match misses with
-  | [] -> ()
-  | first :: _ -> (
-      match acquire_prep t first.j_resolved with
-      | exception e -> List.iter (fun job -> publish t job (internal e)) misses
-      | prep ->
-          let grouped = List.compare_length_with misses 1 > 0 in
-          let simulate job =
-            Sweep.simulate_run ?cache:t.cache job.j_resolved prep
-          in
-          List.iter
-            (fun job ->
-              publish t job
-                (match simulate job with
-                | run ->
-                    Counters.incr t.c_simulations;
-                    if grouped then Counters.incr t.c_batched;
-                    Ok (run, false)
-                | exception e -> internal e))
-            misses)
+  Mutex.protect t.mutex (fun () ->
+      job.j_outcome <- Some outcome;
+      Hashtbl.remove t.pending job.j_resolved.r_digest)
 
 let worker_loop t prewarm_windows () =
   List.iter
@@ -210,14 +158,13 @@ let worker_loop t prewarm_windows () =
     while Queue.is_empty t.queue && not t.stopping do
       Condition.wait t.work t.mutex
     done;
-    if Queue.is_empty t.queue then Mutex.unlock t.mutex
-      (* stopping, and the queue is drained *)
-    else begin
-      let batch = pop_batch t in
-      Mutex.unlock t.mutex;
-      execute_batch t batch;
-      loop ()
-    end
+    let job = Queue.take_opt t.queue in
+    Mutex.unlock t.mutex;
+    match job with
+    | None -> () (* stopping, and the queue is drained *)
+    | Some job ->
+        execute t job;
+        loop ()
   in
   loop ()
 
@@ -231,7 +178,6 @@ let create ?cache ?trace_store ?(prewarm_windows = []) ~jobs ~counters () =
       c_run_requests = Counters.make counters "run_requests";
       c_coalesced = Counters.make counters "coalesced_requests";
       c_simulations = Counters.make counters "simulations";
-      c_batched = Counters.make counters "batched_runs";
       c_prep_builds = Counters.make counters "prep_builds";
       c_prep_reuses = Counters.make counters "prep_reuses";
       c_timeouts = Counters.make counters "request_timeouts";

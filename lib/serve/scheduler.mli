@@ -26,13 +26,13 @@
     store loads its windows from disk instead of re-preparing them
     (byte-identical replies either way).
 
-    A worker popping a job also drains every other queued job for the
-    same (workload, window) — up to 8 — and simulates them one after
-    another on the one shared prepared window. Each member is a solo
-    simulation ({!Pf_report.Sweep.simulate_run}): its reply is what a
-    lone request would get, a member
-    whose simulation fails answers only its own request with the
-    error, and the group is counted by the [batched_runs] counter.
+    A worker pops one job at a time: it re-checks the cache, takes the
+    job's window from its slot and simulates it
+    ({!Pf_report.Sweep.simulate_run}), so the reply is what a lone
+    request would get and same-window jobs run on every free worker,
+    sharing the slot's one preparation. A job whose preparation or
+    simulation fails answers only the requests waiting on it, with an
+    [Internal] error.
 
     A scheduler is safe to call from any number of threads and domains
     concurrently; [polyflow_serve] calls {!run} from one systhread per
@@ -45,14 +45,12 @@ type t
     [prewarm_windows] pre-allocates each worker's scratch pool for
     those window sizes ({!Pf_uarch.Engine.prewarm_scratch}). The
     registry [counters] receives [run_requests],
-    [coalesced_requests], [simulations], [batched_runs] (successful
-    simulations that ran in a same-window group of two or more),
-    [prep_builds], [prep_reuses]
+    [coalesced_requests], [simulations], [prep_builds], [prep_reuses]
     and [request_timeouts] (plus the cache's and trace store's
     counters if they were created with the same registry); register
-    service-level counters
-    in it before any concurrent use — the registry itself is not
-    thread-safe to extend, only to increment and read.
+    service-level counters in it before any concurrent use — the
+    registry itself is not thread-safe to extend, only to increment
+    and read.
     @raise Invalid_argument if [jobs < 1]. *)
 val create :
   ?cache:Pf_report.Run_cache.t ->

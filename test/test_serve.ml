@@ -1,9 +1,11 @@
 (* Tests for pf_serve and the sharded LRU run cache underneath it:
-   protocol codec round trips and error paths, cache cold-start /
-   sharding / eviction-order behaviour, scheduler coalescing, no_cache,
-   a hit checked against its spec's workload and label, prep sharing
-   (also under concurrent first requests) and the deterministic timeout
-   path, and integration cases against a live server: the socket
+   request codec round trips and error paths, the response encoding,
+   cache cold-start / sharding / eviction-order behaviour, scheduler
+   coalescing, no_cache, a hit checked against its spec's workload and
+   label, prep sharing (also under concurrent first requests and across
+   both workers), a failing request answering only itself and the
+   deterministic timeout path, and integration cases against a live
+   server: the socket
    protocol, the request size limit, the refused [no_event_skip] member,
    concurrent clients checked byte for byte against a direct sweep,
    stopping after the socket file is gone, and shutdown followed by a
@@ -45,15 +47,16 @@ let all_codes =
     Protocol.Unknown_policy; Protocol.Timeout; Protocol.Shutting_down;
     Protocol.Internal ]
 
+(* the ["code"] names docs/SERVING.md documents, one per code *)
 let test_error_code_names () =
-  List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        (Protocol.error_code_name c) true
-        (Protocol.error_code_of_name (Protocol.error_code_name c) = Some c))
-    all_codes;
-  Alcotest.(check bool) "unknown name" true
-    (Protocol.error_code_of_name "nope" = None)
+  let names = List.map Protocol.error_code_name all_codes in
+  Alcotest.(check (list string))
+    "documented names"
+    [ "parse_error"; "bad_request"; "unknown_workload"; "unknown_policy";
+      "timeout"; "shutting_down"; "internal" ]
+    names;
+  Alcotest.(check int) "all distinct" (List.length all_codes)
+    (List.length (List.sort_uniq String.compare names))
 
 let req_roundtrips r =
   Protocol.request_of_json (Protocol.request_to_json r) = Ok r
@@ -181,10 +184,9 @@ let request_decoder_prop =
       let decoded = Protocol.request_of_line line in
       match intact with Some r -> decoded = Ok r | None -> true)
 
-let resp_roundtrips r =
-  Protocol.response_of_json (Protocol.response_to_json r) = Ok r
-
-let test_response_roundtrip () =
+(* Clients read a reply's members directly, so the encoder's bytes are
+   the contract: each reply form, with its id omitted when [Null]. *)
+let test_response_encoding () =
   let run_reply =
     Protocol.Run_reply
       { rr_id = Json.Int 1;
@@ -195,16 +197,19 @@ let test_response_roundtrip () =
         run = Json.Obj [ ("workload", Json.String "gzip") ] }
   in
   List.iter
-    (fun r ->
-      Alcotest.(check bool) "response round trip" true (resp_roundtrips r))
-    [ run_reply;
-      Protocol.Stats_reply { sr_id = Json.Null; stats = Json.Obj [] };
-      Protocol.Pong (Json.Int 3);
-      Protocol.Shutdown_reply Json.Null;
-      Protocol.Error_reply
-        { er_id = Json.Int 8;
-          code = Protocol.Timeout;
-          message = "too slow" } ]
+    (fun (r, line) ->
+      Alcotest.(check string) "response encoding" line
+        (Json.to_string (Protocol.response_to_json r)))
+    [ ( run_reply,
+        {|{"id":1,"status":"ok","op":"run","cached":true,"coalesced":false,"digest":"abc123","wall_ms":0.25,"run":{"workload":"gzip"}}|}
+      );
+      ( Protocol.Stats_reply { sr_id = Json.Null; stats = Json.Obj [] },
+        {|{"status":"ok","op":"stats","stats":{}}|} );
+      (Protocol.Pong (Json.Int 3), {|{"id":3,"status":"ok","op":"ping"}|});
+      (Protocol.Shutdown_reply Json.Null, {|{"status":"ok","op":"shutdown"}|});
+      ( Protocol.Error_reply
+          { er_id = Json.Int 8; code = Protocol.Timeout; message = "too slow" },
+        {|{"id":8,"status":"error","code":"timeout","message":"too slow"}|} ) ]
 
 (* ---- run cache: cold start, sharding, LRU ---- *)
 
@@ -360,6 +365,55 @@ let wait_gauges sched ready =
   in
   go 5_000
 
+(* [reqs] sent at once, each from a thread of its own: their replies, in
+   order *)
+let run_concurrently sched reqs =
+  let replies = Array.make (List.length reqs) None in
+  List.mapi
+    (fun i req ->
+      Thread.create (fun () -> replies.(i) <- Some (Scheduler.run sched req)) ())
+    reqs
+  |> List.iter Thread.join;
+  List.map Option.get (Array.to_list replies)
+
+(* Send [blockers] from threads of their own and wait until the workers
+   have popped them all (in flight, none queued), so requests sent next
+   queue behind them. The result joins the blockers and checks that each
+   was answered. *)
+let hold_workers sched blockers =
+  let replies = ref [] in
+  let th =
+    Thread.create (fun () -> replies := run_concurrently sched blockers) ()
+  in
+  wait_gauges sched (fun gauge ->
+      gauge "inflight" >= List.length blockers && gauge "queued" = 0);
+  fun () ->
+    Thread.join th;
+    List.iter
+      (function
+        | Protocol.Run_reply _ -> ()
+        | _ -> Alcotest.fail "blocker request did not complete")
+      !replies
+
+(* [replies] are fresh runs whose metrics and counters equal a solo
+   sweep of [specs], spec by spec *)
+let check_solo specs replies =
+  let direct, _ = Sweep.execute ~jobs:1 ~batch:1 specs in
+  List.iter2
+    (fun run reply ->
+      match reply with
+      | Protocol.Run_reply r ->
+          Alcotest.(check bool) "fresh" false r.Protocol.cached;
+          List.iter
+            (fun field ->
+              Alcotest.(check string)
+                (field ^ " equal a solo sweep")
+                (Json.to_string (Json.member field (Sweep.run_to_json run)))
+                (Json.to_string (Json.member field r.Protocol.run)))
+            [ "metrics"; "counters" ]
+      | _ -> Alcotest.failf "%s failed" run.Sweep.label)
+    direct replies
+
 let test_scheduler_resolution_errors () =
   with_scheduler (fun sched _ ->
       (match Scheduler.run sched (run_request "no-such" "postdoms") with
@@ -492,22 +546,15 @@ let test_scheduler_coalescing () =
   let cache = Run_cache.create ~dir:(temp_dir ()) () in
   with_scheduler ~cache ~jobs:2 (fun sched counters ->
       let req = run_request ~window:2_000 "twolf" "postdoms" in
-      let replies = Array.make 4 None in
-      let threads =
-        List.init 4 (fun i ->
-            Thread.create
-              (fun () -> replies.(i) <- Some (Scheduler.run sched req))
-              ())
-      in
-      List.iter Thread.join threads;
+      let replies = run_concurrently sched (List.init 4 (fun _ -> req)) in
       (* each concurrent identical request is the one that simulated, a
          coalesced joiner of the in-flight job, or a cache hit of the
          result it stored — never a second simulation *)
       let fresh, joined =
-        Array.fold_left
+        List.fold_left
           (fun (fresh, joined) r ->
             match r with
-            | Some (Protocol.Run_reply r) ->
+            | Protocol.Run_reply r ->
                 if r.Protocol.cached || r.Protocol.coalesced then
                   (fresh, joined + 1)
                 else (fresh + 1, joined)
@@ -521,13 +568,13 @@ let test_scheduler_coalescing () =
         (counter counters "run_requests");
       let bytes r =
         match r with
-        | Some (Protocol.Run_reply r) -> Json.to_string r.Protocol.run
+        | Protocol.Run_reply r -> Json.to_string r.Protocol.run
         | _ -> Alcotest.fail "concurrent run failed"
       in
-      Array.iter
+      List.iter
         (fun r ->
           Alcotest.(check string) "byte-identical payloads"
-            (bytes replies.(0)) (bytes r))
+            (bytes (List.hd replies)) (bytes r))
         replies)
 
 let test_scheduler_timeout () =
@@ -555,23 +602,15 @@ let test_scheduler_timeout () =
       | Some (Protocol.Run_reply _) -> ()
       | _ -> Alcotest.fail "slow request did not complete")
 
-let test_scheduler_group_failure_isolated () =
-  (* one worker, held by a slow blocker, so two fresh requests for one
-     (workload, window) queue behind it and are drained as one group.
-     One carries a config whose watchdog trips on the first cycle; its
-     failure must answer only its own request. *)
+(* One worker, held by a blocker, so two fresh requests for one
+   (workload, window) queue behind it. One carries a config whose
+   watchdog trips on the first cycle; its failure must answer only its
+   own request. *)
+let test_scheduler_failure_isolated () =
   with_scheduler ~jobs:1 (fun sched counters ->
-      let blocker = run_request ~window:200_000 "gzip" "superscalar" in
-      let blocker_reply = ref None in
-      let th =
-        Thread.create
-          (fun () -> blocker_reply := Some (Scheduler.run sched blocker))
-          ()
+      let join =
+        hold_workers sched [ run_request ~window:200_000 "gzip" "superscalar" ]
       in
-      (* wait until the worker has popped the blocker: in flight but no
-         longer queued *)
-      wait_gauges sched (fun gauge ->
-          gauge "inflight" >= 1 && gauge "queued" = 0);
       let watchdog_config =
         { Pf_uarch.Config.polyflow with Pf_uarch.Config.max_cycles_per_instr = 0 }
       in
@@ -583,57 +622,57 @@ let test_scheduler_group_failure_isolated () =
             Some (Pf_report.Codec.config_to_json watchdog_config) }
       in
       let good = run_request ~window:2_000 "gzip" "postdoms" in
-      let replies = [| None; None |] in
-      let threads =
-        List.mapi
-          (fun i req ->
-            Thread.create
-              (fun () -> replies.(i) <- Some (Scheduler.run sched req))
-              ())
-          [ bad; good ]
-      in
-      List.iter Thread.join threads;
-      Thread.join th;
-      (match !blocker_reply with
-      | Some (Protocol.Run_reply _) -> ()
-      | _ -> Alcotest.fail "blocker request did not complete");
-      (match replies.(0) with
-      | Some
-          (Protocol.Error_reply { code = Protocol.Internal; message; _ })
+      let replies = run_concurrently sched [ bad; good ] in
+      join ();
+      (match List.hd replies with
+      | Protocol.Error_reply { code = Protocol.Internal; message; _ }
         when Test_cfg.contains ~needle:"watchdog" message ->
           ()
       | _ -> Alcotest.fail "watchdog request did not get an internal error");
-      let direct =
-        match
-          Sweep.execute ~jobs:1 ~batch:1
-            [ Sweep.spec ~window:2_000 "gzip" Pf_core.Policy.Postdoms ]
-        with
-        | [ run ], _ -> Sweep.run_to_json run
-        | _ -> Alcotest.fail "direct sweep arity"
-      in
-      (match replies.(1) with
-      | Some (Protocol.Run_reply r) ->
-          Alcotest.(check bool) "group-mate fresh" false r.Protocol.cached;
-          List.iter
-            (fun field ->
-              Alcotest.(check string)
-                (field ^ " equal a solo sweep")
-                (Json.to_string (Json.member field direct))
-                (Json.to_string (Json.member field r.Protocol.run)))
-            [ "metrics"; "counters" ]
-      | _ -> Alcotest.fail "group-mate of the failing request failed");
-      Alcotest.(check int) "group-mate counted as batched" 1
-        (counter counters "batched_runs");
-      Alcotest.(check int) "blocker and group-mate simulated" 2
+      check_solo
+        [ Sweep.spec ~window:2_000 "gzip" Pf_core.Policy.Postdoms ]
+        (List.tl replies);
+      Alcotest.(check int) "blocker and the valid request simulated" 2
         (counter counters "simulations");
+      Alcotest.(check bool) "no batched_runs counter" false
+        (List.mem_assoc "batched_runs" (Counters.to_alist counters));
       match Scheduler.run sched (run_request ~window:2_000 "gzip" "superscalar") with
       | Protocol.Run_reply _ -> ()
       | _ -> Alcotest.fail "later request not answered")
 
+(* Two workers, each held by a blocker on a window of its own, and four
+   fresh requests for one gzip window under four policies queued behind
+   them. Each job is its own work item and acquires the window itself,
+   so the window is prepared once and reused three times, whichever
+   worker runs which job. *)
+let test_scheduler_same_window_every_worker () =
+  with_scheduler ~jobs:2 (fun sched counters ->
+      let join =
+        hold_workers sched
+          [ run_request ~window:200_000 "mcf" "superscalar";
+            run_request ~window:200_000 "twolf" "superscalar" ]
+      in
+      let policies = [ "superscalar"; "postdoms"; "rec_pred"; "dmt" ] in
+      let replies =
+        run_concurrently sched
+          (List.map (run_request ~window:2_000 "gzip") policies)
+      in
+      join ();
+      Alcotest.(check int) "prep_builds" 3 (counter counters "prep_builds");
+      Alcotest.(check int) "prep_reuses" 3 (counter counters "prep_reuses");
+      Alcotest.(check int) "simulations" 6 (counter counters "simulations");
+      check_solo
+        (List.map
+           (fun p ->
+             Sweep.spec ~window:2_000 "gzip"
+               (Result.get_ok (Pf_core.Policy.of_string p)))
+           policies)
+        replies)
+
 (* Twelve threads ask at once for twelve policies over one fresh gzip
-   window, on two workers. Twelve jobs are more than one group of 8, so
-   at least two groups acquire the window, usually on both workers at
-   once; it must still be prepared once, with one trace-store lookup. *)
+   window, on two workers. Each of the twelve jobs acquires the window
+   itself, usually on both workers at once; it must still be prepared
+   once, with one trace-store lookup. *)
 let test_scheduler_concurrent_first_requests () =
   let dir = temp_dir () in
   let cache_dir = Filename.concat dir "cache" in
@@ -646,17 +685,12 @@ let test_scheduler_concurrent_first_requests () =
       "loop"; "loopFT"; "procFT"; "hammock"; "other"; "loop+loopFT" ]
   in
   with_scheduler ~cache ~trace_store ~jobs:2 (fun sched counters ->
-      let replies = Array.make (List.length policies) None in
-      List.mapi
-        (fun i policy ->
-          Thread.create
-            (fun () ->
-              replies.(i) <-
-                Some (Scheduler.run sched (run_request ~window:2_000 "gzip" policy)))
-            ())
-        policies
-      |> List.iter Thread.join;
+      let replies =
+        run_concurrently sched
+          (List.map (run_request ~window:2_000 "gzip") policies)
+      in
       Alcotest.(check int) "one preparation" 1 (counter counters "prep_builds");
+      Alcotest.(check int) "eleven reuses" 11 (counter counters "prep_reuses");
       let ts = Pf_trace.Trace_store.stats trace_store in
       Alcotest.(check int) "one trace-store lookup" 1
         (ts.Pf_trace.Trace_store.hits + ts.Pf_trace.Trace_store.misses);
@@ -676,15 +710,15 @@ let test_scheduler_concurrent_first_requests () =
              policies)
       in
       Alcotest.(check int) "the sweep replays all twelve" 12 !cached;
-      List.iteri
-        (fun i run ->
-          match replies.(i) with
-          | Some (Protocol.Run_reply r) ->
+      List.iter2
+        (fun run reply ->
+          match reply with
+          | Protocol.Run_reply r ->
               Alcotest.(check string) "reply equals the sweep's replay"
                 (Json.to_string r.Protocol.run)
                 (Json.to_string (Sweep.run_to_json run))
           | _ -> Alcotest.fail "concurrent first request failed")
-        direct)
+        direct replies)
 
 (* ---- server integration over a real socket ---- *)
 
@@ -1002,7 +1036,7 @@ let suite =
         case "request defaults" test_request_defaults;
         case "request error paths" test_request_errors;
         Prop.to_alcotest request_decoder_prop;
-        case "response round trip" test_response_roundtrip ] );
+        case "response encoding" test_response_encoding ] );
     ( "serve.cache",
       [ case "cold start creates parents" test_cache_cold_start_creates_parents;
         case "digest-prefix sharding" test_cache_sharding;
@@ -1016,8 +1050,10 @@ let suite =
           test_scheduler_checks_hit_identity;
         case "concurrent identical requests coalesce" test_scheduler_coalescing;
         case "queued request times out" test_scheduler_timeout;
-        case "a failing group member hurts only itself"
-          test_scheduler_group_failure_isolated;
+        case "a failing request hurts only itself"
+          test_scheduler_failure_isolated;
+        case "same-window requests run on every worker"
+          test_scheduler_same_window_every_worker;
         case "concurrent first requests prepare a window once"
           test_scheduler_concurrent_first_requests ] );
     ( "serve.server",
