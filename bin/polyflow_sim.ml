@@ -2,7 +2,7 @@
 
    Subcommands:
      run        simulate a workload under one or all spawn policies
-     report     render tables from a saved BENCH_*.json report document
+     report     render the paper's tables from a saved BENCH_*.json document
      list       list the available workloads
      disasm     disassemble a workload binary
      spawns     show classified spawn points and Figure-5 statistics
@@ -180,11 +180,6 @@ let run_cmd name policy_str all_policies window trace_store_dir
 
 (* ---- report ---- *)
 
-let label_set (doc : Pf_report.Sweep.t) =
-  List.sort_uniq compare
-    (List.map (fun (r : Pf_report.Sweep.run) -> r.Pf_report.Sweep.label)
-       doc.Pf_report.Sweep.runs)
-
 let report_cmd path csv_out =
   match Pf_report.Sweep.load path with
   | exception Sys_error m -> `Error (false, m)
@@ -193,41 +188,23 @@ let report_cmd path csv_out =
   | exception Pf_json.Json.Decode_error m ->
       `Error (false, Printf.sprintf "%s: not a report document: %s" path m)
   | doc ->
+      let module Table = Pf_report.Table in
       let out = Format.std_formatter in
       Format.fprintf out "%s: %a@." path Pf_report.Manifest.pp
         doc.Pf_report.Sweep.manifest;
-      let workloads = Pf_report.Table.workloads doc in
-      let labels = label_set doc in
-      Format.fprintf out "%d runs · %d workloads · %d labels@.@."
+      let labels = Table.labels doc in
+      Format.fprintf out "%d runs · %d workloads · %d labels@."
         (List.length doc.Pf_report.Sweep.runs)
-        (List.length workloads) (List.length labels);
-      let have label = List.mem label labels in
-      let figure title policies =
-        let wanted = List.map Pf_core.Policy.name policies in
-        if List.for_all have wanted
-           && List.exists (fun l -> l <> Pf_report.Table.baseline_label) wanted
-        then begin
-          Format.fprintf out "%s@." title;
-          Pf_report.Table.print_speedup_table ~out ~workloads ~labels:wanted doc;
-          Format.fprintf out "@."
-        end
-      in
-      if have Pf_report.Table.baseline_label then begin
-        figure
-          "Figure 9: Individual heuristic policies (speedup over the \
-           superscalar)"
-          Pf_core.Policy.figure9_policies;
-        figure "Figure 10: Combinations of heuristics"
-          Pf_core.Policy.figure10_policies;
-        figure "Figure 12: Reconvergence-predictor spawning"
-          Pf_core.Policy.figure12_policies;
-        Format.fprintf out "All labels, average speedup over the superscalar:@.";
-        Pf_report.Table.print_average_table ~out doc
+        (List.length (Table.workloads doc))
+        (List.length labels);
+      Pf_report.Figures.print out doc;
+      if List.mem Table.baseline_label labels then begin
+        Format.fprintf out "@.All labels, average speedup over the superscalar:@.";
+        Table.print_average_table ~out doc
       end
       else
-        Format.fprintf out
-          "(no %S runs in the document — speedup tables unavailable)@."
-          Pf_report.Table.baseline_label;
+        Format.fprintf out "@.(no %S runs in the document — average table unavailable)@."
+          Table.baseline_label;
       (match csv_out with
       | Some csv_path ->
           let oc = open_out csv_path in
@@ -450,7 +427,7 @@ let report_c =
   in
   Cmd.v
     (Cmd.info "report"
-       ~doc:"Render Figure-9/10/12-style tables from a saved report document")
+       ~doc:"Render the paper's tables from a saved report document")
     Term.(ret (const report_cmd $ file_t $ csv_t))
 
 let list_c =

@@ -37,15 +37,3 @@ let compute g pdom =
 
 let dependents t a = t.dependents.(a)
 let controllers t x = t.controllers.(x)
-
-let edges t =
-  let acc = ref [] in
-  Array.iteri
-    (fun a deps -> List.iter (fun x -> acc := (a, x) :: !acc) deps)
-    t.dependents;
-  List.sort compare !acc
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>control dependence graph@,";
-  List.iter (fun (a, x) -> Format.fprintf ppf "  %d controls %d@," a x) (edges t);
-  Format.fprintf ppf "@]"

@@ -15,8 +15,3 @@ val dependents : t -> int -> int list
 
 (** Blocks that [x] is control dependent on (deduplicated, ascending). *)
 val controllers : t -> int -> int list
-
-(** All edges [(controller, dependent)] of the CDG. *)
-val edges : t -> (int * int) list
-
-val pp : Format.formatter -> t -> unit

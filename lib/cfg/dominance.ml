@@ -93,10 +93,3 @@ let is_ancestor t a b =
 let strictly_dominates t a b = a <> b && is_ancestor t a b
 
 let depth t b = if t.in_tree.(b) then Some t.depth_.(b) else None
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>tree rooted at %d@," t.root;
-  Array.iteri
-    (fun b d -> if d >= 0 then Format.fprintf ppf "  parent(%d) = %d@," b d)
-    t.idom;
-  Format.fprintf ppf "@]"

@@ -40,5 +40,3 @@ val strictly_dominates : t -> int -> int -> bool
 (** Depth of a block below the root; root has depth 0. [None] if the block
     is not in the tree. *)
 val depth : t -> int -> int option
-
-val pp : Format.formatter -> t -> unit

@@ -9,24 +9,3 @@ let cfg ?(label = default_label) ppf g =
     List.iter (fun s -> Format.fprintf ppf "  n%d -> n%d;@," b s) (Cfg.succs g b)
   done;
   Format.fprintf ppf "}@]"
-
-let tree ?(label = default_label) ppf t n =
-  Format.fprintf ppf "@[<v>digraph tree {@,";
-  for b = 0 to n - 1 do
-    match Dominance.parent t b with
-    | Some p ->
-        node ppf label b;
-        Format.fprintf ppf "  n%d -> n%d;@," p b
-    | None -> if b = Dominance.root t then node ppf label b
-  done;
-  Format.fprintf ppf "}@]"
-
-let cdg ?(label = default_label) ppf cd n =
-  Format.fprintf ppf "@[<v>digraph cdg {@,";
-  for b = 0 to n - 1 do
-    node ppf label b
-  done;
-  List.iter
-    (fun (a, x) -> Format.fprintf ppf "  n%d -> n%d;@," a x)
-    (Control_dep.edges cd);
-  Format.fprintf ppf "}@]"

@@ -1,10 +1,4 @@
-(** Graphviz export for control flow graphs and derived trees. *)
+(** Graphviz export for control flow graphs. *)
 
 (** [cfg ?label ppf g] prints [g] in dot syntax; [label] names blocks. *)
 val cfg : ?label:(int -> string) -> Format.formatter -> Cfg.t -> unit
-
-(** [tree ?label ppf t n] prints the (post)dominator tree over [n] blocks. *)
-val tree : ?label:(int -> string) -> Format.formatter -> Dominance.t -> int -> unit
-
-(** [cdg ?label ppf cd n] prints the control dependence graph. *)
-val cdg : ?label:(int -> string) -> Format.formatter -> Control_dep.t -> int -> unit

@@ -110,20 +110,3 @@ let innermost t b = t.innermost_of.(b)
 let headed_by t h = Hashtbl.find_opt t.by_header h
 let depth_of t b = match t.innermost_of.(b) with Some l -> l.depth | None -> 0
 let in_loop l b = List.mem b l.body
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%d loops@," (List.length t.all);
-  List.iter
-    (fun l ->
-      Format.fprintf ppf "  header %d depth %d body [%a] latches [%a]@," l.header
-        l.depth
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-           Format.pp_print_int)
-        l.body
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-           Format.pp_print_int)
-        l.latches)
-    t.all;
-  Format.fprintf ppf "@]"

@@ -33,5 +33,3 @@ val depth_of : t -> int -> int
 
 (** [in_loop t l b] tests membership of [b] in [l]'s body. *)
 val in_loop : loop -> int -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -8,12 +8,7 @@ type level = Bypass | Conservative | Optimistic
 
 let level_code = function Bypass -> 0 | Conservative -> 1 | Optimistic -> 2
 
-type t = {
-  levels : (int, level) Hashtbl.t; (* spawn at_pc -> level *)
-  mutable bypass : int;
-  mutable conservative : int;
-  mutable optimistic : int;
-}
+type t = (int, level) Hashtbl.t (* spawn at_pc -> level *)
 
 (* How much of the region the filter reads. Spawned tasks are bounded
    by the next spawn and by max_spawn_distance anyway; 64 static
@@ -51,10 +46,7 @@ let classify_region program ~target_pc ~store_pct ~branch_pct ~serial_ops =
   end
 
 let of_spawns program spawns ~store_pct ~branch_pct ~serial_ops =
-  let t =
-    { levels = Hashtbl.create 64; bypass = 0; conservative = 0;
-      optimistic = 0 }
-  in
+  let t = Hashtbl.create 64 in
   List.iter
     (fun (sp : Spawn_point.t) ->
       let lvl =
@@ -64,29 +56,17 @@ let of_spawns program spawns ~store_pct ~branch_pct ~serial_ops =
       (* several spawn points can share an at_pc (the hint cache keys
          on it); keep the most conservative verdict *)
       let lvl =
-        match Hashtbl.find_opt t.levels sp.Spawn_point.at_pc with
+        match Hashtbl.find_opt t sp.Spawn_point.at_pc with
         | Some prev when level_code prev < level_code lvl -> prev
         | _ -> lvl
       in
-      Hashtbl.replace t.levels sp.Spawn_point.at_pc lvl)
+      Hashtbl.replace t sp.Spawn_point.at_pc lvl)
     spawns;
-  Hashtbl.iter
-    (fun _ lvl ->
-      match lvl with
-      | Bypass -> t.bypass <- t.bypass + 1
-      | Conservative -> t.conservative <- t.conservative + 1
-      | Optimistic -> t.optimistic <- t.optimistic + 1)
-    t.levels;
   t
 
 let level t ~at_pc =
-  match Hashtbl.find_opt t.levels at_pc with
+  match Hashtbl.find_opt t at_pc with
   | Some lvl -> lvl
   | None -> Optimistic
 
 let code t ~at_pc = level_code (level t ~at_pc)
-let counts t = (t.bypass, t.conservative, t.optimistic)
-
-let pp ppf t =
-  Format.fprintf ppf "bypass %d, conservative %d, optimistic %d" t.bypass
-    t.conservative t.optimistic

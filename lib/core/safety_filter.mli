@@ -41,8 +41,3 @@ val level : t -> at_pc:int -> level
 
 (** {!level} as a dense code: Bypass 0, Conservative 1, Optimistic 2. *)
 val code : t -> at_pc:int -> int
-
-(** (bypass, conservative, optimistic) spawn-point counts. *)
-val counts : t -> int * int * int
-
-val pp : Format.formatter -> t -> unit

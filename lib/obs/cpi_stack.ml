@@ -82,31 +82,3 @@ let pp fmt t =
     (fun c -> Format.fprintf fmt " %*.1f" w (100.0 *. float c /. float tot))
     agg;
   Format.fprintf fmt " %*d@," w (sum agg)
-
-let to_json t =
-  let open Pf_json.Json in
-  Obj
-    [ ("reasons",
-       List (List.init Sink.n_reasons (fun r -> String (Sink.reason_name r))));
-      ("slots",
-       List
-         (List.init t.slots (fun s ->
-              List
-                (Array.to_list (Array.map (fun c -> Int c) t.rows.(s)))))) ]
-
-let of_json j =
-  let open Pf_json.Json in
-  let names = List.map to_str (to_list (member "reasons" j)) in
-  if names <> List.init Sink.n_reasons Sink.reason_name then
-    raise (Decode_error "cpi_stack: reason-name mismatch");
-  let rows =
-    List.map
-      (fun row ->
-        let counts = Array.of_list (List.map to_int (to_list row)) in
-        if Array.length counts <> Sink.n_reasons then
-          raise (Decode_error "cpi_stack: bad row width");
-        counts)
-      (to_list (member "slots" j))
-  in
-  let rows = Array.of_list rows in
-  { rows; slots = Array.length rows }

@@ -44,11 +44,3 @@ val pp : Format.formatter -> t -> unit
     table headers; {!Sink.reason_name} has the schema names.
     @raise Invalid_argument on an out-of-range code. *)
 val short_name : int -> string
-
-(** Schema record: [{"reasons": [names...], "slots": [[counts...]...]}],
-    counts in reason-code order. *)
-val to_json : t -> Pf_json.Json.t
-
-(** Inverse of {!to_json}; the reason names must match this build's.
-    @raise Pf_json.Json.Decode_error on shape or name mismatches. *)
-val of_json : Pf_json.Json.t -> t

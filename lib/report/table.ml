@@ -49,14 +49,15 @@ let average_speedup t ~label =
       Some (List.fold_left ( +. ) 0. values /. float_of_int (List.length values))
 
 let print_speedup_table ~out ~workloads:wls ~labels:lbls t =
-  let cw =
-    List.fold_left (fun acc l -> max acc (String.length l)) 9 lbls
+  let longest init names =
+    List.fold_left (fun acc n -> max acc (String.length n)) init names
   in
+  let nw = longest 9 wls + 1 and cw = longest 9 lbls in
   let ipc_tag = "   (SS IPC)" in
-  Format.fprintf out "%-10s" "benchmark";
+  Format.fprintf out "%-*s" nw "benchmark";
   List.iter (fun l -> Format.fprintf out " %*s" cw l) lbls;
   Format.fprintf out "%s\n" ipc_tag;
-  let width = 10 + (List.length lbls * (cw + 1)) + String.length ipc_tag in
+  let width = nw + (List.length lbls * (cw + 1)) + String.length ipc_tag in
   Format.fprintf out "%s\n" (String.make width '-');
   let cell workload label =
     match find_run t ~workload ~label with
@@ -65,7 +66,7 @@ let print_speedup_table ~out ~workloads:wls ~labels:lbls t =
   in
   List.iter
     (fun workload ->
-      Format.fprintf out "%-10s" workload;
+      Format.fprintf out "%-*s" nw workload;
       List.iter (cell workload) lbls;
       (match find_run t ~workload ~label:baseline_label with
       | Some b ->
@@ -74,7 +75,7 @@ let print_speedup_table ~out ~workloads:wls ~labels:lbls t =
       Format.fprintf out "\n")
     wls;
   Format.fprintf out "%s\n" (String.make width '-');
-  Format.fprintf out "%-10s" "Average";
+  Format.fprintf out "%-*s" nw "Average";
   List.iter
     (fun label ->
       match average_speedup t ~label with

@@ -1,9 +1,12 @@
 (** Speedup and aggregate tables computed from report documents.
 
-    The bench harness and the [polyflow_sim report] subcommand both
-    render through this module, so a table regenerated from a saved
-    [BENCH_*.json] is byte-identical to the one the producing run
-    printed — which is what makes the artifacts diffable across PRs. *)
+    {!Figures.print} lays out every paper table through this module,
+    for the bench harness and for [polyflow_sim report] alike, so
+    [report] re-renders every table a saved [BENCH_*.json] holds byte
+    for byte as the producing run printed it — which is what makes the
+    artifacts diffable across commits. Figures 5 and 8, the limit study
+    and the CPI stacks stay in the bench's output only, because they
+    read the build or re-prepare windows. *)
 
 (** The label of the superscalar baseline run (["superscalar"]). *)
 val baseline_label : string
@@ -24,12 +27,13 @@ val speedup_pct : Sweep.t -> Sweep.run -> float
     [None] if no workload does. *)
 val average_speedup : Sweep.t -> label:string -> float option
 
-(** [print_speedup_table t ~workloads ~labels] — the Figure-9/10/12
+(** [print_speedup_table t ~workloads ~labels] — the Figure 9/10/12
     layout: one row per workload, one [+x.y%] column per label, the
     baseline IPC in a trailing column, and an Average row. Cells whose
-    run is missing from the document print as [-]. Column width adapts
-    to the longest label, so wide counters and long variant labels stay
-    aligned. *)
+    run is missing from the document print as [-]. Label columns are as
+    wide as the longest label, and the benchmark column one wider than
+    the longest workload name (never under 10), so long variant labels
+    and loop-nest names stay aligned. *)
 val print_speedup_table :
   out:Format.formatter ->
   workloads:string list ->

@@ -130,7 +130,9 @@ let cache_find t ~no_cache (r : Sweep.resolved) =
 (* An identical request may have stored the job's result while it sat
    in the queue; serving that preserves byte-identity and skips work.
    Otherwise the job takes its window from the slot and simulates, and a
-   failure answers only this job. *)
+   failure answers only this job. A later [no_cache] job for the same
+   digest replaces the pending entry, so a finishing job removes the
+   entry only while it is still its own. *)
 let execute t job =
   let outcome =
     match cache_find t ~no_cache:job.j_no_cache job.j_resolved with
@@ -145,9 +147,12 @@ let execute t job =
             Ok (run, false)
         | exception e -> Error (Protocol.Internal, Printexc.to_string e))
   in
+  let digest = job.j_resolved.r_digest in
   Mutex.protect t.mutex (fun () ->
       job.j_outcome <- Some outcome;
-      Hashtbl.remove t.pending job.j_resolved.r_digest)
+      match Hashtbl.find_opt t.pending digest with
+      | Some j when j == job -> Hashtbl.remove t.pending digest
+      | _ -> ())
 
 let worker_loop t prewarm_windows () =
   List.iter

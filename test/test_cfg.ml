@@ -436,13 +436,7 @@ let test_dot_outputs () =
   let g = fig1 () in
   let cfg_text = Format.asprintf "%a" (Dot.cfg ~label:(fun b -> names.(b))) g in
   Alcotest.(check bool) "digraph" true (contains ~needle:"digraph cfg" cfg_text);
-  Alcotest.(check bool) "edge B->C present" true (contains ~needle:"n1 -> n2" cfg_text);
-  let pdom = Dominance.postdominators g in
-  let tree_text = Format.asprintf "%a" (fun ppf t -> Dot.tree ppf t 7) pdom in
-  Alcotest.(check bool) "tree edge E->B" true (contains ~needle:"n4 -> n1" tree_text);
-  let cd = Control_dep.compute g pdom in
-  let cdg_text = Format.asprintf "%a" (fun ppf c -> Dot.cdg ppf c 7) cd in
-  Alcotest.(check bool) "cdg edge F->A" true (contains ~needle:"n5 -> n0" cdg_text)
+  Alcotest.(check bool) "edge B->C present" true (contains ~needle:"n1 -> n2" cfg_text)
 
 let case name f = Alcotest.test_case name `Quick f
 

@@ -82,13 +82,6 @@ let test_cpi_rows_sum_to_cycles () =
         (Cpi_stack.total o.cpi)
         (Array.fold_left ( + ) 0 agg))
 
-let test_cpi_json_round_trip () =
-  iter_cases (fun name o ->
-      let j = Cpi_stack.to_json o.cpi in
-      let back = Cpi_stack.of_json (Json.of_string (Json.to_string j)) in
-      Alcotest.(check bool) (name ^ ": cpi json round-trip") true
-        (Cpi_stack.to_json back = j))
-
 let test_chrome_span_per_task () =
   iter_cases (fun name o ->
       (* the initial task plus every spawned task gets exactly one span *)
@@ -195,7 +188,6 @@ let suite =
   [ ( "obs",
       [ case "sink parity: metrics unchanged" test_sink_parity;
         case "cpi rows sum to cycles" test_cpi_rows_sum_to_cycles;
-        case "cpi json round-trip" test_cpi_json_round_trip;
         case "chrome: one span per task" test_chrome_span_per_task;
         case "chrome: trace event shape" test_chrome_trace_shape;
         case "counters agree with metrics" test_counters_match_metrics;

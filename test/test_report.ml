@@ -989,6 +989,139 @@ let test_cache_corruption_ignored () =
   | [ _ ], n -> Alcotest.(check int) "the repaired entry hits" 0 n
   | _ -> Alcotest.fail "one run expected"
 
+(* ---- the paper's tables (Table, Figures) ---- *)
+
+(* a run per spec, built by hand: each with its own cycle count, so no
+   speedup is degenerate *)
+let fixture_doc specs =
+  Sweep.document ~tool:"test" ~jobs:1 ~wall_s:0.
+    (List.mapi
+       (fun i (s : Sweep.spec) ->
+         { sample_run with
+           Sweep.workload = s.Sweep.workload;
+           label = s.Sweep.label;
+           metrics =
+             { sample_run.Sweep.metrics with Metrics.cycles = 1_000 + i } })
+       specs)
+
+let render print =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  print ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+(* the column at which the first occurrence of [needle] in [s] ends *)
+let end_of ~needle s =
+  let n = String.length needle in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in %S" needle s
+    else if String.sub s i n = needle then i + n
+    else go (i + 1)
+  in
+  go 0
+
+(* The benchmark column is as wide as the longest workload name plus
+   one, and never narrower than the 10 characters the SPEC tables have
+   always used: every row's first cell ends where the header's first
+   label does. *)
+let test_table_column_fits_names () =
+  let first_cells workloads =
+    let labels = [ "superscalar"; "postdoms" ] in
+    let doc =
+      fixture_doc
+        (List.concat_map
+           (fun w ->
+             List.map
+               (fun label -> Sweep.spec w Pf_core.Policy.Postdoms ~label)
+               labels)
+           workloads)
+    in
+    let out =
+      render (fun out ->
+          Table.print_speedup_table ~out ~workloads ~labels:[ "postdoms" ] doc)
+    in
+    match String.split_on_char '\n' out with
+    | header :: rest ->
+        let rows = List.filter (fun l -> l <> "" && l.[0] <> '-') rest in
+        Alcotest.(check int) "a row per workload and the average"
+          (List.length workloads + 1) (List.length rows);
+        ( end_of ~needle:"postdoms" header,
+          List.map (fun row -> end_of ~needle:"%" row) rows )
+    | [] -> Alcotest.fail "no table"
+  in
+  let check workloads expected =
+    let header, rows = first_cells workloads in
+    List.iter (Alcotest.(check int) "a row's first cell" header) rows;
+    Alcotest.(check int) "the header's first label" expected header
+  in
+  check [ "gzip"; "vpr.place" ] 20;
+  check [ "loopnest.d2.strided.n1"; "gzip" ] 33
+
+let paper_titles =
+  [ "Figure 9: "; "Figure 10: "; "Figure 11: "; "Figure 12: "; "Related work ";
+    "Extension: "; "Sources of speedup: "; "Design ablations: "; "Future work " ]
+
+(* the title of every section [Figures.print] printed, in order *)
+let titles doc =
+  let bar = String.make 98 '=' in
+  let rec go = function
+    | b :: title :: b' :: rest when b = bar && b' = bar -> title :: go rest
+    | _ :: rest -> go rest
+    | [] -> []
+  in
+  go (String.split_on_char '\n' (render (fun ppf -> Figures.print ppf doc)))
+
+let check_titles what expected doc =
+  let got = titles doc in
+  Alcotest.(check int) (what ^ ": sections printed") (List.length expected)
+    (List.length got);
+  List.iter2
+    (fun prefix title ->
+      if not (String.starts_with ~prefix title) then
+        Alcotest.failf "%s: %S where %S... was expected" what title prefix)
+    expected got
+
+(* One fixture run per cell of the paper grid: [Figures.print] emits each
+   of the grid's tables once, in order; a document without the runs of
+   one table drops that table alone; the window-sensitivity and
+   loop-nest tables print exactly when their cells are there. No
+   simulation. *)
+let test_figures_print_sections () =
+  let grid = Figures.specs ~window:2_000 () in
+  let doc = fixture_doc grid in
+  check_titles "paper grid" paper_titles doc;
+  List.iter
+    (fun (label, title) ->
+      check_titles ("without " ^ label)
+        (List.filter (( <> ) title) paper_titles)
+        (fixture_doc
+           (List.filter (fun (s : Sweep.spec) -> s.Sweep.label <> label) grid)))
+    [ ("loop", "Figure 9: "); ("loop+loopFT", "Figure 10: ");
+      ("postdoms-other", "Figure 11: "); ("dmt", "Related work ");
+      ("postdoms@tasks=2", "Extension: ");
+      ("postdoms@icount", "Design ablations: ");
+      ("postdoms@split", "Future work ") ];
+  (* one workload without one run is enough to drop its table *)
+  check_titles "gzip without postdoms@split"
+    (List.filter (( <> ) "Future work ") paper_titles)
+    (fixture_doc
+       (List.filter
+          (fun (s : Sweep.spec) ->
+            not (s.Sweep.workload = "gzip" && s.Sweep.label = "postdoms@split"))
+          grid));
+  check_titles "default windows"
+    (paper_titles @ [ "Window-size sensitivity: " ])
+    (fixture_doc (Figures.specs ()));
+  check_titles "loop nests"
+    [ "Dependence-distance figure: "; "Stride and depth variants " ]
+    (fixture_doc (Figures.loopnest_specs ()));
+  check_titles "carry-span sweep" [ "Dependence-distance figure: " ]
+    (fixture_doc
+       (Figures.loopnest_specs ~nests:Pf_workloads.Loopnest.sweep_names ()));
+  Alcotest.(check string) "an empty document prints nothing" ""
+    (render (fun ppf -> Figures.print ppf (fixture_doc [])))
+
 (* ---- policy names round-trip (the CLI and the schema rely on it) ---- *)
 
 let test_policy_of_string () =
@@ -1040,4 +1173,8 @@ let suite =
         case "cache: entry round trip is byte-identical" test_entry_round_trip;
         Prop.to_alcotest entry_roundtrip_prop;
         Prop.to_alcotest entry_faults_prop;
+        case "table: the benchmark column fits the longest name"
+          test_table_column_fits_names;
+        case "figures: each table prints exactly when its runs are present"
+          test_figures_print_sections;
         case "policy names parse back" test_policy_of_string ] ) ]

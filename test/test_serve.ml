@@ -513,6 +513,47 @@ let test_scheduler_no_cache () =
       Alcotest.(check bool) "plain request hits" true
         (cached (Scheduler.run sched (run_request ~window:2_000 "mcf" "postdoms"))))
 
+(* One worker, held by a blocker, so request A and a [no_cache] request
+   B for the same spec queue behind it, and B's job replaces A's pending
+   entry. A's finish must leave B's entry in place: while B runs, the
+   daemon counts it in flight, and request D, sent after A's reply,
+   joins it instead of simulating the spec a third time. *)
+let test_scheduler_no_cache_stays_pending () =
+  with_scheduler ~jobs:1 (fun sched counters ->
+      let join =
+        hold_workers sched [ run_request ~window:200_000 "mcf" "superscalar" ]
+      in
+      let send req =
+        let reply = ref None in
+        let th =
+          Thread.create (fun () -> reply := Some (Scheduler.run sched req)) ()
+        in
+        fun () ->
+          Thread.join th;
+          match !reply with
+          | Some (Protocol.Run_reply r) -> r
+          | _ -> Alcotest.fail "request failed"
+      in
+      let req = run_request ~window:300_000 "gzip" "postdoms" in
+      let a = send req in
+      wait_gauges sched (fun gauge -> gauge "queued" = 1);
+      let b = send { req with Protocol.no_cache = true } in
+      wait_gauges sched (fun gauge -> gauge "queued" = 2);
+      ignore (a ());
+      Alcotest.(check string) "the no_cache job is in flight after A's reply"
+        "1"
+        (Json.to_string (List.assoc "inflight" (Scheduler.stats_fields sched)));
+      (match Scheduler.run sched req with
+      | Protocol.Run_reply d ->
+          Alcotest.(check bool) "D joins the no_cache job" true
+            d.Protocol.coalesced
+      | _ -> Alcotest.fail "request D failed");
+      Alcotest.(check bool) "the no_cache reply is fresh" false
+        (b ()).Protocol.cached;
+      join ();
+      Alcotest.(check int) "the blocker, A and the no_cache job simulated" 3
+        (counter counters "simulations"))
+
 (* The daemon checks a hit's workload and label, as the sweep does: a
    gzip run filed under an mcf spec's digest is resimulated on both
    probes (the request's, then the worker's in-queue re-check), not
@@ -1046,6 +1087,8 @@ let suite =
       [ case "resolution errors" test_scheduler_resolution_errors;
         case "hit, miss and prep sharing" test_scheduler_hit_miss_and_prep_sharing;
         case "no_cache bypasses the cache" test_scheduler_no_cache;
+        case "a finished job leaves a later no_cache job pending"
+          test_scheduler_no_cache_stays_pending;
         case "a hit for another workload is resimulated"
           test_scheduler_checks_hit_identity;
         case "concurrent identical requests coalesce" test_scheduler_coalescing;
