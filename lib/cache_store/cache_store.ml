@@ -7,12 +7,13 @@
    under service load (a million entries is ~4k files per shard instead
    of one directory the filesystem has to scan linearly).
 
-   Every mutation of the in-memory index runs under [t.mutex]: a store
-   is shared by Sweep worker domains and by polyflow_serve connection
-   threads. File reads and writes happen outside the lock — an entry
-   evicted mid-read simply fails its read and downgrades to a miss, and
-   stores are temp-file + rename so readers can never observe a torn
-   entry. *)
+   Every mutation of the in-memory index, and every count, runs under
+   [t.mutex]: a store is shared by Sweep worker domains and by
+   polyflow_serve connection threads, and a [Pf_obs.Counters] bump is a
+   plain read-modify-write. File reads and writes happen outside the
+   lock — an entry evicted mid-read simply fails its read and downgrades
+   to a miss, and stores are temp-file + rename so readers can never
+   observe a torn entry. *)
 
 type stats = {
   hits : int;
@@ -26,7 +27,7 @@ type t = {
   root : string;
   cap : int; (* 0 = unlimited *)
   ext : string; (* entry filename extension, e.g. ".run" *)
-  on_invalid : path:string -> reason:string -> unit;
+  prefix : string; (* counter prefix, also naming the store in warnings *)
   mutex : Mutex.t;
   ticks : (string, int) Hashtbl.t; (* digest -> last-use tick *)
   mutable tick : int;
@@ -106,11 +107,7 @@ let evict_until_under_cap t =
           Pf_obs.Counters.incr t.c_evictions
     done
 
-let default_on_invalid ~path ~reason =
-  Printf.eprintf "Cache_store: ignoring %s (%s)\n%!" path reason
-
-let create ?(cap = 0) ?counters ?(on_invalid = default_on_invalid) ~ext
-    ~counter_prefix ~dir () =
+let create ?(cap = 0) ?counters ~ext ~counter_prefix ~dir () =
   mkdir_p dir;
   let reg =
     match counters with Some r -> r | None -> Pf_obs.Counters.create ()
@@ -119,7 +116,7 @@ let create ?(cap = 0) ?counters ?(on_invalid = default_on_invalid) ~ext
     { root = dir;
       cap;
       ext;
-      on_invalid;
+      prefix = counter_prefix;
       mutex = Mutex.create ();
       ticks = Hashtbl.create 256;
       tick = 0;
@@ -151,21 +148,29 @@ let stats t =
 
 let store_serial = Atomic.make 0
 
-(* mark [digest] most recently used, adopting entries written by other
-   processes since our scan, and trim back under the cap *)
-let touch t ~digest =
+(* count a hit or a store in [c] and mark [digest] most recently used,
+   adopting entries written by other processes since our scan, and trim
+   back under the cap *)
+let touch t ~digest c =
   Mutex.lock t.mutex;
+  Pf_obs.Counters.incr c;
   t.tick <- t.tick + 1;
   Hashtbl.replace t.ticks digest t.tick;
   evict_until_under_cap t;
   Mutex.unlock t.mutex
 
+let miss t =
+  Mutex.protect t.mutex (fun () -> Pf_obs.Counters.incr t.c_misses);
+  None
+
+let invalid t ~path reason =
+  Printf.eprintf "%s: ignoring %s (%s); will recompute\n%!" t.prefix path
+    reason;
+  miss t
+
 let find t ~digest ~decode =
   let p = path t ~digest in
-  if not (Sys.file_exists p) then begin
-    Pf_obs.Counters.incr t.c_misses;
-    None
-  end
+  if not (Sys.file_exists p) then miss t
   else
     match
       let ic = open_in_bin p in
@@ -173,23 +178,16 @@ let find t ~digest ~decode =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     with
-    | exception _ ->
-        t.on_invalid ~path:p ~reason:"unreadable or unparseable";
-        Pf_obs.Counters.incr t.c_misses;
-        None
+    | exception _ -> invalid t ~path:p "unreadable or unparseable"
     | text -> (
         match try decode text with _ -> Error "unreadable or unparseable" with
         | Ok v ->
-            Pf_obs.Counters.incr t.c_hits;
             (* refresh recency on disk too, so LRU order survives a
                restart of the owning process *)
             (try Unix.utimes p 0. 0. with Unix.Unix_error _ -> ());
-            touch t ~digest;
+            touch t ~digest t.c_hits;
             Some v
-        | Error reason ->
-            t.on_invalid ~path:p ~reason;
-            Pf_obs.Counters.incr t.c_misses;
-            None)
+        | Error reason -> invalid t ~path:p reason)
 
 let store t ~digest content =
   let sdir = shard_dir t digest in
@@ -212,5 +210,4 @@ let store t ~digest content =
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
   Sys.rename tmp (path t ~digest);
-  Pf_obs.Counters.incr t.c_stores;
-  touch t ~digest
+  touch t ~digest t.c_stores

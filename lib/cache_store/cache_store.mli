@@ -22,10 +22,12 @@
     [cap = 0] (the default) never evicts.
 
     {b Concurrency.} One [t] may be shared freely between domains and
-    threads: index updates are mutex-protected, entries are written
-    atomically (temp file + rename), and a file that is unreadable or
-    fails its codec's validation is reported via [on_invalid] and
-    treated as a miss; the fresh result then overwrites it. *)
+    threads: index updates and counts are mutex-protected, entries are
+    written atomically (temp file + rename), and a file that is
+    unreadable or fails its codec's validation is treated as a miss and
+    reported on stderr as
+    [<counter_prefix>: ignoring <path> (<reason>); will recompute]; the
+    fresh result then overwrites it. *)
 
 type t
 
@@ -47,14 +49,13 @@ type stats = {
     [ext] is the entry filename extension (the run cache's [".run"],
     the trace store's [".trace"]). [cap] bounds the entry count (0 =
     unlimited; over-cap entries found on disk are evicted immediately).
-    [on_invalid] is called with the path and reason whenever an entry
-    is downgraded to a miss. [counters] registers the four stats
+    [counter_prefix] also names the store in its warnings. [counters]
+    registers the four stats
     counters in the caller's {!Pf_obs.Counters} registry so services
     can export them. *)
 val create :
   ?cap:int ->
   ?counters:Pf_obs.Counters.t ->
-  ?on_invalid:(path:string -> reason:string -> unit) ->
   ext:string ->
   counter_prefix:string ->
   dir:string ->
@@ -72,8 +73,8 @@ val path : t -> digest:string -> string
     on them. [Ok v] is a hit: the entry is marked most recently used
     (in memory and via its file mtime) and [Some v] is returned.
     [Error reason] — or a missing/unreadable file, or a raising
-    [decode] — is a miss: [on_invalid] fires (except for a plainly
-    missing file) and [None] is returned. *)
+    [decode] — is a miss: the entry is reported on stderr (except for a
+    plainly missing file) and [None] is returned. *)
 val find : t -> digest:string -> decode:(string -> ('a, string) result) -> 'a option
 
 (** [store t ~digest content] publishes an entry atomically, replacing

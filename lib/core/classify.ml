@@ -1,7 +1,6 @@
 open Pf_cfg
 
-let of_proc program (pcfg : Pf_isa.Cfg_build.t) =
-  ignore program;
+let of_proc (pcfg : Pf_isa.Cfg_build.t) =
   let cfg = pcfg.Pf_isa.Cfg_build.cfg in
   let blocks = pcfg.Pf_isa.Cfg_build.blocks in
   let exit_id = pcfg.Pf_isa.Cfg_build.exit_id in
@@ -86,5 +85,5 @@ let of_proc program (pcfg : Pf_isa.Cfg_build.t) =
 
 let spawn_points program =
   Pf_isa.Cfg_build.build_all program
-  |> List.concat_map (of_proc program)
+  |> List.concat_map of_proc
   |> List.sort_uniq Spawn_point.compare

@@ -19,4 +19,4 @@
 val spawn_points : Pf_isa.Program.t -> Spawn_point.t list
 
 (** Spawn points of one procedure's CFG (exposed for tests/examples). *)
-val of_proc : Pf_isa.Program.t -> Pf_isa.Cfg_build.t -> Spawn_point.t list
+val of_proc : Pf_isa.Cfg_build.t -> Spawn_point.t list

@@ -11,6 +11,3 @@ val of_spawns : Spawn_point.t list -> t
 val find : t -> pc:int -> Spawn_point.t list
 
 val size : t -> int
-
-(** Add a hint at run time (used by the reconvergence-predictor policy). *)
-val install : t -> Spawn_point.t -> unit

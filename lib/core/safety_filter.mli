@@ -35,9 +35,7 @@ val of_spawns :
   serial_ops:int ->
   t
 
-(** Level of the spawn point fetched at [at_pc]; [Optimistic] for PCs
-    the filter never classified (dynamic candidates). *)
-val level : t -> at_pc:int -> level
-
-(** {!level} as a dense code: Bypass 0, Conservative 1, Optimistic 2. *)
+(** The {!level} of the spawn point fetched at [at_pc] as a dense code:
+    Bypass 0, Conservative 1, Optimistic 2; Optimistic for PCs the
+    filter never classified (dynamic candidates). *)
 val code : t -> at_pc:int -> int

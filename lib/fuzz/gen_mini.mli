@@ -15,9 +15,6 @@
     which is what makes campaign failures replayable from
     [(seed, index)] alone. *)
 
-(** Number of 8-byte slots in the global array ["arr"]. *)
-val arr_slots : int
-
 (** [generate ~seed ()] is the classic mixed-statement program.
     [~loopnest:true] additionally threads a loop-nest-shaped fragment
     through the program — a bounded inner loop with cross-iteration

@@ -28,8 +28,6 @@
     [(dowhile (s ...) c)], [(switch e ((N s ...) ...) (default ...))],
     [(call! f e ...)], [(return [e])], [(break)]. *)
 
-val print : Format.formatter -> Pf_mini.Ast.program -> unit
-
 val to_string : Pf_mini.Ast.program -> string
 
 (** Inverse of {!to_string}. [Error] carries a one-line message with a

@@ -27,20 +27,6 @@ let all_policies =
 let max_instrs = 6_000_000
 let interp_fuel = 20_000_000
 
-(* Counter-registry names that mirror a [Metrics.t] field. *)
-let counter_fields (m : Metrics.t) =
-  [ ("branch_mispredicts", m.branch_mispredicts);
-    ("indirect_mispredicts", m.indirect_mispredicts);
-    ("return_mispredicts", m.return_mispredicts);
-    ("squashes", m.squashes);
-    ("squashed_instrs", m.squashed_instrs);
-    ("diverted", m.diverted);
-    ("tasks_spawned", m.tasks_spawned);
-    ("stall_frontend", m.stall_frontend);
-    ("stall_divert", m.stall_divert);
-    ("stall_sched", m.stall_sched);
-    ("stall_exec", m.stall_exec) ]
-
 (* ------------------------------------------------------------------ *)
 (* Engine checks: one prepared window, every policy class.             *)
 
@@ -99,19 +85,21 @@ let check_one_policy prep ~n ~policy =
                  "policy %s: CPI slot %d rows sum to %d, run took %d cycles"
                  pname s t m.Metrics.cycles })
   done;
-  List.iter
-    (fun (name, metric) ->
+  (* every count that the registry also holds under its name *)
+  let counts = Metrics.counts m in
+  List.iteri
+    (fun i name ->
       match Counters.find counters name with
-      | Some v when v <> metric ->
+      | Some v when v <> counts.(i) ->
           raise
             (Stop
                { oracle = "obs-counter-drift";
                  detail =
                    Printf.sprintf
                      "policy %s: counter %s = %d but Metrics says %d" pname
-                     name v metric })
+                     name v counts.(i) })
       | _ -> ())
-    (counter_fields m);
+    Metrics.count_names;
   (* each cycle retires at most [retire_width] instructions and fetches
      at most [width], so no run takes fewer than n / either of them
      cycles, rounded up *)

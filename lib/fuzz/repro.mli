@@ -34,14 +34,11 @@ type t = {
 
 val gen_name : gen_kind -> string
 
-(** [mini-s42-i17.repro] style basename. *)
-val filename : t -> string
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 
-(** [save ~dir r] writes [r] to [dir ^ "/" ^ filename r] (creating
-    [dir] if needed) and returns the path. *)
+(** [save ~dir r] writes [r] to [dir] (creating it if needed) under a
+    [mini-s42-i17.repro] style basename and returns the path. *)
 val save : dir:string -> t -> string
 
 val load : string -> (t, string) result

@@ -22,8 +22,6 @@ let create ?(base = 0x1000) () =
   { base; out = []; n = 0; labels = Hashtbl.create 64; fresh_counter = 0;
     procs_rev = []; indirect = []; last_indirect = None }
 
-let here a = a.base + (a.n * Instr.bytes_per_instr)
-
 let emit a p =
   a.out <- p :: a.out;
   a.n <- a.n + 1
@@ -62,7 +60,6 @@ let jr a r =
 
 let jalr a r = emit a (Ready (Instr.Jalr r))
 let halt a = emit a (Ready Instr.Halt)
-let nop a = emit a (Ready Instr.Nop)
 let la a rd target = emit a (La (rd, target))
 
 let indirect_targets a labels =

@@ -17,9 +17,6 @@ type t
 
 val create : ?base:int -> unit -> t
 
-(** Current PC (address the next emitted instruction will get). *)
-val here : t -> int
-
 (** [proc a name] opens a procedure at the current PC; the previous
     procedure (if any) is closed at the preceding instruction. *)
 val proc : t -> string -> unit
@@ -48,7 +45,6 @@ val jal : t -> string -> unit
 val jr : t -> Reg.t -> unit
 val jalr : t -> Reg.t -> unit
 val halt : t -> unit
-val nop : t -> unit
 
 (** [la a rd label] loads the PC bound to a label (for jump tables). *)
 val la : t -> Reg.t -> string -> unit

@@ -1,36 +1,28 @@
 open Pf_uarch
 
-(* ---- metrics ---- *)
+(* ---- metrics: walks of [Metrics.count_names] ---- *)
 
-let metrics_to_json (m : Metrics.t) =
+let spawn_to_json (c, n) =
   Json.Obj
-    [ ("instructions", Json.Int m.Metrics.instructions);
-      ("cycles", Json.Int m.Metrics.cycles);
-      ("ipc", Json.Float (Metrics.ipc m));
-      ("branch_mispredicts", Json.Int m.Metrics.branch_mispredicts);
-      ("indirect_mispredicts", Json.Int m.Metrics.indirect_mispredicts);
-      ("return_mispredicts", Json.Int m.Metrics.return_mispredicts);
-      ( "spawns",
-        Json.List
-          (List.map
-             (fun (c, n) ->
-               Json.Obj
-                 [ ("category",
-                    Json.String (Pf_core.Spawn_point.category_name c));
-                   ("count", Json.Int n) ])
-             m.Metrics.spawns) );
-      ("squashes", Json.Int m.Metrics.squashes);
-      ("squashed_instrs", Json.Int m.Metrics.squashed_instrs);
-      ("diverted", Json.Int m.Metrics.diverted);
-      ("tasks_spawned", Json.Int m.Metrics.tasks_spawned);
-      ("max_live_tasks", Json.Int m.Metrics.max_live_tasks);
-      ("l1i_misses", Json.Int m.Metrics.l1i_misses);
-      ("l1d_misses", Json.Int m.Metrics.l1d_misses);
-      ("l2_misses", Json.Int m.Metrics.l2_misses);
-      ("stall_frontend", Json.Int m.Metrics.stall_frontend);
-      ("stall_divert", Json.Int m.Metrics.stall_divert);
-      ("stall_sched", Json.Int m.Metrics.stall_sched);
-      ("stall_exec", Json.Int m.Metrics.stall_exec) ]
+    [ ("category", Json.String (Pf_core.Spawn_point.category_name c));
+      ("count", Json.Int n) ]
+
+(* the counts in list order, with the derived ipc after "cycles" and the
+   spawn list in its record place, after "return_mispredicts" *)
+let metrics_to_json (m : Metrics.t) =
+  let counts = Metrics.counts m in
+  Json.Obj
+    (List.concat
+       (List.mapi
+          (fun i name ->
+            (name, Json.Int counts.(i))
+            ::
+            (match name with
+            | "cycles" -> [ ("ipc", Json.Float (Metrics.ipc m)) ]
+            | "return_mispredicts" ->
+                [ ("spawns", Json.List (List.map spawn_to_json m.spawns)) ]
+            | _ -> []))
+          Metrics.count_names))
 
 let spawn_of_json j =
   let name = Json.to_str (Json.member "category" j) in
@@ -38,26 +30,12 @@ let spawn_of_json j =
   | Some c -> (c, Json.to_int (Json.member "count" j))
   | None -> raise (Json.Decode_error (Printf.sprintf "unknown spawn category %S" name))
 
-let metrics_of_json j : Metrics.t =
-  let int name = Json.to_int (Json.member name j) in
-  { Metrics.instructions = int "instructions";
-    cycles = int "cycles";
-    branch_mispredicts = int "branch_mispredicts";
-    indirect_mispredicts = int "indirect_mispredicts";
-    return_mispredicts = int "return_mispredicts";
-    spawns = List.map spawn_of_json (Json.to_list (Json.member "spawns" j));
-    squashes = int "squashes";
-    squashed_instrs = int "squashed_instrs";
-    diverted = int "diverted";
-    tasks_spawned = int "tasks_spawned";
-    max_live_tasks = int "max_live_tasks";
-    l1i_misses = int "l1i_misses";
-    l1d_misses = int "l1d_misses";
-    l2_misses = int "l2_misses";
-    stall_frontend = int "stall_frontend";
-    stall_divert = int "stall_divert";
-    stall_sched = int "stall_sched";
-    stall_exec = int "stall_exec" }
+let metrics_of_json j =
+  let counts =
+    List.map (fun name -> Json.to_int (Json.member name j)) Metrics.count_names
+  in
+  Metrics.of_counts (Array.of_list counts)
+    (List.map spawn_of_json (Json.to_list (Json.member "spawns" j)))
 
 (* ---- engine counters (Pf_obs.Counters dumps) ---- *)
 
@@ -154,11 +132,9 @@ let run_of_json j =
 (* ---- CSV ---- *)
 
 let metrics_csv_header =
-  [ "instructions"; "cycles"; "ipc"; "branch_mispredicts";
-    "indirect_mispredicts"; "return_mispredicts"; "tasks_spawned";
-    "max_live_tasks"; "squashes"; "squashed_instrs"; "diverted";
-    "l1i_misses"; "l1d_misses"; "l2_misses"; "stall_frontend";
-    "stall_divert"; "stall_sched"; "stall_exec" ]
+  List.concat_map
+    (fun name -> if name = "cycles" then [ name; "ipc" ] else [ name ])
+    Metrics.count_names
   @ List.map
       (fun c -> "spawns_" ^ Pf_core.Spawn_point.category_name c)
       Pf_core.Spawn_point.all_categories
@@ -169,17 +145,14 @@ let metrics_csv_cells (m : Metrics.t) =
       (fun acc (c', n) -> if c' = c then acc + n else acc)
       0 m.Metrics.spawns
   in
-  List.map string_of_int
-    [ m.Metrics.instructions; m.Metrics.cycles ]
-  @ [ Printf.sprintf "%.6f" (Metrics.ipc m) ]
-  @ List.map string_of_int
-      [ m.Metrics.branch_mispredicts; m.Metrics.indirect_mispredicts;
-        m.Metrics.return_mispredicts; m.Metrics.tasks_spawned;
-        m.Metrics.max_live_tasks; m.Metrics.squashes;
-        m.Metrics.squashed_instrs; m.Metrics.diverted;
-        m.Metrics.l1i_misses; m.Metrics.l1d_misses; m.Metrics.l2_misses;
-        m.Metrics.stall_frontend; m.Metrics.stall_divert;
-        m.Metrics.stall_sched; m.Metrics.stall_exec ]
+  let counts = Metrics.counts m in
+  List.concat
+    (List.mapi
+       (fun i name ->
+         string_of_int counts.(i)
+         :: (if name = "cycles" then [ Printf.sprintf "%.6f" (Metrics.ipc m) ]
+             else []))
+       Metrics.count_names)
   @ List.map
       (fun c -> string_of_int (spawn_count c))
       Pf_core.Spawn_point.all_categories

@@ -11,9 +11,11 @@
 
 (** {1 Metrics} *)
 
-(** Serializes every counter plus a derived ["ipc"] field (for
-    consumers that only read the JSON); the spawn counts keep their
-    list order so the round trip is structural equality. *)
+(** One member per [Pf_uarch.Metrics.count_names] entry, in that
+    order, plus a derived ["ipc"] after ["cycles"] (for consumers that
+    only read the JSON) and the ["spawns"] list after
+    ["return_mispredicts"], its record place. The spawn counts keep
+    their list order so the round trip is structural equality. *)
 val metrics_to_json : Pf_uarch.Metrics.t -> Json.t
 
 (** Ignores the derived ["ipc"] field and rebuilds the record from the
@@ -73,6 +75,9 @@ val run_of_json : Json.t -> run
 (** {1 CSV}
 
     One row per run; {!Sweep.to_csv} prepends the identifying columns.
+    The metric columns are the [Pf_uarch.Metrics.count_names] entries
+    in order, with ["ipc"] (printed [%.6f]) after ["cycles"], then one
+    ["spawns_<category>"] column per spawn category.
     [metrics_csv_header] and [metrics_csv_cells] always have the same
     arity: the five spawn categories get one fixed column each
     regardless of which categories a run exercised. *)

@@ -118,7 +118,10 @@ let metrics doc w label =
 let speedup doc w label =
   Table.speedup_pct doc (Option.get (Table.find_run doc ~workload:w ~label))
 
-let avg doc label = Option.get (Table.average_speedup doc ~label)
+(* the mean over a table's own rows *)
+let avg doc rows label =
+  Option.get (Table.average_speedup ~workloads:rows doc ~label)
+
 let names = List.map Policy.name
 
 (* the (name, value) pair whose value [better] prefers *)
@@ -133,18 +136,18 @@ let section ?(rows = Pf_workloads.Suite.spec_names) title reads body =
 
 (* The Figure 9/10/12 layout ({!Table.print_speedup_table}), then
    [trailer]. *)
-let speedup_section ?rows ?(trailer = fun _ _ -> ()) title labels =
+let speedup_section ?rows ?(trailer = fun _ _ _ -> ()) title labels =
   section ?rows title (Table.baseline_label :: labels)
     (fun ppf doc rows ->
       Table.print_speedup_table ~out:ppf ~workloads:rows ~labels doc;
-      trailer ppf doc)
+      trailer ppf doc rows)
 
 let figure9 =
   speedup_section
     "Figure 9: Individual heuristic policies for spawn points (speedup over \
      the 8-wide superscalar)"
     (names Policy.figure9_policies)
-    ~trailer:(fun ppf doc ->
+    ~trailer:(fun ppf doc rows ->
       (* the paper's headline: postdoms more than doubles the best
          heuristic *)
       let heuristic, h =
@@ -152,10 +155,10 @@ let figure9 =
           (List.filter_map
              (fun p ->
                if p = Policy.Postdoms then None
-               else Some (Policy.name p, avg doc (Policy.name p)))
+               else Some (Policy.name p, avg doc rows (Policy.name p)))
              Policy.figure9_policies)
       in
-      let postdoms = avg doc "postdoms" in
+      let postdoms = avg doc rows "postdoms" in
       Format.fprintf ppf
         "\nHeadline: postdoms averages %+.1f%%; best individual heuristic is \
          %s at %+.1f%% (ratio %.2fx; paper reports >2x)\n"
@@ -164,16 +167,16 @@ let figure9 =
 let figure10 =
   speedup_section "Figure 10: Combinations of heuristics for spawn points"
     (names Policy.figure10_policies)
-    ~trailer:(fun ppf doc ->
+    ~trailer:(fun ppf doc rows ->
       let combo =
         List.fold_left max neg_infinity
           (List.filter_map
              (fun p ->
                if p = Policy.Postdoms then None
-               else Some (avg doc (Policy.name p)))
+               else Some (avg doc rows (Policy.name p)))
              Policy.figure10_policies)
       in
-      let postdoms = avg doc "postdoms" in
+      let postdoms = avg doc rows "postdoms" in
       Format.fprintf ppf
         "\nHeadline: postdoms averages %+.1f%% vs best combination %+.1f%% \
          (%+.1f%% more; paper reports ~33%% more)\n"
@@ -219,7 +222,7 @@ let figure12 =
     "Figure 12: Spawning using reconvergence prediction (speedup over the \
      superscalar)"
     (names Policy.figure12_policies)
-    ~trailer:(fun ppf _ ->
+    ~trailer:(fun ppf _ _ ->
       Format.fprintf ppf
         "\nThe dynamic reconvergence predictor approximates compiler-generated \
          immediate postdominators;\nwarm-up and hard-to-identify \
@@ -232,7 +235,7 @@ let related_work =
     "Related work (Section 5): DMT heuristics vs reconvergence prediction vs \
      postdominators"
     (names Policy.[ Dmt; Rec_pred; Postdoms ])
-    ~trailer:(fun ppf _ ->
+    ~trailer:(fun ppf _ _ ->
       Format.fprintf ppf
         "\nDMT approximates loop and procedure fall-throughs dynamically but \
          cannot\njump indirect jumps or hammocks; the paper's techniques \
@@ -311,7 +314,7 @@ let ablations =
               (List.map (fun w -> (w, speedup doc w label)) rows)
           in
           Format.fprintf ppf "%-28s %+11.1f%% %10s %+5.1f%%\n" name
-            (avg doc label) worst v)
+            (avg doc rows label) worst v)
         variants)
 
 (* Section 6: PolyFlow "allows each thread to spawn only a single

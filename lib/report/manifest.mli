@@ -19,7 +19,7 @@ type t = {
   ocaml_version : string;
   created_unix : float;    (** seconds since the epoch at creation *)
   wall_s : float;          (** total wall time of the producing run *)
-  jobs : int;              (** worker domains used *)
+  jobs : int;              (** workers used, the calling domain included *)
 }
 
 (** [git describe --always --dirty] of the working tree, ["unknown"] if

@@ -8,9 +8,10 @@
    format version, the 32 hex characters of its own digest), the run,
    and a 16-byte raw MD5 of everything before it. In the run, ints are
    int64 LE, counts and string lengths int32 LE, [wall_s] its IEEE bits,
-   and each record (run scalars, config, metrics scalars) a fixed block
+   and each record (run scalars, config, metrics counts) a fixed block
    of int64 fields, bools as 0 or 1, in record-field order ([Config.fields]
-   for the config); no decoder depends on evaluation order.
+   for the config, [Metrics.count_names] for the counts); no decoder
+   depends on evaluation order.
    Spawn categories are their index in [Spawn_point.all_categories].
    Any truncation, checksum or length mismatch, foreign magic or
    version, an entry filed under another digest, or an out-of-range
@@ -32,12 +33,9 @@ type stats = Cache_store.stats = {
 
 type t = Cache_store.t
 
-let warn ~path ~reason =
-  Printf.eprintf "Run_cache: ignoring %s (%s); will resimulate\n%!" path reason
-
 let create ?cap ?counters ~dir () =
-  Cache_store.create ?cap ?counters ~ext:".run" ~on_invalid:warn
-    ~counter_prefix:"run_cache" ~dir ()
+  Cache_store.create ?cap ?counters ~ext:".run" ~counter_prefix:"run_cache"
+    ~dir ()
 
 let dir = Cache_store.dir
 let cap = Cache_store.cap
@@ -77,16 +75,6 @@ let category_index c =
   let rec go i = if categories.(i) = c then i else go (i + 1) in
   go 0
 
-(* every Metrics.t field except [spawns], which follows as a list *)
-let metrics_fields (m : Metrics.t) =
-  [| m.instructions; m.cycles; m.branch_mispredicts; m.indirect_mispredicts;
-     m.return_mispredicts; m.squashes; m.squashed_instrs; m.diverted;
-     m.tasks_spawned; m.max_live_tasks; m.l1i_misses; m.l1d_misses;
-     m.l2_misses; m.stall_frontend; m.stall_divert; m.stall_sched;
-     m.stall_exec |]
-
-let metrics_count = 17 (* the length of [metrics_fields] *)
-
 let encode ~digest (r : Codec.run) =
   let b = Buffer.create 1280 in
   let int v = Buffer.add_int64_le b (Int64.of_int v) in
@@ -104,7 +92,7 @@ let encode ~digest (r : Codec.run) =
   Array.iter int [| r.window; r.instructions; r.static_spawns |];
   Buffer.add_int64_le b (Int64.bits_of_float r.wall_s);
   List.iter (fun (f : Config.field) -> int (f.get r.config)) Config.fields;
-  Array.iter int (metrics_fields r.metrics);
+  Array.iter int (Metrics.counts r.metrics);
   count (List.length r.metrics.spawns);
   List.iter
     (fun (c, n) ->
@@ -159,14 +147,6 @@ let config rd =
       f.set c v)
     Config.superscalar Config.fields
 
-let metrics_of_fields a spawns : Metrics.t =
-  { instructions = a.(0); cycles = a.(1); branch_mispredicts = a.(2);
-    indirect_mispredicts = a.(3); return_mispredicts = a.(4); spawns;
-    squashes = a.(5); squashed_instrs = a.(6); diverted = a.(7);
-    tasks_spawned = a.(8); max_live_tasks = a.(9); l1i_misses = a.(10);
-    l1d_misses = a.(11); l2_misses = a.(12); stall_frontend = a.(13);
-    stall_divert = a.(14); stall_sched = a.(15); stall_exec = a.(16) }
-
 let spawn rd =
   let i = Char.code rd.text.[take rd 1] in
   if i >= Array.length categories then raise (Corrupt "bad spawn category");
@@ -198,7 +178,7 @@ let decode ~digest text =
         let scalars = ints rd 3 in
         let wall_s = Int64.float_of_bits (int64 rd) in
         let config = config rd in
-        let fields = ints rd metrics_count in
+        let counts = ints rd (List.length Metrics.count_names) in
         let spawns = list rd spawn in
         let counters = list rd counter in
         if rd.pos <> stop then raise (Corrupt "trailing bytes");
@@ -210,7 +190,7 @@ let decode ~digest text =
           static_spawns = scalars.(2);
           wall_s;
           config;
-          metrics = metrics_of_fields fields spawns;
+          metrics = Metrics.of_counts counts spawns;
           counters }
       with
       | run -> Ok run

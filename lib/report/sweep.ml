@@ -35,68 +35,52 @@ type prepared_window = {
 
 (* ---- the worker pool ----
 
-   Work items are claimed with an atomic counter; each result cell is
-   written by exactly one domain and read only after [Domain.join], so
-   no further synchronisation is needed. Item functions must not print:
-   only the calling domain touches stdout/stderr (via [progress]). *)
+   [min jobs n] workers run one loop: the calling domain and up to
+   [jobs - 1] spawned ones claim items with an atomic counter. Each
+   result cell is written by exactly one worker and read for its value
+   only after [Domain.join]; before that the caller only counts the
+   filled cells, for [progress]. Item functions must not print: only the
+   calling domain touches stdout/stderr (via [progress]). *)
 
 let map_pool ?progress ~jobs f arr =
   let n = Array.length arr in
   let results = Array.make n None in
-  let notify done_ =
-    match progress with Some p -> p ~done_ ~total:n | None -> ()
-  in
-  if jobs <= 1 || n <= 1 then
-    Array.iteri
-      (fun i x ->
-        results.(i) <- Some (try Ok (f x) with e -> Error e);
-        notify (i + 1))
-      arr
-  else begin
-    let next = Atomic.make 0 in
-    let completed = Atomic.make 0 in
-    (* completion events wake the calling domain through a condition
-       variable, so progress is reported per completion and the pool
-       returns as soon as the last item finishes instead of sleeping out
-       a fixed-step poll *)
-    let mutex = Mutex.create () in
-    let cond = Condition.create () in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e);
-          Atomic.incr completed;
-          Mutex.lock mutex;
-          Condition.signal cond;
-          Mutex.unlock mutex;
-          loop ()
-        end
-      in
-      loop ()
+  let next = Atomic.make 0 in
+  let reported = ref 0 in
+  let report () =
+    let finished =
+      Array.fold_left
+        (fun a r -> if Option.is_some r then a + 1 else a)
+        0 results
     in
-    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
-    let reported = ref 0 in
-    while !reported < n do
-      Mutex.lock mutex;
-      while Atomic.get completed = !reported do
-        Condition.wait cond mutex
-      done;
-      Mutex.unlock mutex;
-      reported := Atomic.get completed;
-      notify !reported
-    done;
-    List.iter Domain.join domains
-  end;
-  (* propagate the first failure deterministically: the lowest-index
-     item's exception, independent of which worker hit it or when *)
-  Array.iter
-    (function Some (Error e) -> raise e | Some (Ok _) | None -> ())
-    results;
+    if finished > !reported then begin
+      reported := finished;
+      Option.iter (fun p -> p ~done_:finished ~total:n) progress
+    end
+  in
+  let rec work ~caller =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (try Ok (f arr.(i)) with e -> Error e);
+      if caller then report ();
+      work ~caller
+    end
+  in
+  let domains =
+    List.init
+      (max 0 (min jobs n - 1))
+      (fun _ -> Domain.spawn (fun () -> work ~caller:false))
+  in
+  work ~caller:true;
+  List.iter Domain.join domains;
+  report ();
+  (* [Array.map] runs in index order, so the failure propagated is the
+     lowest-index item's, independent of which worker hit it or when *)
   Array.map
     (function
       | Some (Ok v) -> v
-      | Some (Error _) | None -> assert false)
+      | Some (Error e) -> raise e
+      | None -> assert false)
     results
 
 let run_to_json = Codec.run_to_json

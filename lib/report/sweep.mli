@@ -161,11 +161,15 @@ type exec_stats = {
 (** [execute ~jobs specs] runs every spec and returns the runs in spec
     order together with the windows it prepared: exactly those that at
     least one cache miss simulated, in the misses' first-use order.
-    [jobs <= 1] runs inline on the calling domain; higher values spawn
-    that many worker domains. [progress] is called from the calling
-    domain only, as batches complete: [done_] and [total] count
-    batches, the work items described below, so a fully cached sweep
-    never calls it.
+    The batches, the work items described below, run on [jobs]
+    workers (never more than there are batches), and the calling domain
+    is one of them: [~jobs:4] spawns three domains, and [jobs <= 1]
+    runs every batch on the calling domain. [progress] runs on the
+    calling domain only, after each batch that domain finishes, and
+    once more when the pool has drained if batches finished elsewhere
+    since: [done_] counts the batches finished so far and [total] all
+    of them, so the last call has [done_ = total], and a fully cached
+    sweep never calls it.
 
     [cache] consults and fills a {!Run_cache}: a spec whose digest hits
     replays the stored run verbatim (its original [wall_s] included, so

@@ -31,7 +31,7 @@ let speedup_pct t (r : Sweep.run) =
   let b = baseline_exn t ~workload:r.Sweep.workload in
   Pf_uarch.Metrics.speedup_pct ~baseline:b.Sweep.metrics r.Sweep.metrics
 
-let average_speedup t ~label =
+let average_speedup ?workloads:wls t ~label =
   let values =
     List.filter_map
       (fun workload ->
@@ -41,7 +41,7 @@ let average_speedup t ~label =
             | Some _ -> Some (speedup_pct t r)
             | None -> None)
         | None -> None)
-      (workloads t)
+      (match wls with Some wls -> wls | None -> workloads t)
   in
   match values with
   | [] -> None
@@ -78,7 +78,7 @@ let print_speedup_table ~out ~workloads:wls ~labels:lbls t =
   Format.fprintf out "%-*s" nw "Average";
   List.iter
     (fun label ->
-      match average_speedup t ~label with
+      match average_speedup ~workloads:wls t ~label with
       | Some avg -> Format.fprintf out " %+*.1f%%" (cw - 1) avg
       | None -> Format.fprintf out " %*s" cw "-")
     lbls;

@@ -23,13 +23,16 @@ val find_run : Sweep.t -> workload:string -> label:string -> Sweep.run option
     @raise Not_found if the workload has no {!baseline_label} run. *)
 val speedup_pct : Sweep.t -> Sweep.run -> float
 
-(** Mean over the workloads that have both the label and a baseline;
-    [None] if no workload does. *)
-val average_speedup : Sweep.t -> label:string -> float option
+(** Mean over the [workloads] (default: every workload of the
+    document) that have both the label and a baseline; [None] if none
+    does. *)
+val average_speedup :
+  ?workloads:string list -> Sweep.t -> label:string -> float option
 
 (** [print_speedup_table t ~workloads ~labels] — the Figure 9/10/12
     layout: one row per workload, one [+x.y%] column per label, the
-    baseline IPC in a trailing column, and an Average row. Cells whose
+    baseline IPC in a trailing column, and an Average row over those
+    rows alone. Cells whose
     run is missing from the document print as [-]. Label columns are as
     wide as the longest label, and the benchmark column one wider than
     the longest workload name (never under 10), so long variant labels

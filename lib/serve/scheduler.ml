@@ -143,7 +143,7 @@ let execute t job =
             (acquire_prep t job.j_resolved)
         with
         | run ->
-            Counters.incr t.c_simulations;
+            Mutex.protect t.mutex (fun () -> Counters.incr t.c_simulations);
             Ok (run, false)
         | exception e -> Error (Protocol.Internal, Printexc.to_string e))
   in

@@ -27,8 +27,9 @@
    truncation, unmapped pc or foreign format version downgrades to a
    miss (Cache_store re-publishes the fresh result over the bad entry).
 
-   The mutex guards only the fingerprint memo; machine execution, file
-   IO and codec work happen outside it. *)
+   The mutex guards the fingerprint memo and the byte count (a
+   [Pf_obs.Counters] bump is a plain read-modify-write); machine
+   execution, file IO and codec work happen outside it. *)
 
 module Cache_store = Pf_cache_store.Cache_store
 
@@ -57,16 +58,12 @@ type t = {
   c_bytes : Pf_obs.Counters.counter;
 }
 
-let warn ~path ~reason =
-  Printf.eprintf "Trace_store: ignoring %s (%s); will re-prepare\n%!" path
-    reason
-
 let create ?cap ?counters ~dir () =
   let reg =
     match counters with Some r -> r | None -> Pf_obs.Counters.create ()
   in
   { store =
-      Cache_store.create ?cap ~counters:reg ~ext:".trace" ~on_invalid:warn
+      Cache_store.create ?cap ~counters:reg ~ext:".trace"
         ~counter_prefix:"trace_store" ~dir ();
     mutex = Mutex.create ();
     memo = [];
@@ -232,12 +229,15 @@ let decode program text =
 
 (* --- prepare ----------------------------------------------------------- *)
 
+let count_bytes t n =
+  Mutex.protect t.mutex (fun () -> Pf_obs.Counters.add t.c_bytes n)
+
 let prepare t program ~setup ~fast_forward ~window =
   let pd, fp, fresh_machine = fingerprint t program ~setup in
   let digest = digest_of ~program_digest:pd ~fingerprint:fp ~fast_forward ~window in
   match Cache_store.find t.store ~digest ~decode:(decode program) with
   | Some trace ->
-      Pf_obs.Counters.add t.c_bytes
+      count_bytes t
         (header_bytes + (Array.length trace.Tracer.dyns * record_bytes)
         + footer_bytes);
       trace
@@ -255,6 +255,6 @@ let prepare t program ~setup ~fast_forward ~window =
         Depinfo.compute trace;
         let payload = encode trace in
         Cache_store.store t.store ~digest payload;
-        Pf_obs.Counters.add t.c_bytes (String.length payload)
+        count_bytes t (String.length payload)
       end;
       trace

@@ -19,6 +19,30 @@ type t = {
   stall_exec : int;
 }
 
+let count_names =
+  [ "instructions"; "cycles"; "branch_mispredicts"; "indirect_mispredicts";
+    "return_mispredicts"; "squashes"; "squashed_instrs"; "diverted";
+    "tasks_spawned"; "max_live_tasks"; "l1i_misses"; "l1d_misses";
+    "l2_misses"; "stall_frontend"; "stall_divert"; "stall_sched";
+    "stall_exec" ]
+
+let counts t =
+  [| t.instructions; t.cycles; t.branch_mispredicts; t.indirect_mispredicts;
+     t.return_mispredicts; t.squashes; t.squashed_instrs; t.diverted;
+     t.tasks_spawned; t.max_live_tasks; t.l1i_misses; t.l1d_misses;
+     t.l2_misses; t.stall_frontend; t.stall_divert; t.stall_sched;
+     t.stall_exec |]
+
+let of_counts a spawns =
+  if Array.length a <> List.length count_names then
+    invalid_arg "Metrics.of_counts: wrong number of counts";
+  { instructions = a.(0); cycles = a.(1); branch_mispredicts = a.(2);
+    indirect_mispredicts = a.(3); return_mispredicts = a.(4); spawns;
+    squashes = a.(5); squashed_instrs = a.(6); diverted = a.(7);
+    tasks_spawned = a.(8); max_live_tasks = a.(9); l1i_misses = a.(10);
+    l1d_misses = a.(11); l2_misses = a.(12); stall_frontend = a.(13);
+    stall_divert = a.(14); stall_sched = a.(15); stall_exec = a.(16) }
+
 let stall_cycles t =
   t.stall_frontend + t.stall_divert + t.stall_sched + t.stall_exec
 

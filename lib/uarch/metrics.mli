@@ -25,6 +25,22 @@ type t = {
   stall_exec : int;     (** issued, waiting for its latency (loads mostly) *)
 }
 
+(** The names of the 17 counts, the [int] fields, in record order.
+    This is the only list of them: the JSON and CSV codecs, the
+    run-cache entry and the fuzz oracle's counter check all walk it
+    through {!counts} and {!of_counts}, so a new count needs no codec
+    change. *)
+val count_names : string list
+
+(** The counts of [t], in {!count_names} order. *)
+val counts : t -> int array
+
+(** [of_counts a spawns] is the record whose counts are [a], in
+    {!count_names} order, and whose spawn list is [spawns]. The inverse
+    of {!counts}.
+    @raise Invalid_argument unless [a] holds exactly one value per name. *)
+val of_counts : int array -> (Pf_core.Spawn_point.category * int) list -> t
+
 (** Total retirement-stall cycles: the sum of the four attribution
     buckets above. *)
 val stall_cycles : t -> int

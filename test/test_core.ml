@@ -290,7 +290,7 @@ let prop_spawn_targets_postdominate =
       List.iter
         (fun (pcfg : Pf_isa.Cfg_build.t) ->
           let pdom = Pf_cfg.Dominance.postdominators pcfg.Pf_isa.Cfg_build.cfg in
-          let spawns = Classify.of_proc program pcfg in
+          let spawns = Classify.of_proc pcfg in
           List.iter
             (fun (s : Spawn_point.t) ->
               if s.Spawn_point.category <> Spawn_point.Loop_iter then

@@ -943,6 +943,24 @@ let test_cache_bypass_and_verbatim_replay () =
         (Json.to_string (Codec.metrics_to_json f.Sweep.metrics))
   | _ -> Alcotest.fail "one run expected"
 
+(* Two domains probe one cache for an absent entry at once: the store
+   counts every miss, because it counts under its lock. *)
+let test_cache_counts_across_domains () =
+  let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
+  let per_domain = 50_000 in
+  let probe () =
+    for _ = 1 to per_domain do
+      ignore
+        (Run_cache.find_run cache ~digest:entry_digest ~workload:"gzip"
+           ~label:"postdoms")
+    done
+  in
+  let other = Domain.spawn probe in
+  probe ();
+  Domain.join other;
+  Alcotest.(check int) "every miss counted" (2 * per_domain)
+    (Run_cache.stats cache).Run_cache.misses
+
 let test_cache_corruption_ignored () =
   let cache = Run_cache.create ~dir:(temp_cache_dir ()) () in
   let specs = [ Sweep.spec "gzip" Pf_core.Policy.Postdoms ~window:3_000 ] in
@@ -1057,6 +1075,71 @@ let test_table_column_fits_names () =
   in
   check [ "gzip"; "vpr.place" ] 20;
   check [ "loopnest.d2.strided.n1"; "gzip" ] 33
+
+(* The metric columns follow [Metrics.count_names], with ipc after
+   cycles, then one column per spawn category. The hand-built sample
+   run pins which field each column reads. *)
+let test_csv_columns_pinned () =
+  let doc = Sweep.document ~tool:"test" ~jobs:1 ~wall_s:0. [ sample_run ] in
+  Alcotest.(check (list string)) "header and row"
+    [ "workload,label,policy,window,static_spawns,wall_s,instructions,\
+       cycles,ipc,branch_mispredicts,indirect_mispredicts,\
+       return_mispredicts,squashes,squashed_instrs,diverted,tasks_spawned,\
+       max_live_tasks,l1i_misses,l1d_misses,l2_misses,stall_frontend,\
+       stall_divert,stall_sched,stall_exec,spawns_loop,spawns_loopFT,\
+       spawns_procFT,spawns_hammock,spawns_other";
+      "gzip,postdoms,postdoms,2000,17,0.012,2000,1234,1.620746,31,2,1,3,45,\
+       610,47,4,12,80,9,300,20,41,77,0,0,7,40,0";
+      "" ]
+    (String.split_on_char '\n' (Sweep.to_csv doc))
+
+(* An Average row, and a figure's headline, read only the rows their
+   table prints: a document's other workloads change neither. *)
+let test_table_average_reads_its_rows () =
+  let run workload label cycles =
+    { sample_run with
+      Sweep.workload;
+      label;
+      metrics = { sample_run.Sweep.metrics with Metrics.cycles } }
+  in
+  let doc =
+    Sweep.document ~tool:"test" ~jobs:1 ~wall_s:0.
+      (List.concat_map
+         (fun (w, cycles) ->
+           [ run w "superscalar" 2_000; run w "postdoms" cycles ])
+         [ ("gzip", 1_000); ("mcf", 2_000); ("twolf", 500) ])
+  in
+  let out =
+    render (fun out ->
+        Table.print_speedup_table ~out ~workloads:[ "gzip"; "mcf" ]
+          ~labels:[ "postdoms" ] doc)
+  in
+  (match
+     List.filter
+       (String.starts_with ~prefix:"Average")
+       (String.split_on_char '\n' out)
+   with
+  | [ average ] ->
+      if not (String.ends_with ~suffix:" +50.0%" average) then
+        Alcotest.failf "%S is not the mean of +100.0%% and +0.0%%" average
+  | _ -> Alcotest.failf "no single Average row in %S" out);
+  let grid = fixture_doc (Figures.specs ~window:2_000 ()) in
+  let nest =
+    List.map
+      (fun (s : Sweep.spec) ->
+        run s.Sweep.workload s.Sweep.label
+          (if s.Sweep.label = "superscalar" then 4_000 else 500))
+      (Figures.loopnest_specs ~window:2_000
+         ~nests:[ "loopnest.d2.strided.n1" ] ())
+  in
+  let print runs =
+    render (fun ppf -> Figures.print ppf { grid with Sweep.runs })
+  in
+  let spec_tables = print grid.Sweep.runs in
+  let with_nest = print (grid.Sweep.runs @ nest) in
+  Alcotest.(check string) "a loop nest's runs change no SPEC table"
+    spec_tables
+    (String.sub with_nest 0 (String.length spec_tables))
 
 let paper_titles =
   [ "Figure 9: "; "Figure 10: "; "Figure 11: "; "Figure 12: "; "Related work ";
@@ -1177,4 +1260,9 @@ let suite =
           test_table_column_fits_names;
         case "figures: each table prints exactly when its runs are present"
           test_figures_print_sections;
-        case "policy names parse back" test_policy_of_string ] ) ]
+        case "policy names parse back" test_policy_of_string;
+        case "cache: counts stay exact across domains"
+          test_cache_counts_across_domains;
+        case "table: averages read only the rows printed"
+          test_table_average_reads_its_rows;
+        case "sweep: CSV columns pinned" test_csv_columns_pinned ] ) ]

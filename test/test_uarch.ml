@@ -411,6 +411,41 @@ let test_metrics_helpers () =
   let b = { m with Metrics.cycles = 1000 } in
   Alcotest.(check (float 0.001)) "speedup" 100.0 (Metrics.speedup_pct ~baseline:b m)
 
+(* The counts that share a name with the engine's counter registry are
+   the eleven the fuzz oracle's counter-drift check has always compared,
+   and each equals its counter, so renaming either side cannot drop a
+   count out of that check. *)
+let test_counts_named_like_counters () =
+  let wl = Option.get (Pf_workloads.Suite.find "gzip") in
+  let prep =
+    Run.prepare wl.program ~setup:wl.setup ~fast_forward:wl.fast_forward
+      ~window:4_000
+  in
+  List.iter
+    (fun policy ->
+      let counters = Pf_obs.Counters.create () in
+      let m = Run.simulate ~counters prep ~policy in
+      let shared =
+        List.filter_map
+          (fun (name, v) ->
+            Option.map
+              (fun c -> (name, v, c))
+              (Pf_obs.Counters.find counters name))
+          (List.combine Metrics.count_names (Array.to_list (Metrics.counts m)))
+      in
+      Alcotest.(check (list string)) "shared names"
+        [ "branch_mispredicts"; "indirect_mispredicts"; "return_mispredicts";
+          "squashes"; "squashed_instrs"; "diverted"; "tasks_spawned";
+          "stall_frontend"; "stall_divert"; "stall_sched"; "stall_exec" ]
+        (List.map (fun (name, _, _) -> name) shared);
+      List.iter
+        (fun (name, v, c) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s" (Pf_core.Policy.name policy) name)
+            c v)
+        shared)
+    Pf_fuzz.Oracle.all_policies
+
 let test_config_values_match_figure8 () =
   let c = Config.polyflow in
   Alcotest.(check int) "width" 8 c.Config.width;
@@ -449,4 +484,6 @@ let suite =
         case "empty window rejected" test_prepare_rejects_empty_window;
         case "stall attribution" test_stall_attribution;
         case "helpers" test_metrics_helpers;
-        case "figure 8 config" test_config_values_match_figure8 ] ) ]
+        case "figure 8 config" test_config_values_match_figure8;
+        case "counts named like counters agree with them"
+          test_counts_named_like_counters ] ) ]
