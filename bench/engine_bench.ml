@@ -4,8 +4,8 @@
 
    The sweep's cost per workload splits into
      prepare  — architectural execution, window capture, dependence
-                analysis, SoA flattening, occurrence index (paid once
-                per (workload, window) pair and shared by every policy);
+                analysis, occurrence index (paid once per (workload,
+                window) pair and shared by every policy);
      simulate — the engine cycle loop (paid once per policy).
    This harness times both sides separately (`engine_minstr_per_s`, and
    the words each simulation allocates), a cold against a warm

@@ -42,7 +42,7 @@ let () =
       ignore
         (Pf_isa.Machine.run machine ~max_instrs:budget ~on_event:(fun ev ->
              Pf_predict.Reconvergence.retire predictor ~pc:ev.Pf_isa.Machine.pc
-               ~instr:ev.Pf_isa.Machine.instr));
+               ~kind:(Pf_isa.Instr.kind ev.Pf_isa.Machine.instr)));
       trained := target;
       (* compare predictions against the compiler's ipostdoms *)
       let agree = ref 0 and disagree = ref 0 in

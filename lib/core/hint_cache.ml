@@ -2,32 +2,26 @@
    every fetched instruction, so [find] must cost an array read, not a
    Hashtbl probe (hashing dominated the fetch stage before this).
    Program text is small and dense, so a pc-indexed array of lists
-   wastes little; capacity misses stay unmodelled as in the paper. *)
-type t = { mutable slots : Spawn_point.t list array }
-
-let ensure t pc =
-  let len = Array.length t.slots in
-  if pc >= len then begin
-    let n = ref (max len 64) in
-    while pc >= !n do
-      n := !n * 2
-    done;
-    let s = Array.make !n [] in
-    Array.blit t.slots 0 s 0 len;
-    t.slots <- s
-  end
-
-let install t (s : Spawn_point.t) =
-  let pc = s.Spawn_point.at_pc in
-  if pc < 0 then invalid_arg "Hint_cache.install: negative pc";
-  ensure t pc;
-  let existing = t.slots.(pc) in
-  if not (List.mem s existing) then t.slots.(pc) <- existing @ [ s ]
+   wastes little; it is sized once, to the highest hinted pc, so a run
+   with no static spawns allocates none. Capacity misses stay
+   unmodelled as in the paper. *)
+type t = { slots : Spawn_point.t list array }
 
 let of_spawns spawns =
-  let t = { slots = Array.make 1024 [] } in
-  List.iter (install t) spawns;
-  t
+  let len =
+    List.fold_left
+      (fun len (s : Spawn_point.t) -> max len (s.Spawn_point.at_pc + 1))
+      0 spawns
+  in
+  let slots = Array.make len [] in
+  List.iter
+    (fun (s : Spawn_point.t) ->
+      let pc = s.Spawn_point.at_pc in
+      if pc < 0 then invalid_arg "Hint_cache.of_spawns: negative pc";
+      let existing = slots.(pc) in
+      if not (List.mem s existing) then slots.(pc) <- existing @ [ s ])
+    spawns;
+  { slots }
 
 let find t ~pc =
   if pc >= 0 && pc < Array.length t.slots then t.slots.(pc) else []

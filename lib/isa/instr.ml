@@ -52,8 +52,28 @@ let is_cond_branch = function Br _ -> true | _ -> false
 let is_call = function Jal _ | Jalr _ -> true | _ -> false
 let is_return = function Jr r -> r = Reg.ra | _ -> false
 let is_indirect_jump = function Jr r -> r <> Reg.ra | _ -> false
-let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
+
+let k_plain = 0
+let k_load = 1
+let k_store = 2
+let k_branch = 3
+let k_jump = 4
+let k_call = 5
+let k_return = 6
+let k_ind_jump = 7
+let k_ind_call = 8
+
+let kind = function
+  | Load _ -> k_load
+  | Store _ -> k_store
+  | Br _ -> k_branch
+  | J _ -> k_jump
+  | Jal _ -> k_call
+  | Jr r when r = Reg.ra -> k_return
+  | Jr _ -> k_ind_jump
+  | Jalr _ -> k_ind_call
+  | Alu _ | Alui _ | Li _ | Halt | Nop -> k_plain
 
 let is_block_terminator = function
   | Br _ | J _ | Jal _ | Jr _ | Jalr _ | Halt -> true

@@ -53,8 +53,27 @@ val is_return : t -> bool
 (** [Jr r] with [r <> $ra]. *)
 val is_indirect_jump : t -> bool
 
-val is_load : t -> bool
 val is_store : t -> bool
+
+(** {1 Kind codes}
+
+    One small int per instruction class the timing models tell apart:
+    the captured window stores one per instruction, so the engine and
+    the reconvergence predictor test an int instead of matching the
+    instruction. [k_plain] is every ALU op, [li], [halt] and [nop];
+    [k_call] is [jal], [k_ind_call] [jalr], [k_return] [jr $ra] and
+    [k_ind_jump] any other [jr]. *)
+
+val k_plain : int
+val k_load : int
+val k_store : int
+val k_branch : int
+val k_jump : int
+val k_call : int
+val k_return : int
+val k_ind_jump : int
+val k_ind_call : int
+val kind : t -> int
 
 (** Does this instruction end a basic block? *)
 val is_block_terminator : t -> bool

@@ -36,6 +36,7 @@ let create ?(mem_size = default_mem_size) program =
   m.regs.(Reg.sp) <- Int64.of_int (mem_size - 64);
   m
 
+let program m = m.program
 let pc m = m.pc
 let halted m = m.halted
 let reg m r = m.regs.(r)

@@ -22,6 +22,9 @@ type t
     program's entry. *)
 val create : ?mem_size:int -> Program.t -> t
 
+(** The program the machine runs. *)
+val program : t -> Program.t
+
 val pc : t -> int
 val halted : t -> bool
 val reg : t -> Reg.t -> int64

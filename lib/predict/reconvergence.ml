@@ -69,7 +69,7 @@ let keep t pc k =
     else true
   end
 
-let retire t ~pc ~instr =
+let retire t ~pc ~kind =
   (* 1. run every open monitor over this instruction *)
   let w = ref 0 in
   for k = 0 to t.n_monitors - 1 do
@@ -84,12 +84,12 @@ let retire t ~pc ~instr =
   done;
   t.n_monitors <- !w;
   (* 2. maintain the call-depth counter *)
-  if Pf_isa.Instr.is_call instr then t.depth <- t.depth + 1
-  else if Pf_isa.Instr.is_return instr then t.depth <- max 0 (t.depth - 1);
+  if kind = Pf_isa.Instr.k_call || kind = Pf_isa.Instr.k_ind_call then
+    t.depth <- t.depth + 1
+  else if kind = Pf_isa.Instr.k_return then t.depth <- max 0 (t.depth - 1);
   (* 3. open a monitor for a retiring conditional branch or indirect
      jump (Collins et al. also predict indirect-jump reconvergence) *)
-  if Pf_isa.Instr.is_cond_branch instr || Pf_isa.Instr.is_indirect_jump instr
-  then begin
+  if kind = Pf_isa.Instr.k_branch || kind = Pf_isa.Instr.k_ind_jump then begin
     let e =
       match Hashtbl.find t.entries pc with
       | e -> e

@@ -29,8 +29,9 @@ type t
     at most 64 monitors are open at once. *)
 val create : unit -> t
 
-(** Feed one retired instruction, in program order. *)
-val retire : t -> pc:int -> instr:Pf_isa.Instr.t -> unit
+(** Feed one retired instruction, in program order, by its
+    {!Pf_isa.Instr.kind} code. *)
+val retire : t -> pc:int -> kind:int -> unit
 
 (** Predicted reconvergence PC of the conditional branch at [branch_pc];
     [None] while unlearned or not yet confident. *)

@@ -66,7 +66,13 @@ type t = {
    A request wrong in several ways gets the first error of: workload,
    policy, config, window. So a bad policy or config still goes through
    [Sweep.resolve], with a stand-in, to learn whether the workload is
-   known. *)
+   known.
+
+   Capture sizes a window's columns (75 bytes per instruction) before
+   the program runs, and the daemon holds every window it prepares, so
+   a request names at most [max_window] instructions. *)
+
+let max_window = 1_000_000
 
 let resolve (r : Protocol.run_request) =
   let policy = Pf_core.Policy.of_string r.policy in
@@ -93,6 +99,11 @@ let resolve (r : Protocol.run_request) =
       Error
         ( Protocol.Bad_request,
           Printf.sprintf "\"window\" must be positive (got %d)" w )
+  | Ok res, Ok _, Ok _ when res.Sweep.r_window > max_window ->
+      Error
+        ( Protocol.Bad_request,
+          Printf.sprintf "\"window\" must be at most %d (got %d)" max_window
+            res.Sweep.r_window )
   | Ok res, Ok _, Ok _ -> Ok res
 
 (* ---- prepared-window sharing ----

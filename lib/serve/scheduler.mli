@@ -61,6 +61,10 @@ val create :
   unit ->
   t
 
+(** The largest window a run request may name: a request over it gets
+    [bad_request] before any window is prepared. *)
+val max_window : int
+
 (** [run t req] serves one run request to completion: the reply is a
     [Run_reply] (with [cached]/[coalesced] telling how it was served)
     or an [Error_reply]. Blocks the calling thread up to the request's

@@ -4,5 +4,6 @@
     Byte-granular memory tracking: a load's producer is the youngest
     store writing any byte the load reads. *)
 
-(** Fills [src1]/[src2]/[memsrc] in place. *)
+(** Fills [src1]/[src2]/[memsrc] in place, reading each instruction's
+    operands from the window's program by pc. *)
 val compute : Tracer.t -> unit

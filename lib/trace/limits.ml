@@ -2,27 +2,25 @@
 let load_latency = 2
 
 let finish_times ~serialize_branches (tr : Tracer.t) =
-  let dyns = tr.Tracer.dyns in
-  let n = Array.length dyns in
+  let n = tr.Tracer.n in
   let finish = Array.make n 0 in
   let last_branch_finish = ref 0 in
   let horizon = ref 0 in
   for i = 0 to n - 1 do
-    let d = dyns.(i) in
     let ready p = if p < 0 then 0 else finish.(p) in
     let start =
       max
         (if serialize_branches then !last_branch_finish else 0)
-        (max (ready d.Dyn.src1) (max (ready d.Dyn.src2) (ready d.Dyn.memsrc)))
+        (max (ready tr.Tracer.src1.(i))
+           (max (ready tr.Tracer.src2.(i)) (ready tr.Tracer.memsrc.(i))))
     in
+    let kind = tr.Tracer.kind.(i) in
     let latency =
-      if Dyn.is_load d then load_latency else Pf_isa.Instr.latency d.Dyn.instr
+      if kind = Pf_isa.Instr.k_load then load_latency else tr.Tracer.lat.(i)
     in
     finish.(i) <- start + latency;
-    if
-      Pf_isa.Instr.is_cond_branch d.Dyn.instr
-      || Pf_isa.Instr.is_indirect_jump d.Dyn.instr
-    then last_branch_finish := max !last_branch_finish finish.(i);
+    if kind = Pf_isa.Instr.k_branch || kind = Pf_isa.Instr.k_ind_jump then
+      last_branch_finish := max !last_branch_finish finish.(i);
     if finish.(i) > !horizon then horizon := finish.(i)
   done;
   (n, !horizon)

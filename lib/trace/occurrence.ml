@@ -8,26 +8,20 @@ type t = { by_pc : int array array }
 let none = [||]
 
 let build (tr : Tracer.t) : t =
-  let dyns = tr.Tracer.dyns in
-  let max_pc = ref (-1) in
-  Array.iter
-    (fun (d : Dyn.t) -> if d.Dyn.pc > !max_pc then max_pc := d.Dyn.pc)
-    dyns;
-  let counts = Array.make (!max_pc + 2) 0 in
-  Array.iter
-    (fun (d : Dyn.t) -> counts.(d.Dyn.pc) <- counts.(d.Dyn.pc) + 1)
-    dyns;
-  let by_pc = Array.make (!max_pc + 2) none in
+  let pcs = tr.Tracer.pc in
+  let max_pc = Array.fold_left max (-1) pcs in
+  let counts = Array.make (max_pc + 2) 0 in
+  Array.iter (fun pc -> counts.(pc) <- counts.(pc) + 1) pcs;
+  let by_pc = Array.make (max_pc + 2) none in
   Array.iteri (fun pc c -> if c > 0 then by_pc.(pc) <- Array.make c 0) counts;
   (* reuse [counts] as per-pc fill cursors *)
   let fill = counts in
   Array.fill fill 0 (Array.length fill) 0;
   Array.iteri
-    (fun i (d : Dyn.t) ->
-      let pc = d.Dyn.pc in
+    (fun i pc ->
       by_pc.(pc).(fill.(pc)) <- i;
       fill.(pc) <- fill.(pc) + 1)
-    dyns;
+    pcs;
   { by_pc }
 
 let next_after (t : t) ~pc ~index =

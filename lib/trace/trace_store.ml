@@ -2,7 +2,7 @@
    the notes here are about the codec, the key, and locking.
 
    One Pf_cache_store.Cache_store of binary trace entries
-   ([dir/ab/<digest>.trace]) holds the captured window's Dyn records
+   ([dir/ab/<digest>.trace]) holds a captured window's dynamic columns
    with producer indices already filled, so a hit skips the machine
    set-up, the fast-forward interpretation, the window capture AND the
    dependence pass. A miss does exactly what Run.prepare does without a
@@ -19,13 +19,14 @@
    are required to be deterministic (the run cache already assumes
    this repo-wide).
 
-   Records are 29 bytes: pc/next_pc/src1/src2/memsrc as int32 LE, addr
-   as int64 LE, a taken flag byte. The instruction itself is not stored
-   — it is re-fetched from the caller's program by pc — and mem_bytes
-   is recomputed from the instruction, exactly as Dyn.of_event does. A
-   16-byte raw MD5 footer covers header + records; any mismatch,
-   truncation, unmapped pc or foreign format version downgrades to a
-   miss (Cache_store re-publishes the fresh result over the bad entry).
+   Records are 29 bytes, one per window instruction: pc/next_pc/src1/
+   src2/memsrc as int32 LE, addr as int64 LE, a taken flag byte. The
+   static columns (kind, latency, $sp flags, backward) are not stored:
+   the decoder fills them from the caller's program by pc through
+   Tracer.filler, exactly as capture does. A 16-byte raw MD5 footer
+   covers header + records; any mismatch, truncation, unmapped pc or
+   foreign format version downgrades to a miss (Cache_store
+   re-publishes the fresh result over the bad entry).
 
    The mutex guards the fingerprint memo and the byte count (a
    [Pf_obs.Counters] bump is a plain read-modify-write); machine
@@ -158,31 +159,23 @@ let digest t program ~setup ~fast_forward ~window =
 (* --- codec ------------------------------------------------------------ *)
 
 let encode (trace : Tracer.t) =
-  let dyns = trace.Tracer.dyns in
-  let n = Array.length dyns in
+  let n = trace.Tracer.n in
   let b = Buffer.create (header_bytes + (n * record_bytes) + footer_bytes) in
   Buffer.add_string b magic;
   Buffer.add_int32_le b (Int32.of_int format_version);
   Buffer.add_int64_le b (Int64.of_int trace.Tracer.fast_forwarded);
   Buffer.add_int64_le b (Int64.of_int n);
-  Array.iter
-    (fun (d : Dyn.t) ->
-      Buffer.add_int32_le b (Int32.of_int d.Dyn.pc);
-      Buffer.add_int32_le b (Int32.of_int d.Dyn.next_pc);
-      Buffer.add_int64_le b (Int64.of_int d.Dyn.addr);
-      Buffer.add_int32_le b (Int32.of_int d.Dyn.src1);
-      Buffer.add_int32_le b (Int32.of_int d.Dyn.src2);
-      Buffer.add_int32_le b (Int32.of_int d.Dyn.memsrc);
-      Buffer.add_char b (if d.Dyn.taken then '\001' else '\000'))
-    dyns;
+  for i = 0 to n - 1 do
+    Buffer.add_int32_le b (Int32.of_int trace.Tracer.pc.(i));
+    Buffer.add_int32_le b (Int32.of_int trace.Tracer.next_pc.(i));
+    Buffer.add_int64_le b (Int64.of_int trace.Tracer.addr.(i));
+    Buffer.add_int32_le b (Int32.of_int trace.Tracer.src1.(i));
+    Buffer.add_int32_le b (Int32.of_int trace.Tracer.src2.(i));
+    Buffer.add_int32_le b (Int32.of_int trace.Tracer.memsrc.(i));
+    Buffer.add_char b (if trace.Tracer.taken.(i) then '\001' else '\000')
+  done;
   let body = Buffer.contents b in
   body ^ Digest.string body
-
-let mem_bytes_of instr =
-  match instr with
-  | Pf_isa.Instr.Load (w, _, _, _, _) | Pf_isa.Instr.Store (w, _, _, _) ->
-      Pf_isa.Instr.width_bytes w
-  | _ -> 0
 
 exception Corrupt of string
 
@@ -201,30 +194,27 @@ let decode program text =
     let n = Int64.to_int (String.get_int64_le text 16) in
     if n < 0 || body_len - header_bytes <> n * record_bytes then
       raise (Corrupt "record count mismatch");
-    let dyns =
-      Array.init n (fun i ->
-          let off = header_bytes + (i * record_bytes) in
-          let pc = Int32.to_int (String.get_int32_le text off) in
-          if not (Pf_isa.Program.in_range program pc) then
-            raise (Corrupt "pc unmapped in program");
-          let instr = Pf_isa.Program.fetch program pc in
-          let taken =
-            match text.[off + 28] with
-            | '\000' -> false
-            | '\001' -> true
-            | _ -> raise (Corrupt "bad taken flag")
-          in
-          { Dyn.pc;
-            instr;
-            next_pc = Int32.to_int (String.get_int32_le text (off + 4));
-            taken;
-            addr = Int64.to_int (String.get_int64_le text (off + 8));
-            mem_bytes = mem_bytes_of instr;
-            src1 = Int32.to_int (String.get_int32_le text (off + 16));
-            src2 = Int32.to_int (String.get_int32_le text (off + 20));
-            memsrc = Int32.to_int (String.get_int32_le text (off + 24)) })
-    in
-    Ok { Tracer.dyns; fast_forwarded }
+    let trace = Tracer.create program ~fast_forwarded n in
+    let fill = Tracer.filler trace in
+    let int32_at off = Int32.to_int (String.get_int32_le text off) in
+    for i = 0 to n - 1 do
+      let off = header_bytes + (i * record_bytes) in
+      let pc = int32_at off in
+      if not (Pf_isa.Program.in_range program pc) then
+        raise (Corrupt "pc unmapped in program");
+      let taken =
+        match text.[off + 28] with
+        | '\000' -> false
+        | '\001' -> true
+        | _ -> raise (Corrupt "bad taken flag")
+      in
+      fill i ~pc ~next_pc:(int32_at (off + 4)) ~taken
+        ~addr:(Int64.to_int (String.get_int64_le text (off + 8)));
+      trace.Tracer.src1.(i) <- int32_at (off + 16);
+      trace.Tracer.src2.(i) <- int32_at (off + 20);
+      trace.Tracer.memsrc.(i) <- int32_at (off + 24)
+    done;
+    Ok trace
   with Corrupt reason -> Error reason
 
 (* --- prepare ----------------------------------------------------------- *)
@@ -238,8 +228,7 @@ let prepare t program ~setup ~fast_forward ~window =
   match Cache_store.find t.store ~digest ~decode:(decode program) with
   | Some trace ->
       count_bytes t
-        (header_bytes + (Array.length trace.Tracer.dyns * record_bytes)
-        + footer_bytes);
+        (header_bytes + (Tracer.length trace * record_bytes) + footer_bytes);
       trace
   | None ->
       let machine =

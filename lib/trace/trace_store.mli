@@ -4,7 +4,7 @@
     fast-forward prefix, capturing the window and running the
     dependence pass.
 
-    A captured window (the [Dyn.t] records with producer indices
+    A captured window (its dynamic columns, with producer indices
     already filled by {!Depinfo.compute}, plus the fast-forward count)
     is serialized in a compact versioned binary codec and published
     through {!Pf_cache_store.Cache_store} ([dir/ab/<digest>.trace];
@@ -18,18 +18,17 @@
     window counts. Entries survive the process: a cold sweep, a daemon
     restart or a policy-only study re-loads the window from disk
     instead of re-preparing it. A hit is byte-identical to from-scratch
-    preparation (the parity suite in test/test_trace_store.ml holds Dyn
-    streams, flat traces and full run records equal), so downstream
-    goldens and run-cache digests never notice which path produced the
-    window.
+    preparation (the parity suite in test/test_trace_store.ml holds
+    windows and full run records equal), so downstream goldens and
+    run-cache digests never notice which path produced the window.
 
     {b Invalidation.} Any change to the program content, the setup's
     observable effect, the fast-forward or window count, or
-    [format_version] (bump it when the codec or [Dyn.t] semantics
-    change) produces a different digest, orphaning stale entries in
-    place. Corrupt, truncated or foreign-version entries downgrade to
-    a miss with a warning on stderr and are overwritten by the fresh
-    result.
+    [format_version] (bump it when the codec or the meaning of a
+    stored column changes) produces a different digest, orphaning
+    stale entries in place. Corrupt, truncated or foreign-version
+    entries downgrade to a miss with a warning on stderr and are
+    overwritten by the fresh result.
 
     {b Determinism requirement.} Setups must be deterministic (same
     writes on every call) — the same assumption the run cache already

@@ -3,7 +3,6 @@ type mode = Fast | Self_checked | Stepped
 type input = {
   config : Config.t;
   trace : Pf_trace.Tracer.t;
-  flat : Pf_trace.Flat_trace.t;
   occurrence : Pf_trace.Occurrence.t;
   hints : Pf_core.Hint_cache.t;
   speculation : Pf_core.Safety_filter.t Pf_core.Policy.speculation;
@@ -29,15 +28,15 @@ let s_sched = 3
 let s_issued = 4
 let s_retired = 5
 
-(* instruction kind codes (precomputed in the shared flat trace) *)
-let k_load = Pf_trace.Flat_trace.k_load
-let k_store = Pf_trace.Flat_trace.k_store
-let k_branch = Pf_trace.Flat_trace.k_branch
-let k_jump = Pf_trace.Flat_trace.k_jump
-let k_call = Pf_trace.Flat_trace.k_call
-let k_return = Pf_trace.Flat_trace.k_return
-let k_ind_jump = Pf_trace.Flat_trace.k_ind_jump
-let k_ind_call = Pf_trace.Flat_trace.k_ind_call
+(* instruction kind codes (the shared window's [kind] column) *)
+let k_load = Pf_isa.Instr.k_load
+let k_store = Pf_isa.Instr.k_store
+let k_branch = Pf_isa.Instr.k_branch
+let k_jump = Pf_isa.Instr.k_jump
+let k_call = Pf_isa.Instr.k_call
+let k_return = Pf_isa.Instr.k_return
+let k_ind_jump = Pf_isa.Instr.k_ind_jump
+let k_ind_call = Pf_isa.Instr.k_ind_call
 
 (* Cycle wheel used by event skipping: one slot per cycle modulo the
    wheel size, stamped with the exact completion cycle at issue time.
@@ -105,7 +104,7 @@ module Scratch = struct
     owner_slot : int array;    (* 0 = the initial task's slot *)
     wake : Wakeq.t;            (* empty; lists: producers, then buckets *)
     dseq : Bytes.t;            (* 32-bit; written at every divert *)
-    src1 : int array;          (* blitted from the flat trace before use *)
+    src1 : int array;          (* blitted from the window before use *)
     src2 : int array;
     (* spawn-statistic arrays are sized by the static code footprint
        (max pc / bytes-per-instr), not the window, so they carry their
@@ -212,11 +211,11 @@ type t = {
   sink : Sink.t;
   observe : bool;
   watchdog : int; (* a run still going past this cycle is deadlocked *)
-  (* The flat trace is shared and immutable: every array below is read
+  (* The window is shared and immutable: every array below is read
      only, so concurrent simulations of the same window (one per policy,
      across worker domains) alias one copy. See docs/ENGINE.md. The
      arrays the issue path reads are fields of their own. *)
-  flat : Pf_trace.Flat_trace.t;
+  trace : Pf_trace.Tracer.t;
   pc : int array;
   kind : int array;
   addr : int array;
@@ -227,10 +226,10 @@ type t = {
      point (call depth balances along every path), so a cross-task sp
      dependence is satisfied at spawn rather than through the divert
      machinery. The fetch stage patches these copies accordingly — they
-     are the one part of the flattened window that is per-run mutable.
+     are the one part of the window's columns that is per-run mutable.
      The only writes (fetch's sp-hint patching) require [sp_hint] and a
      cross-task producer, which needs a second task; a single-task run
-     can therefore alias the shared flat trace instead of copying it. *)
+     can therefore alias the shared window instead of copying it. *)
   eff_mutable : bool;
   eff_src1 : int array;
   eff_src2 : int array;
@@ -592,7 +591,7 @@ let retire st =
       st.progress <- true;
       if st.dynamic = Reconvergence then
         Pf_predict.Reconvergence.retire st.recpred ~pc:st.pc.(i)
-          ~instr:st.input.trace.Pf_trace.Tracer.dyns.(i).Pf_trace.Dyn.instr;
+          ~kind:(Array.unsafe_get st.kind i);
       let t = owner_task st i in
       t.inflight <- t.inflight - 1;
       t.rob_used <- t.rob_used - 1;
@@ -732,7 +731,7 @@ let issue_step st i =
               ignore
                 (Pf_cache.Hierarchy.data_latency st.hier
                    (Array.unsafe_get st.addr i));
-            Array.unsafe_get st.flat.Pf_trace.Flat_trace.lat i
+            Array.unsafe_get st.trace.Pf_trace.Tracer.lat i
           end
         in
         let c = st.now + latency in
@@ -1060,7 +1059,7 @@ let spawn_candidates_at st i =
            return address of a call is the procedure fall-through. *)
         match st.kind.(i) with
         | k when k = k_branch ->
-            if Bytes.get st.flat.Pf_trace.Flat_trace.backward i = '\001' then
+            if Bytes.get st.trace.Pf_trace.Tracer.backward i = '\001' then
               fall_through st i Pf_core.Spawn_point.Loop_ft
             else []
         | k when k = k_call || k = k_ind_call ->
@@ -1105,7 +1104,7 @@ let task_lt a b =
   || (a.inflight = b.inflight && a.start_idx < b.start_idx)
 
 let fetch st =
-  let cfg = st.cfg and elig = st.elig and flat = st.flat in
+  let cfg = st.cfg and elig = st.elig and trace = st.trace in
   (* unblock tasks whose mispredicted branch has resolved *)
   for k = 0 to st.live - 1 do
     let t = ring_at st k in
@@ -1174,13 +1173,13 @@ let fetch st =
         st.progress <- true;
         (* control-equivalent sp: cross-task sp sources are ready.
            [eff_mutable] (not just [sp_hint]) so the guard provably
-           never writes through an aliased flat trace *)
+           never writes through an aliased window *)
         if st.eff_mutable then begin
           if st.eff_src1.(i) >= 0 && st.eff_src1.(i) < t.start_idx
-             && Bytes.get flat.Pf_trace.Flat_trace.src1_sp i = '\001'
+             && Bytes.get trace.Pf_trace.Tracer.src1_sp i = '\001'
           then st.eff_src1.(i) <- -1;
           if st.eff_src2.(i) >= 0 && st.eff_src2.(i) < t.start_idx
-             && Bytes.get flat.Pf_trace.Flat_trace.src2_sp i = '\001'
+             && Bytes.get trace.Pf_trace.Tracer.src2_sp i = '\001'
           then st.eff_src2.(i) <- -1
         end;
         t.inflight <- t.inflight + 1;
@@ -1191,7 +1190,7 @@ let fetch st =
         (* control-flow prediction *)
         (match kind with
         | k when k = k_branch ->
-            let taken = flat.Pf_trace.Flat_trace.taken.(i) in
+            let taken = trace.Pf_trace.Tracer.taken.(i) in
             let history =
               if cfg.Config.shared_history then st.shared_hist else t.history
             in
@@ -1217,7 +1216,7 @@ let fetch st =
             continue_ := false
         | k when k = k_return ->
             let target = Pf_predict.Ras.pop t.ras in
-            if target < 0 || target <> flat.Pf_trace.Flat_trace.next_pc.(i)
+            if target < 0 || target <> trace.Pf_trace.Tracer.next_pc.(i)
             then begin
               cinc st.m_ret_mp;
               t.blocked_branch <- i
@@ -1225,7 +1224,7 @@ let fetch st =
             continue_ := false
         | k when k = k_ind_jump || k = k_ind_call ->
             if k = k_ind_call then Pf_predict.Ras.push t.ras (pc + bpi);
-            let next_pc = flat.Pf_trace.Flat_trace.next_pc.(i) in
+            let next_pc = trace.Pf_trace.Tracer.next_pc.(i) in
             let predicted = Pf_predict.Indirect.predict st.indirect ~pc in
             Pf_predict.Indirect.update st.indirect ~pc ~target:next_pc;
             if predicted < 0 || predicted <> next_pc then begin
@@ -1262,7 +1261,7 @@ let self_check st =
     if s = s_divert then incr divert;
     if s = s_issued || s = s_retired then begin
       let load = st.kind.(i) = k_load in
-      let lat = if load then l1d_hit else st.flat.Pf_trace.Flat_trace.lat.(i) in
+      let lat = if load then l1d_hit else st.trace.Pf_trace.Tracer.lat.(i) in
       let bound = st.complete_c.(i) - lat in
       let check p =
         if p >= 0 && st.complete_c.(p) > bound then
@@ -1525,13 +1524,10 @@ let init input =
   let m_stall_divert = cnt "stall_divert" in
   let m_stall_sched = cnt "stall_sched" in
   let m_stall_exec = cnt "stall_exec" in
-  let dyns = input.trace.Pf_trace.Tracer.dyns in
-  let flat = input.flat in
-  let n = flat.Pf_trace.Flat_trace.n in
+  let trace = input.trace in
+  let n = trace.Pf_trace.Tracer.n in
   if n = 0 then invalid_arg "Engine: empty trace";
-  if n <> Array.length dyns then
-    invalid_arg "Engine: flat trace does not match the captured window";
-  let pc = flat.Pf_trace.Flat_trace.pc in
+  let pc = trace.Pf_trace.Tracer.pc in
   let eff_mutable = cfg.Config.sp_hint && cfg.Config.max_tasks > 1 in
   let sc = Scratch.checkout n in
   let eff_src src copy =
@@ -1561,13 +1557,13 @@ let init input =
       sink = input.sink;
       observe = not (Sink.is_null input.sink);
       watchdog = cfg.Config.max_cycles_per_instr * n;
-      flat; pc;
-      kind = flat.Pf_trace.Flat_trace.kind;
-      addr = flat.Pf_trace.Flat_trace.addr;
-      memsrc = flat.Pf_trace.Flat_trace.memsrc;
+      trace; pc;
+      kind = trace.Pf_trace.Tracer.kind;
+      addr = trace.Pf_trace.Tracer.addr;
+      memsrc = trace.Pf_trace.Tracer.memsrc;
       eff_mutable;
-      eff_src1 = eff_src flat.Pf_trace.Flat_trace.src1 sc.Scratch.src1;
-      eff_src2 = eff_src flat.Pf_trace.Flat_trace.src2 sc.Scratch.src2;
+      eff_src1 = eff_src trace.Pf_trace.Tracer.src1 sc.Scratch.src1;
+      eff_src2 = eff_src trace.Pf_trace.Tracer.src2 sc.Scratch.src2;
       state = sc.Scratch.state;
       fetch_c = sc.Scratch.fetch_c;
       complete_c = sc.Scratch.complete_c;

@@ -62,10 +62,9 @@ type mode =
 
 type input = {
   config : Config.t;
-  trace : Pf_trace.Tracer.t;        (** with dependence info filled in *)
-  flat : Pf_trace.Flat_trace.t;
-      (** the window flattened by {!Pf_trace.Flat_trace.of_trace} —
-          computed once per window by [Run.prepare] and shared read-only
+  trace : Pf_trace.Tracer.t;
+      (** the window's columns, with dependence info filled in —
+          captured once per window by [Run.prepare] and shared read-only
           between every simulation of that window (docs/ENGINE.md) *)
   occurrence : Pf_trace.Occurrence.t;
   hints : Pf_core.Hint_cache.t;     (** static spawn points *)
@@ -103,6 +102,6 @@ type input = {
 (** Run to completion (every window instruction retired).
     @raise Failure if the watchdog trips (a scheduling deadlock — a bug,
     not a workload property).
-    @raise Invalid_argument if [flat] was not built from [trace], or if
-    [config] fails {!Config.check}. *)
+    @raise Invalid_argument if [trace] is empty or [config] fails
+    {!Config.check}. *)
 val simulate : input -> Metrics.t

@@ -1,7 +1,6 @@
 type prepared = {
   program : Pf_isa.Program.t;
   trace : Pf_trace.Tracer.t;
-  flat : Pf_trace.Flat_trace.t;
   occurrence : Pf_trace.Occurrence.t;
   all_spawns : Pf_core.Spawn_point.t list;
 }
@@ -24,13 +23,12 @@ let prepare ?store program ~setup ~fast_forward ~window =
   in
   if Pf_trace.Tracer.length trace = 0 then
     invalid_arg "Run.prepare: empty window (program halted during fast-forward?)";
-  (* flatten once, after the dependence pass: the SoA arrays are
-     immutable from here on and shared by every policy simulated against
-     this window, including concurrently on other domains *)
-  let flat = Pf_trace.Flat_trace.of_trace trace in
+  (* the window's columns are immutable from here on and shared by
+     every policy simulated against it, including concurrently on
+     other domains *)
   let occurrence = Pf_trace.Occurrence.build trace in
   let all_spawns = Pf_core.Classify.spawn_points program in
-  { program; trace; flat; occurrence; all_spawns }
+  { program; trace; occurrence; all_spawns }
 
 (* build one engine input against the shared prepared window: the
    policy's descriptor row, with its safety filter built from the
@@ -53,7 +51,6 @@ let to_input ~sink ~counters ~config ~mode prepared ~policy =
   in
   { Engine.config;
     trace = prepared.trace;
-    flat = prepared.flat;
     occurrence = prepared.occurrence;
     hints = Pf_core.Hint_cache.of_spawns selected;
     speculation;

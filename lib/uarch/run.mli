@@ -7,8 +7,7 @@
 type prepared = {
   program : Pf_isa.Program.t;
   trace : Pf_trace.Tracer.t;
-  flat : Pf_trace.Flat_trace.t;
-      (** the window in structure-of-arrays form — immutable, shared by
+      (** the window's columns, producers filled — immutable, shared by
           every simulation of this window (docs/ENGINE.md) *)
   occurrence : Pf_trace.Occurrence.t;
   all_spawns : Pf_core.Spawn_point.t list; (** every potential spawn point *)
@@ -16,8 +15,8 @@ type prepared = {
 
 (** [prepare program ~setup ~fast_forward ~window] creates the machine,
     applies [setup] (memory/data initialisation), fast-forwards, captures
-    the window and computes the dependence, flat-trace and occurrence
-    indexes. Everything in the result is immutable, so one [prepared]
+    the window and computes the dependence columns and the occurrence
+    index. Everything in the result is immutable, so one [prepared]
     value may be simulated concurrently from many domains.
 
     With [store], the capture and dependence pass go through the

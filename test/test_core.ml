@@ -218,6 +218,44 @@ let test_hint_cache_duplicate_install () =
   let hc = Hint_cache.of_spawns [ s; s ] in
   Alcotest.(check int) "no duplicates" 1 (Hint_cache.size hc)
 
+(* The table is sized once from its spawns: on every kernel, under
+   every policy class the fuzz oracles run, each pc holds exactly the
+   spawns selected at it, in selection order, once each. *)
+let test_hint_cache_holds_every_selection () =
+  List.iter
+    (fun name ->
+      let wl = Option.get (Pf_workloads.Suite.find name) in
+      let all = Classify.spawn_points wl.Pf_workloads.Workload.program in
+      List.iter
+        (fun policy ->
+          let selected = Policy.select policy all in
+          let hc = Hint_cache.of_spawns selected in
+          let pcs =
+            List.sort_uniq compare
+              (List.map (fun s -> s.Spawn_point.at_pc) selected)
+          in
+          List.iter
+            (fun pc ->
+              let expected =
+                List.fold_left
+                  (fun acc s ->
+                    if s.Spawn_point.at_pc = pc && not (List.mem s acc) then
+                      acc @ [ s ]
+                    else acc)
+                  [] selected
+              in
+              if Hint_cache.find hc ~pc <> expected then
+                Alcotest.failf "%s under %s: hints at pc %#x differ" name
+                  (Policy.name policy) pc)
+            pcs;
+          Alcotest.(check int)
+            (Printf.sprintf "%s under %s: nothing else installed" name
+               (Policy.name policy))
+            (List.length (List.sort_uniq compare selected))
+            (Hint_cache.size hc))
+        Pf_fuzz.Oracle.all_policies)
+    Pf_workloads.Suite.spec_names
+
 let test_static_stats () =
   let _, p = program () in
   let spawns = Classify.spawn_points p in
@@ -337,7 +375,9 @@ let suite =
         case "figure line-ups" test_figure_lineups ] );
     ( "core.hint_cache",
       [ case "install and find" test_hint_cache;
-        case "duplicates collapse" test_hint_cache_duplicate_install ] );
+        case "duplicates collapse" test_hint_cache_duplicate_install;
+        case "every kernel's selections, in order, once each"
+          test_hint_cache_holds_every_selection ] );
     ( "core.static_stats",
       [ case "figure 5 counters" test_static_stats;
         case "empty is defined" test_static_stats_empty ] ) ]

@@ -149,7 +149,11 @@ let plain pc = (pc, Pf_isa.Instr.Nop)
 let callr pc = (pc, Pf_isa.Instr.Jal 0)
 let ret pc = (pc, Pf_isa.Instr.Jr Pf_isa.Reg.ra)
 
-let feed t stream = List.iter (fun (pc, instr) -> Reconvergence.retire t ~pc ~instr) stream
+let feed t stream =
+  List.iter
+    (fun (pc, instr) ->
+      Reconvergence.retire t ~pc ~kind:(Pf_isa.Instr.kind instr))
+    stream
 
 (* if-then-else around branch at 0x100: taken path 0x110 (else),
    not-taken 0x104,0x108 (then), join at 0x118. *)

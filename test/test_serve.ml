@@ -465,6 +465,34 @@ let test_scheduler_resolution_errors () =
           ()
       | _ -> Alcotest.fail "a bad config does not come before a bad window")
 
+(* Capture sizes its columns by the window before the program runs,
+   so a window over the limit is refused before anything is prepared,
+   in the window's place in the error order, and the next valid run is
+   served. *)
+let test_scheduler_window_limit () =
+  with_scheduler (fun sched _ ->
+      let huge = 100_000_000 in
+      let prepared () =
+        Json.to_int (List.assoc "prepared_windows" (Scheduler.stats_fields sched))
+      in
+      (match Scheduler.run sched (run_request ~window:huge "gzip" "postdoms") with
+      | Protocol.Error_reply { code = Protocol.Bad_request; message; _ } ->
+          Alcotest.(check string) "names the limit"
+            (Printf.sprintf {|"window" must be at most %d (got %d)|}
+               Scheduler.max_window huge)
+            message
+      | _ -> Alcotest.fail "a window over the limit is not refused");
+      Alcotest.(check int) "at the limit" 1_000_000 Scheduler.max_window;
+      (match Scheduler.run sched (run_request ~window:huge "gzip" "no-such") with
+      | Protocol.Error_reply { code = Protocol.Unknown_policy; _ } -> ()
+      | _ -> Alcotest.fail "a bad policy does not come before a bad window");
+      Alcotest.(check int) "nothing prepared" 0 (prepared ());
+      match Scheduler.run sched (run_request ~window:2_000 "gzip" "postdoms") with
+      | Protocol.Run_reply _ ->
+          Alcotest.(check int) "the next run prepares its window" 1
+            (prepared ())
+      | _ -> Alcotest.fail "the next valid run is not served")
+
 let test_scheduler_hit_miss_and_prep_sharing () =
   let cache = Run_cache.create ~dir:(temp_dir ()) () in
   with_scheduler ~cache (fun sched counters ->
@@ -1085,6 +1113,7 @@ let suite =
         case "recency survives reopen" test_cache_recency_survives_reopen ] );
     ( "serve.scheduler",
       [ case "resolution errors" test_scheduler_resolution_errors;
+        case "a window over the limit is refused" test_scheduler_window_limit;
         case "hit, miss and prep sharing" test_scheduler_hit_miss_and_prep_sharing;
         case "no_cache bypasses the cache" test_scheduler_no_cache;
         case "a finished job leaves a later no_cache job pending"

@@ -30,40 +30,38 @@ let capture ?(fast_forward = 0) ?(window = 1000) p =
   Depinfo.compute tr;
   tr
 
-(* The collector sizes its buffer off [window]; if the machine emits
-   more events than that (the defensive path — a caller running the
-   machine past the window budget), the buffer doubles without losing
-   or reordering records. *)
-let test_collector_growth () =
-  let event i =
-    { Machine.pc = 0x1000 + (4 * i);
-      instr = Instr.Nop;
-      next_pc = 0x1004 + (4 * i);
-      taken = false;
-      addr = -1 }
+(* Capture allocates its columns once, at the window size: it keeps
+   at most [window] instructions, cuts the columns down to the
+   instructions run when the program halts first, records nothing for
+   an empty window or a halted machine, and keeps program order. *)
+let test_capture_bounds_and_order () =
+  let a = Asm.create () in
+  Asm.proc a "main";
+  for k = 1 to 36 do
+    Asm.li a Reg.t0 (Int64.of_int k)
+  done;
+  Asm.halt a;
+  let p = Asm.assemble a ~entry:"main" in
+  let in_order what (tr : Tracer.t) =
+    Array.iteri
+      (fun i pc ->
+        if pc <> p.Program.base + (4 * i) then
+          Alcotest.failf "%s: instruction %d out of order (pc %#x)" what i pc)
+      tr.Tracer.pc
   in
-  let feed ~window n =
-    let on_event, finish = Tracer.collector ~window in
-    for i = 0 to n - 1 do
-      on_event (event i)
-    done;
-    finish ()
-  in
-  (* 3 growth doublings past the declared window *)
-  let dyns = feed ~window:4 37 in
-  Alcotest.(check int) "all records kept" 37 (Array.length dyns);
-  Array.iteri
-    (fun i d ->
-      if d.Dyn.pc <> 0x1000 + (4 * i) then
-        Alcotest.failf "record %d out of order (pc %#x)" i d.Dyn.pc)
-    dyns;
-  (* window 0 still collects (sized off the first event) *)
-  Alcotest.(check int) "window 0 grows from 1" 9
-    (Array.length (feed ~window:0 9));
-  (* short runs truncate to the observed count *)
-  Alcotest.(check int) "short run truncated" 3
-    (Array.length (feed ~window:1000 3));
-  Alcotest.(check int) "empty run" 0 (Array.length (feed ~window:16 0))
+  let capped = capture ~window:4 p in
+  Alcotest.(check int) "capped at the window" 4 (Tracer.length capped);
+  Alcotest.(check int) "columns sized to the window" 4
+    (Array.length capped.Tracer.memsrc);
+  in_order "capped" capped;
+  let halted = capture ~window:1000 p in
+  Alcotest.(check int) "cut at the halt" 37 (Tracer.length halted);
+  Alcotest.(check int) "columns cut too" 37
+    (Bytes.length halted.Tracer.backward);
+  in_order "halted" halted;
+  Alcotest.(check int) "empty window" 0 (Tracer.length (capture ~window:0 p));
+  Alcotest.(check int) "halted during fast-forward" 0
+    (Tracer.length (capture ~fast_forward:100 ~window:16 p))
 
 let test_capture_full_run () =
   let tr = capture (dep_program ()) in
@@ -72,21 +70,19 @@ let test_capture_full_run () =
 
 let test_register_producers () =
   let tr = capture (dep_program ()) in
-  let d = tr.Tracer.dyns in
   (* store (index 2) reads t1 (index 1) and t0 (index 0);
      uses are sorted by register number so t1 (data) then t0? t1=9 > t0=8,
      so src1 <- producer of t0, src2 <- producer of t1 *)
-  Alcotest.(check int) "store src1" 0 d.(2).Dyn.src1;
-  Alcotest.(check int) "store src2" 1 d.(2).Dyn.src2;
+  Alcotest.(check int) "store src1" 0 tr.Tracer.src1.(2);
+  Alcotest.(check int) "store src2" 1 tr.Tracer.src2.(2);
   (* add (index 4) reads t2 (load, index 3) and t1 (index 1) *)
-  Alcotest.(check int) "add src1" 1 d.(4).Dyn.src1;
-  Alcotest.(check int) "add src2" 3 d.(4).Dyn.src2
+  Alcotest.(check int) "add src1" 1 tr.Tracer.src1.(4);
+  Alcotest.(check int) "add src2" 3 tr.Tracer.src2.(4)
 
 let test_memory_producer () =
   let tr = capture (dep_program ()) in
-  let d = tr.Tracer.dyns in
-  Alcotest.(check int) "load fed by store" 2 d.(3).Dyn.memsrc;
-  Alcotest.(check int) "store has no memsrc" (-1) d.(2).Dyn.memsrc
+  Alcotest.(check int) "load fed by store" 2 tr.Tracer.memsrc.(3);
+  Alcotest.(check int) "store has no memsrc" (-1) tr.Tracer.memsrc.(2)
 
 let test_partial_overlap () =
   (* byte store into the middle of a loaded word must be seen *)
@@ -100,7 +96,7 @@ let test_partial_overlap () =
   Asm.halt a;
   let tr = capture (Asm.assemble a ~entry:"main") in
   Alcotest.(check int) "youngest overlapping store wins" 3
-    tr.Tracer.dyns.(4).Dyn.memsrc
+    tr.Tracer.memsrc.(4)
 
 let test_before_window_producer () =
   (* with fast-forward, producers before the window read as -1 *)
@@ -111,7 +107,7 @@ let test_before_window_producer () =
   Asm.halt a;
   let tr = capture ~fast_forward:1 (Asm.assemble a ~entry:"main") in
   Alcotest.(check int) "ff count" 1 tr.Tracer.fast_forwarded;
-  Alcotest.(check int) "producer outside window" (-1) tr.Tracer.dyns.(0).Dyn.src1
+  Alcotest.(check int) "producer outside window" (-1) tr.Tracer.src1.(0)
 
 let loop_program n =
   let a = Asm.create () in
@@ -144,13 +140,12 @@ let prop_producers_precede_consumers =
     (fun n ->
       let tr = capture (loop_program n) in
       let ok = ref true in
-      Array.iteri
-        (fun i d ->
-          let chk p = if p >= 0 && p >= i then ok := false in
-          chk d.Dyn.src1;
-          chk d.Dyn.src2;
-          chk d.Dyn.memsrc)
-        tr.Tracer.dyns;
+      for i = 0 to Tracer.length tr - 1 do
+        let chk p = if p >= 0 && p >= i then ok := false in
+        chk tr.Tracer.src1.(i);
+        chk tr.Tracer.src2.(i);
+        chk tr.Tracer.memsrc.(i)
+      done;
       !ok)
 
 let prop_producer_defines_register =
@@ -159,20 +154,19 @@ let prop_producer_defines_register =
     QCheck.(int_range 1 40)
     (fun n ->
       let tr = capture (loop_program n) in
-      let d = tr.Tracer.dyns in
+      let instr i = Program.fetch tr.Tracer.program tr.Tracer.pc.(i) in
       let ok = ref true in
-      Array.iter
-        (fun (c : Dyn.t) ->
-          let uses = Pf_isa.Instr.uses c.Dyn.instr in
-          let chk p =
-            if p >= 0 then
-              match Pf_isa.Instr.def d.(p).Dyn.instr with
-              | Some r -> if not (List.mem r uses) then ok := false
-              | None -> ok := false
-          in
-          chk c.Dyn.src1;
-          chk c.Dyn.src2)
-        d;
+      for i = 0 to Tracer.length tr - 1 do
+        let uses = Pf_isa.Instr.uses (instr i) in
+        let chk p =
+          if p >= 0 then
+            match Pf_isa.Instr.def (instr p) with
+            | Some r -> if not (List.mem r uses) then ok := false
+            | None -> ok := false
+        in
+        chk tr.Tracer.src1.(i);
+        chk tr.Tracer.src2.(i)
+      done;
       !ok)
 
 let prop_occurrence_complete =
@@ -181,7 +175,6 @@ let prop_occurrence_complete =
     (fun n ->
       let tr = capture (loop_program n) in
       let occ = Occurrence.build tr in
-      let d = tr.Tracer.dyns in
       (* walking next_after from -1 must enumerate all indices of a pc *)
       let pc = 0x1004 in
       let rec walk acc idx =
@@ -191,7 +184,9 @@ let prop_occurrence_complete =
       in
       let found = walk [] (-1) in
       let expected = ref [] in
-      Array.iteri (fun i (x : Dyn.t) -> if x.Dyn.pc = pc then expected := i :: !expected) d;
+      Array.iteri
+        (fun i x -> if x = pc then expected := i :: !expected)
+        tr.Tracer.pc;
       found = List.rev !expected)
 
 (* Limits: the oracle can never be slower than the single flow, and a
@@ -237,7 +232,7 @@ let test_limits_parallel_block () =
 
 let suite =
   [ ( "trace",
-      [ case "collector buffer growth" test_collector_growth;
+      [ case "capture bounds and order" test_capture_bounds_and_order;
         case "capture full run" test_capture_full_run;
         case "register producers" test_register_producers;
         case "memory producer" test_memory_producer;

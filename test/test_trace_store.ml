@@ -1,8 +1,8 @@
 (* Tests for the persistent preparation cache (Pf_trace.Trace_store):
    store-miss and store-hit preparation must be byte-identical to
-   from-scratch preparation — Dyn streams, flat traces and full run
-   records — plus key sensitivity, corruption handling and the LRU
-   cap. *)
+   from-scratch preparation — windows and full run records — plus key
+   sensitivity, corruption handling, the pinned entry bytes and the
+   LRU cap. *)
 
 open Pf_trace
 module Machine = Pf_isa.Machine
@@ -44,18 +44,48 @@ let reference_trace program ~setup ~fast_forward ~window =
   if Tracer.length tr > 0 then Depinfo.compute tr;
   tr
 
+(* instruction [i]'s stored columns *)
+let record (t : Tracer.t) i =
+  ( t.Tracer.pc.(i),
+    t.Tracer.next_pc.(i),
+    t.Tracer.taken.(i),
+    t.Tracer.addr.(i),
+    (t.Tracer.src1.(i), t.Tracer.src2.(i), t.Tracer.memsrc.(i)) )
+
 let check_traces_equal what (a : Tracer.t) (b : Tracer.t) =
   Alcotest.(check int)
     (what ^ ": fast_forwarded") a.Tracer.fast_forwarded b.Tracer.fast_forwarded;
   Alcotest.(check int) (what ^ ": length") (Tracer.length a) (Tracer.length b);
-  Array.iteri
-    (fun i (da : Dyn.t) ->
-      if da <> b.Tracer.dyns.(i) then
-        Alcotest.failf "%s: record %d differs (pc %#x vs %#x)" what i
-          da.Dyn.pc b.Tracer.dyns.(i).Dyn.pc)
-    a.Tracer.dyns
+  for i = 0 to Tracer.length a - 1 do
+    if record a i <> record b i then
+      Alcotest.failf "%s: record %d differs (pc %#x vs %#x)" what i
+        a.Tracer.pc.(i) b.Tracer.pc.(i)
+  done;
+  (* the static columns the stored ones imply, and the program *)
+  if a <> b then Alcotest.failf "%s: windows differ" what
 
 let gzip () = Option.get (Pf_workloads.Suite.find "gzip")
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let prepare_gzip ts ~window =
+  let wl = gzip () in
+  Trace_store.prepare ts wl.Workload.program ~setup:wl.Workload.setup
+    ~fast_forward:wl.Workload.fast_forward ~window
+
+let gzip_digest ts ~window =
+  let wl = gzip () in
+  Trace_store.digest ts wl.Workload.program ~setup:wl.Workload.setup
+    ~fast_forward:wl.Workload.fast_forward ~window
 
 (* ---- store hits ---- *)
 
@@ -88,9 +118,8 @@ let test_store_hit_round_trip () =
   check_traces_equal "hit (new process image)" reference (prep ts2);
   Alcotest.(check int) "fresh store hits immediately" 1
     (Trace_store.stats ts2).Trace_store.hits;
-  (* flat traces built from both paths are structurally identical *)
-  Alcotest.(check bool) "flat traces equal" true
-    (Flat_trace.of_trace reference = Flat_trace.of_trace warm)
+  (* the windows from both paths are structurally identical *)
+  Alcotest.(check bool) "windows equal" true (reference = warm)
 
 (* ---- key sensitivity ---- *)
 
@@ -179,6 +208,66 @@ let test_corrupt_entry_is_a_miss () =
        body ^ Digest.string body);
       ("garbage", "not a trace at all") ]
 
+(* Any truncation and any single flipped bit of a valid entry is a
+   counted miss, and that miss republishes the entry byte for byte. *)
+let prop_damaged_entry_is_a_miss =
+  let window = 500 in
+  let fixture =
+    lazy
+      (let ts = make_store () in
+       ignore (prepare_gzip ts ~window);
+       let path = Trace_store.path ts ~digest:(gzip_digest ts ~window) in
+       (ts, path, read_file path))
+  in
+  QCheck.Test.make
+    ~name:"a truncated or bit-flipped entry is a miss that repairs it"
+    ~count:60
+    QCheck.(triple bool (int_bound 1_000_000) (int_bound 7))
+    (fun (truncate, pos, bit) ->
+      let ts, path, valid = Lazy.force fixture in
+      let at = pos mod String.length valid in
+      write_file path
+        (if truncate then String.sub valid 0 at
+         else
+           String.mapi
+             (fun i c ->
+               if i = at then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+             valid);
+      let before = Trace_store.stats ts in
+      ignore (prepare_gzip ts ~window);
+      let after = Trace_store.stats ts in
+      after.Trace_store.misses = before.Trace_store.misses + 1
+      && after.Trace_store.hits = before.Trace_store.hits
+      && read_file path = valid)
+
+(* ---- pinned bytes ---- *)
+
+(* gzip at window 3,000: the store key, and the entry's MD5 and size,
+   under each format version. A codec change bumps [format_version]
+   and adds a pin; it never edits one. *)
+let pins =
+  [ ( 1,
+      ( "c437a0af6601bbd23f60237ade61be6e",
+        "f66b6709e4d39846ead0485fb947c8f3",
+        87_040 ) ) ]
+
+let test_key_and_entry_pinned () =
+  let ts = make_store () in
+  let key = gzip_digest ts ~window:3_000 in
+  ignore (prepare_gzip ts ~window:3_000);
+  let entry = read_file (Trace_store.path ts ~digest:key) in
+  let got = (key, Digest.to_hex (Digest.string entry), String.length entry) in
+  match List.assoc_opt Trace_store.format_version pins with
+  | None ->
+      let key, md5, size = got in
+      Alcotest.failf "format_version %d has no pin; add (%d, (%S, %S, %d))"
+        Trace_store.format_version Trace_store.format_version key md5 size
+  | Some pinned ->
+      Alcotest.(check (triple string string int))
+        (Printf.sprintf "key, entry MD5 and size under format_version %d"
+           Trace_store.format_version)
+        pinned got
+
 (* ---- LRU cap ---- *)
 
 let test_lru_cap () =
@@ -215,12 +304,8 @@ let parity_holds ~gen ~seed =
       "seed %d (ff %d, window %d): %s differs from from-scratch preparation"
       seed fast_forward window what
   in
-  let eq (a : Tracer.t) (b : Tracer.t) =
-    a.Tracer.fast_forwarded = b.Tracer.fast_forwarded
-    && a.Tracer.dyns = b.Tracer.dyns
-  in
-  if not (eq reference (prep ())) then fail "store miss";
-  if not (eq reference (prep ())) then fail "store hit";
+  if reference <> prep () then fail "store miss";
+  if reference <> prep () then fail "store hit";
   (* a second miss of the same program at a later fast-forward point:
      the fingerprint memo hits, so this miss builds and sets up its own
      machine instead of reusing the fingerprinting one *)
@@ -231,7 +316,7 @@ let parity_holds ~gen ~seed =
   let got =
     Trace_store.prepare ts program ~setup ~fast_forward:shifted ~window
   in
-  if not (eq ref_shifted got) then fail "shifted fast-forward miss";
+  if ref_shifted <> got then fail "shifted fast-forward miss";
   true
 
 let prop_parity_mini =
@@ -246,7 +331,7 @@ let prop_parity_asm =
     QCheck.(int_range 1 100_000)
     (fun seed -> parity_holds ~gen:`Asm ~seed)
 
-(* ---- every workload: Dyn streams, flat traces, full run records ---- *)
+(* ---- every workload: windows and full run records ---- *)
 
 let test_all_workloads_parity () =
   let ts = make_store () in
@@ -265,8 +350,6 @@ let test_all_workloads_parity () =
       let check_prep what (prep : Run.prepared) =
         check_traces_equal (name ^ " " ^ what) reference.Run.trace
           prep.Run.trace;
-        if reference.Run.flat <> prep.Run.flat then
-          Alcotest.failf "%s %s: flat trace differs" name what;
         (* the run record — metrics serialized exactly as reports and
            the run cache store them — must be byte-identical *)
         let record p =
@@ -320,6 +403,9 @@ let suite =
       [ case "store hit round trip" test_store_hit_round_trip;
         case "digest sensitivity" test_digest_sensitivity;
         case "corrupt entries downgrade to misses" test_corrupt_entry_is_a_miss;
+        Prop.to_alcotest prop_damaged_entry_is_a_miss;
+        case "key and entry bytes pinned to their versions"
+          test_key_and_entry_pinned;
         case "LRU cap" test_lru_cap;
         Prop.to_alcotest prop_parity_mini;
         Prop.to_alcotest prop_parity_asm ] );

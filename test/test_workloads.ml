@@ -61,7 +61,7 @@ let test_every_workload_deterministic () =
         let m = Pf_isa.Machine.create w.Workload.program in
         w.Workload.setup m;
         let tr = Pf_trace.Tracer.capture m ~fast_forward:500 ~window:2_000 in
-        Array.map (fun d -> (d.Pf_trace.Dyn.pc, d.Pf_trace.Dyn.addr)) tr.Pf_trace.Tracer.dyns
+        (tr.Pf_trace.Tracer.pc, tr.Pf_trace.Tracer.addr)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s trace is reproducible" w.Workload.name)
@@ -500,15 +500,15 @@ let test_shared_value_concurrent_prepare () =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
             let prep = prepare ~store () in
-            (prep.Pf_uarch.Run.flat, postdoms prep)))
+            (prep.Pf_uarch.Run.trace, postdoms prep)))
     |> List.map Domain.join
   in
   List.iteri
-    (fun k (flat, metrics) ->
+    (fun k (trace, metrics) ->
       Alcotest.(check bool)
-        (Printf.sprintf "domain %d: flat trace equals a solo prepare" k)
+        (Printf.sprintf "domain %d: window equals a solo prepare" k)
         true
-        (flat = solo.Pf_uarch.Run.flat);
+        (trace = solo.Pf_uarch.Run.trace);
       Alcotest.(check bool)
         (Printf.sprintf "domain %d: postdoms metrics equal a solo run" k)
         true (metrics = solo_metrics))
@@ -522,6 +522,30 @@ let test_shared_value_concurrent_prepare () =
   in
   rm_rf dir
 
+(* A prepared window is its columns (75 bytes per instruction), the
+   occurrence index and the spawn list. Recording each instruction a
+   second time, as a record per dynamic instruction, would double it. *)
+let test_prepared_window_bytes () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Suite.find name) in
+      let window = 60_000 in
+      let prep =
+        Pf_uarch.Run.prepare w.Workload.program ~setup:w.Workload.setup
+          ~fast_forward:w.Workload.fast_forward ~window
+      in
+      let words =
+        Obj.reachable_words (Obj.repr prep)
+        - Obj.reachable_words (Obj.repr prep.Pf_uarch.Run.program)
+      in
+      let per_instr =
+        float_of_int (words * (Sys.word_size / 8)) /. float_of_int window
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f bytes per instruction <= 90" name per_instr)
+        true (per_instr <= 90.))
+    Suite.spec_names
+
 let suite =
   [ ( "workloads.suite",
       [ case "names unique" test_names_unique;
@@ -532,7 +556,9 @@ let suite =
         case "gap/vortex exceed the L1I" test_gap_code_exceeds_l1i;
         case "all workloads simulate" test_all_workloads_simulate;
         case "all workloads match the interpreter"
-          test_all_workloads_match_interpreter ] );
+          test_all_workloads_match_interpreter;
+        case "a prepared 60k window holds <= 90 bytes per instruction"
+          test_prepared_window_bytes ] );
     ( "workloads.oracles",
       [ case "engine below oracle limit" test_engine_below_oracle_limit;
         case "mcf result" test_mcf_oracle;
