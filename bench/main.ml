@@ -82,7 +82,7 @@ let window_of ?trace_store () =
     if not (Hashtbl.mem slots key) then
       Hashtbl.add slots key
         (Sweep.window_slot ~window:r.Sweep.window
-           (Option.get (Pf_workloads.Suite.find r.Sweep.workload)));
+           (Option.get (Pf_workloads.Suite.entry r.Sweep.workload)));
     fst (Sweep.acquire ?trace_store (Hashtbl.find slots key))
 
 let hr () = print_endline (String.make 98 '-')

@@ -278,7 +278,7 @@ let limits_cmd workload_name window =
       Format.printf
         "%s: single-flow limit %.2f IPC, control-independence oracle %.2f IPC \
          (%.1fx)@."
-        w.Pf_workloads.Workload.name sf df (df /. sf);
+        workload_name sf df (df /. sf);
       `Ok ()
 
 (* ---- cfg ---- *)

@@ -7,13 +7,19 @@
    under service load (a million entries is ~4k files per shard instead
    of one directory the filesystem has to scan linearly).
 
+   The index of entries on disk is built by one walk of the shard
+   directories: at [create] for a capped store, which must trim, and
+   otherwise at the first [stats], the only reader of an uncapped
+   store's index; a hit never needs it.
+
    Every mutation of the in-memory index, and every count, runs under
    [t.mutex]: a store is shared by Sweep worker domains and by
    polyflow_serve connection threads, and a [Pf_obs.Counters] bump is a
    plain read-modify-write. File reads and writes happen outside the
-   lock — an entry evicted mid-read simply fails its read and downgrades
-   to a miss, and stores are temp-file + rename so readers can never
-   observe a torn entry. *)
+   lock — an entry evicted before its open is a plain miss, one
+   evicted after it is still read whole from the open descriptor, and
+   stores are temp-file + rename so readers can never observe a torn
+   entry. *)
 
 type stats = {
   hits : int;
@@ -31,6 +37,7 @@ type t = {
   mutex : Mutex.t;
   ticks : (string, int) Hashtbl.t; (* digest -> last-use tick *)
   mutable tick : int;
+  mutable indexed : bool; (* [ticks] holds every entry the walk found *)
   c_hits : Pf_obs.Counters.counter;
   c_misses : Pf_obs.Counters.counter;
   c_stores : Pf_obs.Counters.counter;
@@ -64,9 +71,11 @@ let path t ~digest = Filename.concat (shard_dir t digest) (digest ^ t.ext)
 
 let mtime_of p = try (Unix.stat p).Unix.st_mtime with Unix.Unix_error _ -> 0.
 
-(* Seed the LRU index from disk, oldest mtime first, so recency survives
-   a daemon restart (hits refresh the file mtime below). *)
-let scan t =
+(* Add the entries on disk to the LRU index, oldest mtime first and
+   older than any entry this process has used, so recency survives a
+   daemon restart (hits refresh the file mtime below). Caller holds
+   t.mutex. *)
+let index t =
   let found = ref [] in
   Array.iter
     (fun shard ->
@@ -84,8 +93,12 @@ let scan t =
   let entries =
     List.sort (fun (_, a) (_, b) -> compare (a : float) b) !found
   in
-  List.iteri (fun i (d, _) -> Hashtbl.replace t.ticks d i) entries;
-  t.tick <- List.length entries
+  let n = List.length entries in
+  List.iteri
+    (fun i (d, _) ->
+      if not (Hashtbl.mem t.ticks d) then Hashtbl.replace t.ticks d (i - n))
+    entries;
+  t.indexed <- true
 
 let evict_until_under_cap t =
   (* caller holds t.mutex. O(entries) per eviction; caps are modest and
@@ -120,36 +133,34 @@ let create ?(cap = 0) ?counters ~ext ~counter_prefix ~dir () =
       mutex = Mutex.create ();
       ticks = Hashtbl.create 256;
       tick = 0;
+      indexed = false;
       c_hits = Pf_obs.Counters.make reg (counter_prefix ^ "_hits");
       c_misses = Pf_obs.Counters.make reg (counter_prefix ^ "_misses");
       c_stores = Pf_obs.Counters.make reg (counter_prefix ^ "_stores");
       c_evictions = Pf_obs.Counters.make reg (counter_prefix ^ "_evictions") }
   in
-  scan t;
-  Mutex.lock t.mutex;
-  evict_until_under_cap t;
-  Mutex.unlock t.mutex;
+  if cap > 0 then
+    Mutex.protect t.mutex (fun () ->
+        index t;
+        evict_until_under_cap t);
   t
 
 let dir t = t.root
 let cap t = t.cap
 
 let stats t =
-  Mutex.lock t.mutex;
-  let s =
-    { hits = Pf_obs.Counters.value t.c_hits;
-      misses = Pf_obs.Counters.value t.c_misses;
-      stores = Pf_obs.Counters.value t.c_stores;
-      evictions = Pf_obs.Counters.value t.c_evictions;
-      entries = Hashtbl.length t.ticks }
-  in
-  Mutex.unlock t.mutex;
-  s
+  Mutex.protect t.mutex (fun () ->
+      if not t.indexed then index t;
+      { hits = Pf_obs.Counters.value t.c_hits;
+        misses = Pf_obs.Counters.value t.c_misses;
+        stores = Pf_obs.Counters.value t.c_stores;
+        evictions = Pf_obs.Counters.value t.c_evictions;
+        entries = Hashtbl.length t.ticks })
 
 let store_serial = Atomic.make 0
 
 (* count a hit or a store in [c] and mark [digest] most recently used,
-   adopting entries written by other processes since our scan, and trim
+   adopting entries written by other processes since the walk, and trim
    back under the cap *)
 let touch t ~digest c =
   Mutex.lock t.mutex;
@@ -168,26 +179,42 @@ let invalid t ~path reason =
     reason;
   miss t
 
+(* The whole file, from one open, one fstat and (below 64 KiB, the
+   Unix library's transfer size) one read; [None] if there is no file
+   to open, which is a plain miss even when an eviction removed it just
+   now. *)
+let read_entry p =
+  match Unix.openfile p [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let n = (Unix.fstat fd).Unix.st_size in
+          let b = Bytes.create n in
+          let rec fill off =
+            if off < n then
+              match Unix.read fd b off (n - off) with
+              | 0 -> raise End_of_file
+              | k -> fill (off + k)
+          in
+          fill 0;
+          Some (Bytes.unsafe_to_string b))
+
 let find t ~digest ~decode =
   let p = path t ~digest in
-  if not (Sys.file_exists p) then miss t
-  else
-    match
-      let ic = open_in_bin p in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
-    | exception _ -> invalid t ~path:p "unreadable or unparseable"
-    | text -> (
-        match try decode text with _ -> Error "unreadable or unparseable" with
-        | Ok v ->
-            (* refresh recency on disk too, so LRU order survives a
-               restart of the owning process *)
-            (try Unix.utimes p 0. 0. with Unix.Unix_error _ -> ());
-            touch t ~digest t.c_hits;
-            Some v
-        | Error reason -> invalid t ~path:p reason)
+  match read_entry p with
+  | exception _ -> invalid t ~path:p "unreadable or unparseable"
+  | None -> miss t
+  | Some text -> (
+      match try decode text with _ -> Error "unreadable or unparseable" with
+      | Ok v ->
+          (* refresh recency on disk too, so LRU order survives a
+             restart of the owning process *)
+          (try Unix.utimes p 0. 0. with Unix.Unix_error _ -> ());
+          touch t ~digest t.c_hits;
+          Some v
+      | Error reason -> invalid t ~path:p reason)
 
 let store t ~digest content =
   let sdir = shard_dir t digest in

@@ -18,23 +18,31 @@
     {b LRU cap.} With [cap > 0] the store holds at most [cap] entries;
     publishing one more evicts the least-recently-used entry (a {!find}
     hit counts as a use, and refreshes the file mtime so recency
-    survives restarts — on {!create} the index is rebuilt from mtimes).
+    survives restarts — the index is rebuilt from mtimes).
     [cap = 0] (the default) never evicts.
+
+    {b The index walk.} The index of entries on disk comes from one walk
+    of the shard directories. A capped store walks in {!create}, since
+    it must trim what it finds there; an uncapped store walks on its
+    first {!stats} call, the only reader of its index, so opening it and
+    answering hits costs nothing per entry on disk.
 
     {b Concurrency.} One [t] may be shared freely between domains and
     threads: index updates and counts are mutex-protected, entries are
-    written atomically (temp file + rename), and a file that is
-    unreadable or fails its codec's validation is treated as a miss and
-    reported on stderr as
+    written atomically (temp file + rename), a file that is gone when
+    {!find} opens it (evicted, say, by another process) is a plain miss,
+    and a file that is unreadable or fails its codec's validation is
+    treated as a miss and reported on stderr as
     [<counter_prefix>: ignoring <path> (<reason>); will recompute]; the
     fresh result then overwrites it. *)
 
 type t
 
-(** Monotonic totals since {!create}, plus the current entry count. The
-    same four totals are published as [<counter_prefix>_hits],
-    [_misses], [_stores] and [_evictions] in the registry passed to
-    {!create}. *)
+(** Monotonic totals since {!create}, plus the current entry count: the
+    entries the index walk found, with those this process stored or hit
+    since, less those it evicted. The same four totals are published as
+    [<counter_prefix>_hits], [_misses], [_stores] and [_evictions] in
+    the registry passed to {!create}. *)
 type stats = {
   hits : int;
   misses : int;
@@ -45,10 +53,11 @@ type stats = {
 
 (** [create ~ext ~counter_prefix ~dir ()] opens the store, creating
     the directory — and any missing parents, [mkdir -p] style — if
-    necessary, and indexing existing entries by mtime for LRU order.
-    [ext] is the entry filename extension (the run cache's [".run"],
-    the trace store's [".trace"]). [cap] bounds the entry count (0 =
-    unlimited; over-cap entries found on disk are evicted immediately).
+    necessary. [ext] is the entry filename extension (the run cache's
+    [".run"], the trace store's [".trace"]). [cap] bounds the entry
+    count (0 = unlimited); a capped store indexes the entries on disk by
+    mtime for LRU order here, and evicts the oldest of them beyond the
+    cap at once.
     [counter_prefix] also names the store in its warnings. [counters]
     registers the four stats
     counters in the caller's {!Pf_obs.Counters} registry so services
@@ -64,17 +73,21 @@ val create :
 
 val dir : t -> string
 val cap : t -> int
+
+(** Walks the store's directory on the first call if {!create} did
+    not. *)
 val stats : t -> stats
 
 (** The sharded on-disk path of an entry (whether or not it exists). *)
 val path : t -> digest:string -> string
 
-(** [find t ~digest ~decode] reads the entry's bytes and runs [decode]
-    on them. [Ok v] is a hit: the entry is marked most recently used
-    (in memory and via its file mtime) and [Some v] is returned.
+(** [find t ~digest ~decode] reads the entry's bytes (one open, one
+    fstat and, for an entry under 64 KiB, one read) and runs [decode] on
+    them. [Ok v] is a hit: the entry is marked most recently used (in
+    memory and via its file mtime) and [Some v] is returned.
     [Error reason] — or a missing/unreadable file, or a raising
     [decode] — is a miss: the entry is reported on stderr (except for a
-    plainly missing file) and [None] is returned. *)
+    file that is not there to open) and [None] is returned. *)
 val find : t -> digest:string -> decode:(string -> ('a, string) result) -> 'a option
 
 (** [store t ~digest content] publishes an entry atomically, replacing

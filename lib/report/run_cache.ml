@@ -42,6 +42,33 @@ let cap = Cache_store.cap
 let stats = Cache_store.stats
 let path = Cache_store.path
 
+(* Each distinct config's canonical JSON, encoded once per process: the
+   figure grid's 360 specs hold 14 distinct configs in 249 copies, so
+   the memo is keyed on the config's value (every field hashed), not
+   its address. It empties when full, so a daemon sent ever-new configs
+   holds at most [config_memo_size] of them. *)
+module Config_memo = Hashtbl.Make (struct
+  type t = Config.t
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 64
+end)
+
+let config_memo_size = 64
+let config_memo = Config_memo.create config_memo_size
+let config_memo_lock = Mutex.create ()
+
+let config_json config =
+  Mutex.protect config_memo_lock (fun () ->
+      match Config_memo.find_opt config_memo config with
+      | Some json -> json
+      | None ->
+          let json = Json.to_string (Codec.config_to_json config) in
+          if Config_memo.length config_memo >= config_memo_size then
+            Config_memo.reset config_memo;
+          Config_memo.add config_memo config json;
+          json)
+
 let digest ~workload ~window ~fast_forward ~policy ~label ~config =
   (* every field is a full line of its own, so no two distinct keys can
      concatenate to the same string; the config goes in as its canonical
@@ -57,7 +84,7 @@ let digest ~workload ~window ~fast_forward ~policy ~label ~config =
         string_of_int fast_forward;
         policy;
         label;
-        Json.to_string (Codec.config_to_json config) ]
+        config_json config ]
   in
   Digest.to_hex (Digest.string key)
 

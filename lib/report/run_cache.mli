@@ -31,15 +31,17 @@
     {b LRU cap.} With [cap > 0] the cache holds at most [cap] entries;
     publishing one more evicts the least-recently-used entry (a hit
     counts as a use, and refreshes the file mtime so recency survives
-    restarts — on {!create} the index is rebuilt from mtimes). [cap = 0]
-    (the default) never evicts.
+    restarts — a capped {!create} rebuilds the index from mtimes).
+    [cap = 0] (the default) never evicts, and opens without walking the
+    directory: it walks on the first {!stats} call.
 
     {b Concurrency.} One [t] may be shared freely between domains and
     threads (the sweep worker pool and the polyflow_serve connection
     threads both do): index updates are mutex-protected, entries are
-    written atomically (temp file + rename), and a file that is
-    unreadable or fails to decode is reported on stderr and treated as
-    a miss; the fresh result then overwrites it. *)
+    written atomically (temp file + rename), an entry that is gone when
+    a probe opens it is a plain miss, and a file that is unreadable or
+    fails to decode is reported on stderr and treated as a miss; the
+    fresh result then overwrites it. *)
 
 type t
 
@@ -56,18 +58,24 @@ type stats = {
 }
 
 (** [create ~dir ()] opens the cache, creating the directory — and any
-    missing parents, [mkdir -p] style — if necessary, and indexing
-    existing entries by mtime for LRU order. [cap] bounds the entry
-    count (0 = unlimited; over-cap entries found on disk are evicted
-    immediately). [counters] registers the four stats counters in the
-    caller's {!Pf_obs.Counters} registry so services can export them. *)
+    missing parents, [mkdir -p] style — if necessary. [cap] bounds the
+    entry count (0 = unlimited); a capped cache indexes the entries on
+    disk by mtime here and evicts the oldest beyond the cap at once.
+    [counters] registers the four stats counters in the caller's
+    {!Pf_obs.Counters} registry so services can export them. *)
 val create : ?cap:int -> ?counters:Pf_obs.Counters.t -> dir:string -> unit -> t
 
 val dir : t -> string
 val cap : t -> int
+
+(** Walks the cache directory on the first call if {!create} did not,
+    so [entries] counts the entries on disk. *)
 val stats : t -> stats
 
-(** The content digest of one run's inputs, in hex. *)
+(** The content digest of one run's inputs, in hex. Each distinct
+    config (by value) is encoded once per process, through a memo of at
+    most 64 configs that empties when full; the digest is the same
+    either way. *)
 val digest :
   workload:string ->
   window:int ->

@@ -93,7 +93,7 @@ let resolve_config (s : spec) =
 
 type resolved = {
   r_spec : spec;
-  r_workload : Pf_workloads.Workload.t;
+  r_workload : Pf_workloads.Suite.entry;
   r_window : int;
   r_config : Config.t;
   r_digest : string;
@@ -105,11 +105,12 @@ type resolve_error =
   | Non_positive_window of int
 
 let resolve (s : spec) =
-  match Pf_workloads.Suite.find s.workload with
+  match Pf_workloads.Suite.entry s.workload with
   | None -> Error Unknown_workload
-  | Some wl -> (
+  | Some e -> (
+      let d = Pf_workloads.Suite.decl e in
       let window =
-        Option.value s.window ~default:wl.Pf_workloads.Workload.window
+        Option.value s.window ~default:d.Pf_workloads.Workload.d_window
       in
       let config = resolve_config s in
       match Config.check config with
@@ -118,12 +119,12 @@ let resolve (s : spec) =
       | Ok () ->
           Ok
             { r_spec = s;
-              r_workload = wl;
+              r_workload = e;
               r_window = window;
               r_config = config;
               r_digest =
                 Run_cache.digest ~workload:s.workload ~window
-                  ~fast_forward:wl.Pf_workloads.Workload.fast_forward
+                  ~fast_forward:d.Pf_workloads.Workload.d_fast_forward
                   ~policy:(Pf_core.Policy.name s.policy) ~label:s.label
                   ~config })
 
@@ -134,7 +135,7 @@ let resolve (s : spec) =
 type slot_state = Empty | Preparing | Ready of Run.prepared
 
 type slot = {
-  sl_wl : Pf_workloads.Workload.t;
+  sl_entry : Pf_workloads.Suite.entry;
   sl_window : int;
   lock : Mutex.t;
   changed : Condition.t;  (* signalled when [state] leaves [Preparing] *)
@@ -143,8 +144,8 @@ type slot = {
   mutable prepare_s : float;  (* wall time of the successful preparation *)
 }
 
-let window_slot wl ~window =
-  { sl_wl = wl;
+let window_slot entry ~window =
+  { sl_entry = entry;
     sl_window = window;
     lock = Mutex.create ();
     changed = Condition.create ();
@@ -175,9 +176,9 @@ let acquire ?trace_store slot =
             slot.state <- state;
             Condition.broadcast slot.changed)
       in
-      let wl = slot.sl_wl in
       let t0 = Unix.gettimeofday () in
       match
+        let wl = Pf_workloads.Suite.build slot.sl_entry in
         Run.prepare ?store:trace_store wl.Pf_workloads.Workload.program
           ~setup:wl.Pf_workloads.Workload.setup
           ~fast_forward:wl.Pf_workloads.Workload.fast_forward
@@ -267,9 +268,9 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
      included, so a fully-hit sweep reproduces its document byte for
      byte); the misses left over are what gets simulated. Probing up
      front — instead of inside the worker items — is what lets the
-     misses be grouped by window below. A probe is a file read, an MD5
-     check and a binary decode of a ~1 KB entry, about 0.03 ms; on a
-     fully cached sweep the probes are all the work there is. *)
+     misses be grouped by window below. A probe is one read of a ~1 KB
+     entry, an MD5 check and a binary decode, about 0.01 ms; on a fully
+     cached sweep the probes are all the work there is. *)
   let nspec = Array.length resolved in
   let results : run option array = Array.make nspec None in
   Option.iter
@@ -341,7 +342,8 @@ let execute ?progress ?cache ?trace_store ?(batch = 8) ?on_stats ~jobs specs =
   let prepared =
     List.map
       (fun (slot, _) ->
-        { pw_workload = slot.sl_wl.Pf_workloads.Workload.name;
+        { pw_workload =
+            (Pf_workloads.Suite.decl slot.sl_entry).Pf_workloads.Workload.d_name;
           pw_window = slot.sl_window;
           pw_prepare_s = slot.prepare_s })
       slots

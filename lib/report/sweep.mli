@@ -80,7 +80,8 @@ val run_of_json : Json.t -> run
 
 type resolved = {
   r_spec : spec;
-  r_workload : Pf_workloads.Workload.t;  (** the suite entry *)
+  r_workload : Pf_workloads.Suite.entry;
+      (** the suite entry, not yet built: {!acquire} builds it *)
   r_window : int;  (** the spec's window, else the workload's; > 0 *)
   r_config : Pf_uarch.Config.t;  (** {!resolve_config} *)
   r_digest : string;  (** the run's {!Run_cache.digest} *)
@@ -91,7 +92,8 @@ type resolve_error =
   | Bad_config of string  (** {!Pf_uarch.Config.check}'s message *)
   | Non_positive_window of int
 
-(** Looks up the workload and computes the rest of {!resolved}. A spec
+(** Looks up the workload and computes the rest of {!resolved}, reading
+    only the workload's declaration, so resolving builds nothing. A spec
     wrong in several ways gets the first error of: workload, config,
     window. *)
 val resolve : spec -> (resolved, resolve_error) result
@@ -99,12 +101,14 @@ val resolve : spec -> (resolved, resolve_error) result
 (** One (workload, window) and its prepared window, if any. *)
 type slot
 
-val window_slot : Pf_workloads.Workload.t -> window:int -> slot
+val window_slot : Pf_workloads.Suite.entry -> window:int -> slot
 
 (** The slot's window, prepared (through [trace_store]) on first use:
     concurrent callers wait for that one preparation, and [Some s] tells
-    the caller that did it, in [s] wall seconds. A preparation that
-    raises empties the slot, so the next caller tries again. *)
+    the caller that did it, in [s] wall seconds. The preparation builds
+    the workload first ({!Pf_workloads.Suite.build}) if nothing in this
+    process has yet, and [s] includes that. A preparation that raises
+    empties the slot, so the next caller tries again. *)
 val acquire :
   ?trace_store:Pf_trace.Trace_store.t ->
   slot ->
@@ -137,7 +141,8 @@ val simulate_run :
 type prepared_window = {
   pw_workload : string;
   pw_window : int;
-  pw_prepare_s : float;  (** wall seconds {!Pf_uarch.Run.prepare} took *)
+  pw_prepare_s : float;
+      (** wall seconds the preparation took ({!acquire}) *)
 }
 
 (** What {!execute} actually did, reported through [?on_stats]:

@@ -149,8 +149,8 @@ let setup ~distance ~stride ~depth machine address_of =
     Workload.fill_permutation rng machine ~base:(address_of "idx_")
       ~slots ~stride:8
 
-let workload ~distance ~stride ~depth () =
-  Workload.of_mini
+let workload ~distance ~stride ~depth =
+  Workload.declare
     ~name:(name ~distance ~stride ~depth)
     ~description:(description ~distance ~stride ~depth)
     ~fast_forward:500 ~window:30_000
@@ -159,7 +159,7 @@ let workload ~distance ~stride ~depth () =
 
 (* The curated members registered in [Suite]: the dependence-distance
    sweep (unit stride, depth 1, every distance) plus one variant per
-   remaining axis. The constructor above builds any other combination
+   remaining axis. The constructor above declares any other combination
    for one-off experiments. *)
 let sweep_names =
   List.map (fun d -> name ~distance:d ~stride:Unit ~depth:1) distances

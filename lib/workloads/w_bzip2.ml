@@ -33,7 +33,7 @@ let setup machine address_of =
   Workload.fill_words rng machine ~base:(address_of "data") ~words:1024
     ~mask:Int64.max_int
 
-let workload () =
-  Workload.of_mini ~name:"bzip2"
+let workload =
+  Workload.declare ~name:"bzip2"
     ~description:"run-length counting with data-dependent inner-loop trip counts"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -57,7 +57,7 @@ let setup machine address_of =
   Workload.fill_words rng machine ~base:(address_of "board") ~words:512
     ~mask:0xffffffffL
 
-let workload () =
-  Workload.of_mini ~name:"crafty"
+let workload =
+  Workload.declare ~name:"crafty"
     ~description:"nested unpredictable bitboard hammocks, no loop parallelism"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -49,7 +49,7 @@ let program =
     globals = [ ("result", 8) ]
   }
 
-let workload () =
-  Workload.of_mini ~name:"gap"
+let workload =
+  Workload.declare ~name:"gap"
     ~description:"wide call sequences over ~10 KB of code (I-cache streaming)"
     ~fast_forward:2000 ~window:60_000 program (fun _ _ -> ())

@@ -78,7 +78,7 @@ let setup machine address_of =
   Workload.fill_words rng machine ~base:(address_of "ops") ~words:512
     ~mask:0xffffL
 
-let workload () =
-  Workload.of_mini ~name:"gcc"
+let workload =
+  Workload.declare ~name:"gcc"
     ~description:"irregular IR folding: switches, hammocks, operand loops, calls"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -38,7 +38,7 @@ let setup machine address_of =
     Pf_isa.Machine.write_u8 machine (text + k) (Rng.int rng 4)
   done
 
-let workload () =
-  Workload.of_mini ~name:"gzip"
+let workload =
+  Workload.declare ~name:"gzip"
     ~description:"LZ77-style match extension with data-dependent loop exits"
     ~fast_forward:2000 ~window:60_000 program setup

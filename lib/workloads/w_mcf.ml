@@ -42,7 +42,7 @@ let setup machine address_of =
   done;
   Pf_isa.Machine.write_i64 machine (address_of "head") (Int64.of_int arcs)
 
-let workload () =
-  Workload.of_mini ~name:"mcf"
+let workload =
+  Workload.declare ~name:"mcf"
     ~description:"serial pointer chase with hard branches over a 64 KB arc pool"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -114,7 +114,7 @@ let setup machine address_of =
   done;
   emit 5 (* end marker *)
 
-let workload () =
-  Workload.of_mini ~name:"parser"
+let workload =
+  Workload.declare ~name:"parser"
     ~description:"recursive-descent parsing of a generated expression stream"
     ~fast_forward:2000 ~window:60_000 program setup

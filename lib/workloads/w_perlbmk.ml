@@ -64,7 +64,7 @@ let setup machine address_of =
     Pf_isa.Machine.write_u8 machine (code + k) (Rng.int rng 8)
   done
 
-let workload () =
-  Workload.of_mini ~name:"perlbmk"
+let workload =
+  Workload.declare ~name:"perlbmk"
     ~description:"bytecode dispatch loop through an unpredictable jump table"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -98,8 +98,8 @@ let setup machine address_of =
   w (address_of "new_mean") 500L;
   w (address_of "old_mean") 480L
 
-let workload () =
-  Workload.of_mini ~name:"twolf"
+let workload =
+  Workload.declare ~name:"twolf"
     ~description:"new_dbox_a nested loops over linked net lists (Figure 6)"
     ~fast_forward:2000 ~window:60_000 program
     (fun m addr -> setup m addr)

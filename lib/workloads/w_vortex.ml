@@ -81,7 +81,7 @@ let setup machine address_of =
   Workload.fill_words rng machine ~base:(address_of "objs") ~words:objects
     ~mask:0xffffL
 
-let workload () =
-  Workload.of_mini ~name:"vortex"
+let workload =
+  Workload.declare ~name:"vortex"
     ~description:"transaction loop over 20 object handlers (procFT-dominated)"
     ~fast_forward:2000 ~window:60_000 program setup

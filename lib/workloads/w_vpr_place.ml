@@ -50,7 +50,7 @@ let setup machine address_of =
   Workload.fill_words rng machine ~base:(address_of "rand") ~words:2048
     ~mask:Int64.max_int
 
-let workload () =
-  Workload.of_mini ~name:"vpr.place"
+let workload =
+  Workload.declare ~name:"vpr.place"
     ~description:"annealing moves: ABS hammocks and random accept branches"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -71,7 +71,7 @@ let setup machine address_of =
     (fun k d -> w (deltas + (8 * k)) (Int64.of_int d))
     [ -side; -1; 1; side ]
 
-let workload () =
-  Workload.of_mini ~name:"vpr.route"
+let workload =
+  Workload.declare ~name:"vpr.route"
     ~description:"randomised grid wavefront with 4-iteration neighbour loops"
     ~fast_forward:2000 ~window:60_000 program setup

@@ -9,17 +9,28 @@ type t = {
   mini : Pf_mini.Ast.program option;
 }
 
-let of_mini ~name ~description ~fast_forward ~window prog init =
-  let compiled = Pf_mini.Compile.compile prog in
-  { name;
-    description;
-    program = compiled.Pf_mini.Compile.program;
-    setup = (fun m -> init m compiled.Pf_mini.Compile.address_of);
-    fast_forward;
-    window;
-    result_addr =
-      (try compiled.Pf_mini.Compile.address_of "result" with Not_found -> -1);
-    mini = Some prog }
+type decl = {
+  d_name : string;
+  d_fast_forward : int;
+  d_window : int;
+  build : unit -> t;
+}
+
+let declare ~name ~description ~fast_forward ~window prog init =
+  let build () =
+    let compiled = Pf_mini.Compile.compile prog in
+    { name;
+      description;
+      program = compiled.Pf_mini.Compile.program;
+      setup = (fun m -> init m compiled.Pf_mini.Compile.address_of);
+      fast_forward;
+      window;
+      result_addr =
+        (try compiled.Pf_mini.Compile.address_of "result"
+         with Not_found -> -1);
+      mini = Some prog }
+  in
+  { d_name = name; d_fast_forward = fast_forward; d_window = window; build }
 
 let fill_words rng m ~base ~words ~mask =
   for k = 0 to words - 1 do

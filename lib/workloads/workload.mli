@@ -3,11 +3,11 @@
     the paper evaluates (Section 3.2), each built to exhibit the
     control-flow and memory behaviour the paper attributes to it.
 
-    A registered workload is built once at start-up ({!Suite}) and one
-    value serves every domain and thread at once, so a [t] must stay
-    immutable after construction: [setup] must be deterministic (the
-    same writes on every call, from its own [Rng]) and must touch only
-    the machine it is given. *)
+    A registered workload is declared at start-up and built once, on
+    first use ({!Suite}); one value then serves every domain and thread
+    at once, so a [t] must stay immutable after construction: [setup]
+    must be deterministic (the same writes on every call, from its own
+    [Rng]) and must touch only the machine it is given. *)
 
 type t = {
   name : string;
@@ -21,21 +21,33 @@ type t = {
   result_addr : int;                (** address of the program's 8-byte result
                                         (for oracle checks), -1 if none *)
   mini : Pf_mini.Ast.program option;
-      (** the Mini source when built with {!of_mini}, so differential
+      (** the Mini source when built from {!declare}, so differential
           tests can re-interpret the workload against the machine *)
 }
 
-(** [of_mini ~name ~description ~fast_forward ~window prog init] compiles
-    a Mini program; [init] receives the machine and the global address
+(** A workload before it is built: what a run's cache key reads, and how
+    to build the rest. *)
+type decl = {
+  d_name : string;
+  d_fast_forward : int;
+  d_window : int;
+  build : unit -> t;
+      (** compiles the program, the costly part (up to ~3 ms for
+          vortex); {!Suite} calls it once per process *)
+}
+
+(** [declare ~name ~description ~fast_forward ~window prog init]
+    declares a Mini program without compiling it; its [build] compiles
+    [prog], and [init] receives the machine and the global address
     lookup. *)
-val of_mini :
+val declare :
   name:string ->
   description:string ->
   fast_forward:int ->
   window:int ->
   Pf_mini.Ast.program ->
   (Pf_isa.Machine.t -> (string -> int) -> unit) ->
-  t
+  decl
 
 (** {1 Data-initialisation helpers} *)
 

@@ -858,6 +858,50 @@ let test_cache_digest_sensitivity () =
       Hashtbl.add seen digest name)
     variants
 
+(* Random configs that pass [Config.check]: each field drawn from its
+   own range (capped 4,096 above its floor), or at its polyflow value *)
+let arbitrary_valid_config =
+  let open QCheck.Gen in
+  let value (f : Config.field) =
+    if f.flag then int_range 0 1
+    else
+      oneof
+        [ return (f.get Config.polyflow);
+          int_range f.lo (min f.hi (f.lo + 4_096)) ]
+  in
+  QCheck.make
+    ~print:(Format.asprintf "%a" Config.pp)
+    (List.fold_left
+       (fun acc (f : Config.field) ->
+         acc >>= fun c -> map (f.set c) (value f))
+       (return Config.superscalar) Config.fields)
+
+(* the key [Run_cache.digest] hashes, encoded afresh *)
+let fresh_digest ~label config =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          [ "polyflow-run-cache"; Engine.timing_version; "gzip"; "3000";
+            "2000"; "postdoms"; label;
+            Json.to_string (Codec.config_to_json config) ]))
+
+(* Each case digests 100 configs, more than the memo holds, twice: the
+   first pass fills (and empties) the memo, the second reads it. *)
+let digest_memo_prop =
+  QCheck.Test.make ~name:"cache: the memoised digest equals a fresh encode"
+    ~count:20
+    (QCheck.list_of_size (QCheck.Gen.return 100) arbitrary_valid_config)
+    (fun configs ->
+      let matches i config =
+        let label = string_of_int i in
+        Run_cache.digest ~workload:"gzip" ~window:3_000 ~fast_forward:2_000
+          ~policy:"postdoms" ~label ~config
+        = fresh_digest ~label config
+      in
+      List.for_all (fun c -> Config.check c = Ok ()) configs
+      && List.for_all Fun.id (List.mapi matches configs)
+      && List.for_all Fun.id (List.mapi matches configs))
+
 (* The cache key and the entry bytes, pinned as test_golden.ml pins the
    goldens: changing either orphans every cache on disk, so it comes
    with a new [Engine.timing_version] (key) or [Run_cache.format_version]
@@ -1254,6 +1298,7 @@ let suite =
           test_cache_bypass_and_verbatim_replay;
         case "cache: corrupt entries resimulated" test_cache_corruption_ignored;
         case "cache: entry round trip is byte-identical" test_entry_round_trip;
+        Prop.to_alcotest digest_memo_prop;
         Prop.to_alcotest entry_roundtrip_prop;
         Prop.to_alcotest entry_faults_prop;
         case "table: the benchmark column fits the longest name"

@@ -280,9 +280,87 @@ let test_cache_recency_survives_reopen () =
   let past = Unix.gettimeofday () -. 3600. in
   Unix.utimes (Run_cache.path c1 ~digest:d_aa) past past;
   let c2 = Run_cache.create ~cap:1 ~dir () in
+  (* a capped store walks, and trims, when it opens *)
+  Alcotest.(check bool) "stale entry trimmed at open" false
+    (Sys.file_exists (Run_cache.path c2 ~digest:d_aa));
+  Alcotest.(check int) "one entry left" 1 (Run_cache.stats c2).Run_cache.entries;
   store c2 d_cc;
   Alcotest.(check bool) "stale entry evicted first" true (find c2 d_aa = None);
   Alcotest.(check bool) "new entry survives" true (find c2 d_cc <> None)
+
+(* An uncapped store opens without walking its directory: it answers a
+   hit at once and walks on its first [stats], so [entries] counts the
+   files on disk then, one stored through another handle since the
+   open included. *)
+let test_cache_uncapped_walks_at_stats () =
+  let dir = temp_dir () in
+  let c1 = Run_cache.create ~dir () in
+  List.iter (store c1) [ d_aa; d_ab; d_bb ];
+  let c2 = Run_cache.create ~dir () in
+  Alcotest.(check bool) "a hit before any walk" true
+    (find c2 d_ab = Some (entry d_ab));
+  store c1 d_cc;
+  let s = Run_cache.stats c2 in
+  Alcotest.(check int) "entries counts every file on disk" 4
+    s.Run_cache.entries;
+  Alcotest.(check int) "the hit counted once" 1 s.Run_cache.hits
+
+(* [f ()] and what it wrote to stderr *)
+let stderr_of f =
+  let path = Filename.temp_file "pf_serve_stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  let v =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved;
+        Unix.close fd)
+      f
+  in
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (v, text)
+
+(* An entry evicted after the caller chose its key is a plain miss:
+   counted once, and nothing on stderr, also while another handle's
+   evictions race the probes. *)
+let test_cache_deleted_entry_is_a_quiet_miss () =
+  let dir = temp_dir () in
+  let cache = Run_cache.create ~dir () in
+  store cache d_aa;
+  Sys.remove (Run_cache.path cache ~digest:d_aa);
+  let found, err = stderr_of (fun () -> find cache d_aa) in
+  Alcotest.(check bool) "a miss" true (found = None);
+  Alcotest.(check int) "counted once" 1 (Run_cache.stats cache).Run_cache.misses;
+  Alcotest.(check string) "nothing on stderr" "" err;
+  let capped = Run_cache.create ~cap:1 ~dir () in
+  let stop = Atomic.make false in
+  let churn =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          store capped d_bb;
+          store capped d_cc
+        done)
+  in
+  let probes = 2_000 in
+  let (), err =
+    stderr_of (fun () ->
+        for _ = 1 to probes do
+          ignore (find cache d_bb)
+        done)
+  in
+  Atomic.set stop true;
+  Domain.join churn;
+  let s = Run_cache.stats cache in
+  Alcotest.(check string) "nothing on stderr under churn" "" err;
+  Alcotest.(check int) "every probe counted" (probes + 1)
+    (s.Run_cache.hits + s.Run_cache.misses)
 
 (* ---- scheduler ---- *)
 
@@ -1110,7 +1188,11 @@ let suite =
       [ case "cold start creates parents" test_cache_cold_start_creates_parents;
         case "digest-prefix sharding" test_cache_sharding;
         case "LRU eviction order" test_cache_lru_eviction_order;
-        case "recency survives reopen" test_cache_recency_survives_reopen ] );
+        case "recency survives reopen" test_cache_recency_survives_reopen;
+        case "an uncapped store walks at its first stats"
+          test_cache_uncapped_walks_at_stats;
+        case "an entry deleted before its read is a quiet miss"
+          test_cache_deleted_entry_is_a_quiet_miss ] );
     ( "serve.scheduler",
       [ case "resolution errors" test_scheduler_resolution_errors;
         case "a window over the limit is refused" test_scheduler_window_limit;
